@@ -1,6 +1,7 @@
-"""Hot numeric kernels with a selectable execution backend.
+"""Hot numeric kernels.
 
-Two backends compute identical results bit for bit:
+The exhaustive 3^K scan has two backends that compute identical results
+bit for bit:
 
 * ``numba``: @njit-compiled loops (default whenever numba imports cleanly)
 * ``numpy``: pure-numpy fallback, chunked where enumeration is large
@@ -9,6 +10,10 @@ Selection: the DCALLOC_BACKEND environment variable ("numba" or "numpy")
 wins at import time; set_backend() switches at runtime. Both backends keep
 the same floating-point operation order, so solver outputs do not depend on
 the backend choice.
+
+The greedy's window pricing needs no backend: the least-degrading subset of
+a descending window is always a prefix, so subset_degradations() prices the
+w prefixes with one cumulative sum instead of enumerating 2^w subsets.
 """
 
 from __future__ import annotations
@@ -120,23 +125,6 @@ def _brute_scan_numpy(log_m, log_s, assoc, num_sbs, bw_m, bw_s, n_combos):
     return best_val, best_idx
 
 
-def _subset_table_numpy(pool_logs, cs_logsum, cs_size, bw):
-    w = pool_logs.shape[0]
-    n = 1 << w
-    csum = np.empty(n)
-    pcnt = np.zeros(n, dtype=np.int64)
-    csum[0] = cs_logsum
-    for b in range(w):
-        base = 1 << b
-        csum[base:2 * base] = csum[:base] + pool_logs[b]
-        pcnt[base:2 * base] = pcnt[:base] + 1
-    bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
-    degs = np.empty(n)
-    degs[0] = np.inf
-    degs[1:] = bef - bw / (cs_size + pcnt[1:]) * csum[1:]
-    return degs, csum, pcnt
-
-
 if _HAVE_NUMBA:
 
     @numba.njit(cache=True)
@@ -179,25 +167,6 @@ if _HAVE_NUMBA:
                     p += 1
         return best_val, best_idx
 
-    @numba.njit(cache=True)
-    def _subset_table_numba(pool_logs, cs_logsum, cs_size, bw):
-        w = pool_logs.shape[0]
-        n = 1 << w
-        csum = np.empty(n)
-        pcnt = np.zeros(n, np.int64)
-        csum[0] = cs_logsum
-        for b in range(w):
-            base = 1 << b
-            for m in range(base):
-                csum[base + m] = csum[m] + pool_logs[b]
-                pcnt[base + m] = pcnt[m] + 1
-        bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
-        degs = np.empty(n)
-        degs[0] = np.inf
-        for m in range(1, n):
-            degs[m] = bef - bw / (cs_size + pcnt[m]) * csum[m]
-        return degs, csum, pcnt
-
 
 def brute_force_scan(table):
     """Best sum-rate over all 3^K profile combinations.
@@ -219,19 +188,22 @@ def brute_force_scan(table):
 
 
 def subset_degradations(pool_logs, cs_logsum, cs_size, bw):
-    """Degradation table over every subset of a candidate pool.
+    """Degradations of adopting each prefix of a candidate window.
 
-    Subset m (bitmask over pool positions, bit b set means pool_logs[b]
-    joins the station) gets
+    The window lists a station's candidates by descending SINR/SNR, so
+    pool_logs is descending. For every size s the left-to-right sum of the
+    first s terms is then at least the sum of any other s of them (IEEE
+    addition is monotone), so the least-degrading subset is always a
+    prefix. Entry s-1 prices the first s rows:
 
-        degs[m] = bw/cs_size*cs_logsum - bw/(cs_size+|m|)*(cs_logsum+sum(m))
+        degs[s-1] = bw/cs_size*cs_logsum - bw/(cs_size+s)*csum[s-1]
 
-    i.e. the station's rate total before minus after adopting the subset;
-    an empty committed set contributes 0 before. degs[0] is +inf so the
-    empty subset never wins an argmin. Also returns the post-adoption log
-    sums csum and popcounts pcnt for committing the winner.
+    where csum[s-1] = cs_logsum + pool_logs[0] + ... + pool_logs[s-1],
+    accumulated in that order; an empty committed set contributes 0 before.
+    Returns (degs, csum).
     """
-    pool_logs = np.ascontiguousarray(pool_logs, dtype=np.float64)
-    if _BACKEND == "numba":
-        return _subset_table_numba(pool_logs, float(cs_logsum), int(cs_size), float(bw))
-    return _subset_table_numpy(pool_logs, float(cs_logsum), int(cs_size), float(bw))
+    pool_logs = np.asarray(pool_logs, dtype=np.float64)
+    csum = np.cumsum(np.concatenate(([float(cs_logsum)], pool_logs)))[1:]
+    bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
+    sizes = cs_size + np.arange(1, pool_logs.shape[0] + 1, dtype=np.int64)
+    return bef - bw / sizes * csum, csum

@@ -140,10 +140,6 @@ def solve_stronger(table: ChannelTable, counter: RateCalcCounter | None = None) 
     return _one_shot(alloc, table, counter)
 
 
-def _window_bits(mask: int, width: int):
-    return [b for b in range(width) if (mask >> b) & 1]
-
-
 def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
     """Greedy allocation over the sorted matrix.
 
@@ -151,18 +147,24 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     later pass refreshes one candidate window per station: the rows strictly
     below the station's deepest committed row, down to and including the
     first row whose UE is not yet served anywhere (a station with no such
-    row is exhausted for good). Every subset of every window is priced by
-    the degradation the station's rate total would suffer from adopting it;
-    the globally least-degrading nonempty subset is committed, which may
-    re-serve already-served UEs at the second tier. Loops until every UE is
-    served.
+    row is exhausted for good). The least-degrading nonempty subset of each
+    window is adopted by the station whose rate total it degrades the least,
+    which may re-serve already-served UEs at the second tier. Loops until
+    every UE is served.
 
-    Counter accounting per examined window of w rows at a station already
-    serving cs UEs: each subset costs one rate evaluation per UE the station
-    would then serve, summing to cs*2^w + w*2^(w-1) ticks. wall_notes also
-    reports the raw number of subset evaluations (2^w per window) plus pass
-    and commit tallies. The final counted evaluate() adds one tick per
-    served (UE, tier) pair.
+    A window lists UEs by descending SINR/SNR, so for every size s its first
+    s rows degrade the station's rate total no more than any other s of its
+    rows (see subset_degradations), and only the w prefixes are priced.
+    Ties between prefixes go to the lexicographically smallest sorted UE
+    tuple.
+
+    Counter accounting still charges the paper's enumeration of every
+    subset: per examined window of w rows at a station already serving cs
+    UEs, each subset costs one rate evaluation per UE the station would
+    then serve, summing to cs*2^w + w*2^(w-1) ticks. wall_notes likewise
+    reports 2^w subset evaluations per window, plus pass and commit
+    tallies. The final counted evaluate() adds one tick per served
+    (UE, tier) pair.
     """
     cnt = counter if counter is not None else RateCalcCounter()
     k_ues = table.num_ue
@@ -208,7 +210,7 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
         if passes > 4 * k_ues + 8:
             raise RuntimeError("greedy allocation failed to make progress")
 
-        # (degradation, bs, window start row, mask, adopted logsum, adopted count, pool UEs)
+        # (degradation, bs, window start row, adopted logsum, pool prefix UEs)
         best = None
         for bs in range(n_bs):
             if exhausted[bs]:
@@ -226,19 +228,13 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
             lo = current[bs] + 1
             w = nxt - lo + 1
             pool_ues = col[lo:nxt + 1]
-            degs, csum, pcnt = subset_degradations(
+            degs, csum = subset_degradations(
                 log_terms(bs, pool_ues), logsum[bs], csize[bs], bandwidth(bs))
             subset_evals += 1 << w
             cnt.tick(csize[bs] * (1 << w) + w * (1 << (w - 1)))
-            j = int(np.argmin(degs))
-            ties = np.flatnonzero(degs == degs[j])
-            if ties.size > 1:
-                mask = min(
-                    (int(m) for m in ties),
-                    key=lambda m: tuple(sorted(int(pool_ues[b]) for b in _window_bits(m, w))))
-            else:
-                mask = j
-            cand = (float(degs[mask]), bs, lo, mask, float(csum[mask]), int(pcnt[mask]), pool_ues)
+            ties = np.flatnonzero(degs == degs.min())
+            j = int(min(ties, key=lambda t: sorted(pool_ues[:t + 1].tolist())))
+            cand = (float(degs[j]), bs, lo, float(csum[j]), pool_ues[:j + 1])
             if best is None or cand[0] < best[0]:
                 best = cand
 
@@ -251,13 +247,11 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
             fallback = True
             break
 
-        _, bs, lo, mask, new_logsum, added, pool_ues = best
-        bits = _window_bits(mask, len(pool_ues))
-        ues = pool_ues[bits]
+        _, bs, lo, new_logsum, ues = best
         (committed_macro if bs == mbs else committed_small)[ues] = True
         served[ues] = True
-        current[bs] = lo + max(bits)
-        csize[bs] += added
+        current[bs] = lo + len(ues) - 1
+        csize[bs] += len(ues)
         logsum[bs] = new_logsum
         commits += 1
 
@@ -284,9 +278,16 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     serve that group's highest-SNR/SINR UE at that station. Returns
     (True, None) when every station passes, else (False, witness) naming
     the first failing station. Raises ValueError if the supplied allocation
-    does not attain the enumerated maximum.
+    does not attain the enumerated maximum, and BruteForceCapError above
+    DEFAULT_BRUTE_CAP UEs.
+
+    One pass over the 3^K combinations tracks the running maximum and, per
+    head, whether some combination attaining it serves the head.
     """
     k_ues = table.num_ue
+    if k_ues > DEFAULT_BRUTE_CAP:
+        raise BruteForceCapError(
+            f"K={k_ues} exceeds the exhaustive-search cap of {DEFAULT_BRUTE_CAP} UEs")
     n_combos = 3 ** k_ues
     log_m = np.ascontiguousarray(table.log_macro)
     log_s = np.ascontiguousarray(table.log_small)
@@ -295,38 +296,31 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     bw_s = table.params.bw_small_hz
     powers = 3 ** np.arange(k_ues, dtype=np.int64)
 
+    mat = build_sorted_matrix(table)
+    mbs = table.num_sbs
+    heads = [(bs, mat.head(bs)) for bs in range(mbs + 1) if mat.head(bs) is not None]
+    # a station's head is served unless its digit excludes that tier
+    excluded = [2 if bs == mbs else 1 for bs, _ in heads]
+    satisfied = [False] * len(heads)
+
     best = -1.0
     for start in range(0, n_combos, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, n_combos), dtype=np.int64)
         digits = (idx[:, None] // powers[None, :]) % 3
         vals = objective_chunk(digits, log_m, log_s, assoc, table.num_sbs, bw_m, bw_s)
         cmax = float(vals.max())
+        if cmax < best:
+            continue
         if cmax > best:
             best = cmax
+            satisfied = [False] * len(heads)
+        rows = digits[vals == cmax]
+        for h, (_, head) in enumerate(heads):
+            satisfied[h] = satisfied[h] or bool(np.any(rows[:, head] != excluded[h]))
 
     if evaluate(optimum, table).sum_rate != best:
         raise ValueError("supplied allocation is not an exhaustive-search maximizer")
-
-    mat = build_sorted_matrix(table)
-    mbs = table.num_sbs
-    heads = [(bs, mat.head(bs)) for bs in range(mbs + 1) if mat.head(bs) is not None]
-    satisfied = {bs: False for bs, _ in heads}
-
-    for start in range(0, n_combos, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, n_combos), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % 3
-        vals = objective_chunk(digits, log_m, log_s, assoc, table.num_sbs, bw_m, bw_s)
-        rows = np.flatnonzero(vals == best)
-        if rows.size:
-            for bs, head in heads:
-                if satisfied[bs]:
-                    continue
-                d = digits[rows, head]
-                satisfied[bs] = bool(np.any(d != 2) if bs == mbs else np.any(d != 1))
-        if all(satisfied.values()):
-            return True, None
-
-    for bs, head in heads:
-        if not satisfied[bs]:
+    for (bs, head), ok in zip(heads, satisfied):
+        if not ok:
             return False, {"bs": bs, "head_ue": head, "max_sum_rate": best}
     return True, None

@@ -64,6 +64,24 @@ def python_brute(table: ChannelTable):
     return best_val, best_idx, best_digits
 
 
+def python_subset_table(pool_logs, cs_logsum, cs_size, bw):
+    """Degradation, post-adoption log sum and size of every subset of a
+    candidate window, by plain enumeration of the 2^w bitmasks (bit b set
+    means pool_logs[b] joins). Mask 0, the empty subset, is priced +inf."""
+    degs, csums, pcnts = [], [], []
+    bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
+    for mask in range(1 << len(pool_logs)):
+        bits = [b for b in range(len(pool_logs)) if (mask >> b) & 1]
+        total = cs_logsum
+        for b in bits:
+            total += pool_logs[b]
+        csums.append(total)
+        pcnts.append(len(bits))
+        degs.append(float("inf") if mask == 0
+                    else bef - bw / (cs_size + len(bits)) * total)
+    return degs, csums, pcnts
+
+
 def adversarial_table(num_ue: int) -> ChannelTable:
     """Instance family whose greedy run funnels every post-initialization
     commit to SBS 0 while the MBS candidate window widens by one row per

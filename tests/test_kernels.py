@@ -1,4 +1,5 @@
-"""Backend selection and bit-identity of the numba and numpy kernels."""
+"""Backend selection, bit-identity of the numba and numpy scan kernels,
+and prefix window pricing against full subset enumeration."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import dcalloc.kernels as kernels
 from dcalloc import (available_backends, brute_force_scan, decode_combo,
                      get_backend, set_backend, subset_degradations)
 
-from conftest import python_brute, python_objective, seeded_table
+from conftest import python_brute, python_objective, python_subset_table, seeded_table
 
 
 @pytest.fixture(autouse=True)
@@ -101,52 +102,58 @@ def test_numpy_chunking_is_invisible(monkeypatch):
     assert chunked == whole
 
 
-def _python_subset_table(pool_logs, cs_logsum, cs_size, bw):
-    n = 1 << len(pool_logs)
-    degs, csums, pcnts = [], [], []
-    bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
-    for mask in range(n):
-        bits = [b for b in range(len(pool_logs)) if (mask >> b) & 1]
-        total = cs_logsum
-        for b in bits:
-            total += pool_logs[b]
-        csums.append(total)
-        pcnts.append(len(bits))
-        degs.append(float("inf") if mask == 0
-                    else bef - bw / (cs_size + len(bits)) * total)
-    return degs, csums, pcnts
+def _lexicographic_winner(candidates, degs, ues_of):
+    """Index of the least degradation; ties go to the lexicographically
+    smallest sorted UE tuple, the greedy's documented tie rule."""
+    low = min(degs[c] for c in candidates)
+    return min((c for c in candidates if degs[c] == low),
+               key=lambda c: tuple(sorted(ues_of(c))))
 
 
 def test_subset_degradations_match_python_oracle():
+    """Prefix pricing picks the subset full enumeration picks, with the same
+    degradation and log-sum bits. Windows are descending, as in a station
+    column, with equal terms in ascending UE order; every other window draws
+    its terms from four values so that they repeat exactly."""
     rng = np.random.default_rng(17)
-    for trial in range(20):
-        w = int(rng.integers(1, 7))
-        pool = rng.uniform(0.01, 8.0, size=w)
+    for trial in range(300):
+        w = int(rng.integers(1, 13))
+        if trial % 2:
+            pool = rng.choice([0.25, 1.0, 2.5, 6.0], size=w)
+        else:
+            pool = rng.uniform(0.01, 8.0, size=w)
+        ids = rng.permutation(100)[:w]
+        order = np.lexsort((ids, -pool))
+        pool, ids = pool[order], ids[order]
         cs_size = int(rng.integers(0, 4))
         cs_logsum = float(rng.uniform(0.0, 10.0)) if cs_size else 0.0
         bw = 10e6
-        ref_degs, ref_csums, ref_pcnts = _python_subset_table(
+        ref_degs, ref_csums, ref_pcnts = python_subset_table(
             pool.tolist(), cs_logsum, cs_size, bw)
-        per_backend = []
-        for backend in available_backends():
-            set_backend(backend)
-            degs, csum, pcnt = subset_degradations(pool, cs_logsum, cs_size, bw)
-            per_backend.append((degs, csum, pcnt))
-            assert np.isinf(degs[0])
-            assert degs[1:] == pytest.approx(ref_degs[1:], rel=1e-12)
-            assert csum == pytest.approx(ref_csums, rel=1e-12)
-            assert pcnt.tolist() == ref_pcnts
-        if len(per_backend) == 2:
-            assert np.array_equal(per_backend[0][0], per_backend[1][0])
-            assert np.array_equal(per_backend[0][1], per_backend[1][1])
+        degs, csum = subset_degradations(pool, cs_logsum, cs_size, bw)
+        prefix_masks = [(1 << s) - 1 for s in range(1, w + 1)]
+        assert degs.tolist() == [ref_degs[m] for m in prefix_masks]
+        assert csum.tolist() == [ref_csums[m] for m in prefix_masks]
+
+        def window_ues(mask):
+            return [int(ids[b]) for b in range(w) if (mask >> b) & 1]
+        best_mask = _lexicographic_winner(range(1, 1 << w), ref_degs, window_ues)
+        j = _lexicographic_winner(range(w), degs.tolist(),
+                                  lambda t: ids[:t + 1].tolist())
+        assert prefix_masks[j] == best_mask
+        assert csum[j] == ref_csums[best_mask]
+        assert ref_pcnts[best_mask] == j + 1
 
 
 def test_subset_degradations_signs():
     """Adopting a stronger-than-average UE must register as an improvement
     (negative degradation), a weaker one as a loss."""
-    degs, _, _ = subset_degradations(np.array([9.0, 0.001]), 1.0, 1, 1.0)
-    assert degs[0b01] < 0.0   # newcomer log 9 vs committed average 1
-    assert degs[0b10] > 0.0   # newcomer log 0.001 drags the average down
+    degs, csum = subset_degradations(np.array([9.0, 0.001]), 1.0, 1, 1.0)
+    assert degs[0] < 0.0        # newcomer log 9 vs committed average 1
+    assert degs[1] > degs[0]    # the weak second row drags the average down
+    assert csum.tolist() == [10.0, 10.001]
+    weak, _ = subset_degradations(np.array([0.001]), 1.0, 1, 1.0)
+    assert weak[0] > 0.0
     # empty committed set: any adoption is pure gain
-    degs0, _, _ = subset_degradations(np.array([0.5]), 0.0, 0, 1.0)
-    assert degs0[1] == pytest.approx(-0.5, rel=1e-15)
+    degs0, _ = subset_degradations(np.array([0.5]), 0.0, 0, 1.0)
+    assert degs0[0] == pytest.approx(-0.5, rel=1e-15)

@@ -1,8 +1,14 @@
 """Solver behaviour: exact search, greedy, baselines, optimality checker."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dcalloc.solvers as solvers
 from dcalloc import (Allocation, BruteForceCapError, ChannelTable, RateCalcCounter,
                      ScenarioParams, build_sorted_matrix, check_proposition1,
                      evaluate, serving_sets, solve_1a_only, solve_3c_only,
@@ -102,6 +108,9 @@ def test_brute_force_cap():
         solve_brute_force(small, cap=3)
     res = solve_brute_force(small, cap=3, override_cap=True)
     assert res.sum_rate > 0
+    # the head checker scans 3^K too and refuses the same K
+    with pytest.raises(BruteForceCapError, match="14"):
+        check_proposition1(table, Allocation.all_both(15))
 
 
 # --- baselines -------------------------------------------------------------
@@ -216,6 +225,62 @@ def test_adversarial_family_subset_eval_count_exact():
         assert digits[1:] == [2] * (k_ues - 1)
 
 
+def test_proposed_prefix_tie_goes_to_lexicographically_smallest_ues():
+    """Three consecutive SINRs near 1e6 share one log term, so SBS 0's
+    window [UE 2, UE 1] prices both prefixes at exactly 0. The sorted tuple
+    (1, 2) beats (2,), so one commit adopts both rows. (Enumerating every
+    subset would instead adopt UE 1 alone, a non-prefix that ties the
+    prefixes: only distinct SINRs with equal log terms allow that.)"""
+    x0 = 1e6
+    x1 = np.nextafter(x0, np.inf)
+    x2 = np.nextafter(x1, np.inf)
+    table = _synthetic(snr=[1.0, 0.5, 10.0], sinr=[x2, x0, x1], assoc=[0, 0, 0], num_sbs=1)
+    assert len(set(table.log_small.tolist())) == 1
+    res = solve_proposed(table)
+    assert res.wall_notes["commits"] == 1
+    assert res.alloc.to_digits().tolist() == [2, 2, 0]
+
+
+_LARGE_K_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import dcalloc.solvers as solvers
+from dcalloc import RateCalcCounter, ScenarioParams, make_instance
+
+windows = []
+pricer = solvers.subset_degradations
+def recording(pool_logs, cs_logsum, cs_size, bw):
+    windows.append((len(pool_logs), cs_size))
+    return pricer(pool_logs, cs_logsum, cs_size, bw)
+solvers.subset_degradations = recording
+
+for k_ues in (30, 60, 100, 200):
+    for seed in range(3):
+        _, table = make_instance(ScenarioParams(num_ue=k_ues, seed=seed))
+        windows.clear()
+        counter = RateCalcCounter()
+        res = solvers.solve_proposed(table, counter)
+        res.alloc.validate()
+        served_pairs = int(res.alloc.d_macro.sum() + res.alloc.d_small.sum())
+        paper = sum(cs * 2 ** w + w * 2 ** (w - 1) for w, cs in windows)
+        assert counter.count == paper + served_pairs, (k_ues, seed)
+        assert res.wall_notes["subset_evaluations"] == sum(2 ** w for w, _ in windows)
+        print(k_ues, seed, max(w for w, _ in windows))
+"""
+
+
+def test_proposed_large_k_under_memory_limit():
+    """Windows reach dozens of rows at K >= 30; pricing them must not grow
+    with 2^w. Runs in a child process capped at 2 GiB of address space, and
+    checks the counter still charges the paper's subset enumeration."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _LARGE_K_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 12
+
+
 def test_proposed_handles_empty_sbs_columns():
     # all UEs associate to SBS 1; SBS 0 never serves anyone
     table = _synthetic(snr=[3.0, 2.0, 1.0], sinr=[5.0, 4.0, 3.0],
@@ -251,6 +316,17 @@ def test_check_proposition1_on_seeded_instances():
         res = solve_brute_force(table)
         ok, witness = check_proposition1(table, res.alloc)
         assert ok, witness
+
+
+def test_check_proposition1_chunking_is_invisible(monkeypatch):
+    """The one-pass running maximum must carry across chunk boundaries."""
+    monkeypatch.setattr(solvers, "_CHUNK", 7)
+    for seed in range(5):
+        table = seeded_table(num_ue=5, num_sbs=4, seed=300 + seed)
+        opt = solve_brute_force(table)
+        assert check_proposition1(table, opt.alloc) == (True, None)
+        with pytest.raises(ValueError):
+            check_proposition1(table, solve_1a_only(table).alloc)
 
 
 def test_check_proposition1_rejects_non_optimal_input():
