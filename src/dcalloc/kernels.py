@@ -4,12 +4,19 @@ The exhaustive 3^K scan has two backends that compute identical results
 bit for bit:
 
 * ``numba``: @njit-compiled loops (default whenever numba imports cleanly)
-* ``numpy``: pure-numpy fallback, chunked where enumeration is large
+* ``numpy``: a block scan that reuses the low UEs' partial sums (below)
 
 Selection: the DCALLOC_BACKEND environment variable ("numba" or "numpy")
 wins at import time; set_backend() switches at runtime. Both backends keep
 the same floating-point operation order, so solver outputs do not depend on
 the backend choice.
+
+The numpy scan enumerates in blocks of 3^c rows that share the digits of
+UEs c..K-1. A row's sum adds UE 0..K-1 in order, so its first 2c additions
+depend only on the low digits and on the row's loads (n_macro and the
+n_small of the low UEs' SBSs). Those loads are the low digits' own plus what
+the high digits add, so blocks whose high digits add equal loads share one
+partial-sum vector, and each block adds only its K-c high terms to it.
 
 The greedy's window pricing needs no backend: the least-degrading subset of
 a descending window is always a prefix, so subset_degradations() prices the
@@ -35,8 +42,9 @@ __all__ = [
 
 ENV_BACKEND = "DCALLOC_BACKEND"
 
-# rows per chunk in the numpy enumeration paths
-_CHUNK = 1 << 17
+# UEs enumerated inside one block of the numpy scan: a block holds the
+# 3^_BLOCK_UES combinations that share the digits of every higher UE
+_BLOCK_UES = 8
 
 try:
     import numba
@@ -107,22 +115,92 @@ def objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> np.ndar
     return obj
 
 
-def _brute_scan_numpy(log_m, log_s, assoc, num_sbs, bw_m, bw_s, n_combos):
+def _digit_rows(n_digits: int) -> np.ndarray:
+    """All 3^n digit rows in enumeration order, digit 0 least significant."""
+    idx = np.arange(3 ** n_digits, dtype=np.int64)
+    return (idx[:, None] // 3 ** np.arange(n_digits, dtype=np.int64)) % 3
+
+
+def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s, heads=()):
+    """Exhaustive scan in blocks of 3^c rows, c = min(K, _BLOCK_UES).
+
+    Returns (best_val, best_idx, flags): the maximum, the lowest enumeration
+    index attaining it, and for each (ue, excluded_digit) pair in heads
+    whether some maximizer gives that UE another digit.
+
+    Every row adds UE 0..K-1 in order, macro term then small term, each term
+    bw / load * log, as objective_chunk does, which skips the term of a tier
+    that does not serve the UE. Blocks skip it too; the cached low-UE partial
+    sums multiply it by 0.0 instead. Both give objective_chunk's bits: every
+    partial sum is >= +0.0, a finite term times 0.0 is +0.0, and x + 0.0 == x
+    for such x. The partial sums are cached per load the high digits add to
+    the MBS and to each SBS a low UE uses.
+    """
     k_ues = log_m.shape[0]
-    powers = 3 ** np.arange(k_ues, dtype=np.int64)
-    best_val = -1.0
-    best_idx = -1
-    for start in range(0, n_combos, _CHUNK):
-        stop = min(start + _CHUNK, n_combos)
-        idx = np.arange(start, stop, dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % 3
-        vals = objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s)
+    c = min(k_ues, _BLOCK_UES)
+    low = _digit_rows(c)
+    low_assoc = assoc[:c].tolist()
+    low_sbs = sorted(set(low_assoc))
+    macro_served = low != 2
+    small_served = low != 1
+    # 1.0 where the tier serves low UE k, else 0.0
+    macro_low = macro_served.T.astype(np.float64)
+    small_low = small_served.T.astype(np.float64)
+    # loads of the low rows per station, the MBS last; an SBS that no low UE
+    # uses has load 0 on every low row
+    low_loads = [0] * num_sbs + [macro_served.sum(axis=1)]
+    for i in low_sbs:
+        low_loads[i] = (small_served & (assoc[:c] == i)).sum(axis=1)
+    bws = [bw_s] * num_sbs + [bw_m]
+    inverses = {}
+
+    def share(station, load):
+        """bw / (low load + load) per low row; rows of load 0 never use it."""
+        key = (station, load)
+        if key not in inverses:
+            inverses[key] = bws[station] / np.maximum(low_loads[station] + load, 1)
+        return inverses[key]
+
+    def partial_sums(load_m, load_s):
+        vals = np.zeros(3 ** c)
+        for k, i in enumerate(low_assoc):
+            vals += share(num_sbs, load_m) * log_m[k] * macro_low[k]
+            vals += share(i, load_s[i]) * log_s[k] * small_low[k]
+        return vals
+
+    high_assoc = assoc[c:].tolist()
+    prefixes = {}
+    best_val, best_idx = -1.0, -1
+    flags = [False] * len(heads)
+    for block, high in enumerate(_digit_rows(k_ues - c).tolist()):
+        load_m = 0
+        load_s = [0] * num_sbs
+        for d, i in zip(high, high_assoc):
+            load_m += d != 2
+            load_s[i] += d != 1
+        key = (load_m, *(load_s[i] for i in low_sbs))
+        if key not in prefixes:
+            prefixes[key] = partial_sums(load_m, load_s)
+        vals = prefixes[key].copy()
+        for k, d, i in zip(range(c, k_ues), high, high_assoc):
+            if d != 2:
+                vals += share(num_sbs, load_m) * log_m[k]
+            if d != 1:
+                vals += share(i, load_s[i]) * log_s[k]
         j = int(np.argmax(vals))
-        # strict > keeps the earliest maximizer across chunk boundaries
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_idx = start + j
-    return best_val, best_idx
+        top = float(vals[j])
+        if top < best_val:
+            continue
+        if top > best_val:
+            best_val, best_idx = top, block * 3 ** c + j
+            flags = [False] * len(heads)
+        rows = low[vals == top] if heads else None
+        for h, (ue, excluded) in enumerate(heads):
+            if ue >= c:
+                flags[h] = flags[h] or high[ue - c] != excluded
+            else:
+                flags[h] = flags[h] or bool(np.any(rows[:, ue] != excluded))
+    return best_val, best_idx, flags
 
 
 if _HAVE_NUMBA:
@@ -177,13 +255,12 @@ def brute_force_scan(table):
     log_m = np.ascontiguousarray(table.log_macro)
     log_s = np.ascontiguousarray(table.log_small)
     assoc = np.ascontiguousarray(table.assoc_sbs, dtype=np.int64)
-    n_combos = 3 ** table.num_ue
     args = (log_m, log_s, assoc, table.num_sbs,
-            table.params.bw_macro_hz, table.params.bw_small_hz, n_combos)
+            table.params.bw_macro_hz, table.params.bw_small_hz)
     if _BACKEND == "numba":
-        val, idx = _brute_scan_numba(*args)
+        val, idx = _brute_scan_numba(*args, 3 ** table.num_ue)
     else:
-        val, idx = _brute_scan_numpy(*args)
+        val, idx, _ = _block_scan(*args)
     return float(val), int(idx)
 
 

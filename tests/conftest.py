@@ -2,9 +2,11 @@
 
 The oracles here are deliberately plain Python (math module, lists, no
 vectorization) so they cannot share a bug with the package's numpy/numba
-paths. Tolerances: oracle comparisons allow 1e-12 relative error for the
-different summation orders; identities that must hold exactly (counters,
-serialization round-trips, backend agreement) are compared with ==.
+paths. The one exception is chunked_scan, the row-at-a-time enumeration the
+block scan replaced, kept as its bit-exact reference. Tolerances: oracle
+comparisons allow 1e-12 relative error for the different summation orders;
+identities that must hold exactly (counters, serialization round-trips,
+backend agreement) are compared with ==.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from dcalloc import ChannelTable, ScenarioParams, make_instance
+from dcalloc.kernels import objective_chunk
 
 ACCEPTANCE_LINES = []
 
@@ -62,6 +65,35 @@ def python_brute(table: ChannelTable):
         if val > best_val:
             best_val, best_idx, best_digits = val, idx, digits
     return best_val, best_idx, best_digits
+
+
+def chunked_scan(table: ChannelTable, heads=()):
+    """Exhaustive scan by scoring every digit row with objective_chunk.
+
+    Returns (best_val, best_idx, flags): the maximum, its first index in
+    enumeration order, and for each (ue, excluded_digit) pair whether some
+    maximizer row gives that UE another digit."""
+    k_ues = table.num_ue
+    idx = np.arange(3 ** k_ues, dtype=np.int64)
+    digits = (idx[:, None] // 3 ** np.arange(k_ues, dtype=np.int64)) % 3
+    vals = objective_chunk(digits, table.log_macro, table.log_small,
+                           table.assoc_sbs.astype(np.int64), table.num_sbs,
+                           table.params.bw_macro_hz, table.params.bw_small_hz)
+    j = int(np.argmax(vals))
+    rows = digits[vals == vals[j]]
+    return float(vals[j]), j, [bool(np.any(rows[:, ue] != e)) for ue, e in heads]
+
+
+def twin_table(table: ChannelTable, pairs) -> ChannelTable:
+    """Copy of table where UE b takes UE a's SNR, SINR and SBS for every
+    (a, b) in pairs, so that swapping their digits ties exactly."""
+    snr = table.snr_macro.copy()
+    sinr = table.sinr_small.copy()
+    assoc = table.assoc_sbs.copy()
+    for a, b in pairs:
+        snr[b], sinr[b], assoc[b] = snr[a], sinr[a], assoc[a]
+    return ChannelTable(snr_macro=snr, assoc_sbs=assoc, sinr_small=sinr,
+                        params=table.params)
 
 
 def python_subset_table(pool_logs, cs_logsum, cs_size, bw):

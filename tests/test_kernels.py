@@ -1,14 +1,16 @@
-"""Backend selection, bit-identity of the numba and numpy scan kernels,
-and prefix window pricing against full subset enumeration."""
+"""Backend selection, bit-identity of the numba and numpy scan kernels
+with the row-at-a-time reference, and prefix window pricing against full
+subset enumeration."""
 
 import numpy as np
 import pytest
 
 import dcalloc.kernels as kernels
-from dcalloc import (available_backends, brute_force_scan, decode_combo,
+from dcalloc import (ChannelTable, available_backends, brute_force_scan, decode_combo,
                      get_backend, set_backend, subset_degradations)
 
-from conftest import python_brute, python_objective, python_subset_table, seeded_table
+from conftest import (adversarial_table, chunked_scan, python_brute, python_objective,
+                      python_subset_table, seeded_table, twin_table)
 
 
 @pytest.fixture(autouse=True)
@@ -79,13 +81,7 @@ def test_brute_scan_matches_python_oracle_and_backends_agree():
 def test_brute_scan_first_maximizer_on_ties():
     """Two UEs at identical geometry make symmetric combinations tie; the
     scan must keep the lowest enumeration index."""
-    table = seeded_table(4, num_sbs=4, seed=12)
-    snr = table.snr_macro.copy(); snr[1] = snr[0]
-    sinr = table.sinr_small.copy(); sinr[1] = sinr[0]
-    assoc = table.assoc_sbs.copy(); assoc[1] = assoc[0]
-    from dcalloc import ChannelTable
-    twin = ChannelTable(snr_macro=snr, assoc_sbs=assoc, sinr_small=sinr,
-                        params=table.params)
+    twin = twin_table(seeded_table(4, num_sbs=4, seed=12), [(0, 1)])
     _, ref_idx, _ = python_brute(twin)
     for backend in available_backends():
         set_backend(backend)
@@ -93,13 +89,77 @@ def test_brute_scan_first_maximizer_on_ties():
         assert idx == ref_idx
 
 
-def test_numpy_chunking_is_invisible(monkeypatch):
-    table = seeded_table(6, num_sbs=4, seed=9)
+def _scan_args(table):
+    return (table.log_macro, table.log_small, table.assoc_sbs.astype(np.int64),
+            table.num_sbs, table.params.bw_macro_hz, table.params.bw_small_hz)
+
+
+def _all_heads(num_ue):
+    """Every (ue, excluded digit) pair: against a unique maximizer, the
+    pairs excluding its own digits come out False."""
+    return [(ue, e) for ue in range(num_ue) for e in range(3)]
+
+
+def _reference_tables():
+    for k_ues in range(1, 10):
+        for num_sbs in (1, 4, 16):
+            for seed in range(2):
+                yield seeded_table(k_ues, num_sbs=num_sbs, seed=900 + 10 * k_ues + seed)
+    for k_ues in range(2, 10):
+        base = seeded_table(k_ues, num_sbs=2, seed=950 + k_ues)
+        yield twin_table(base, [(0, 1)])
+        yield twin_table(base, [(j, j + 1) for j in range(0, k_ues - 1, 2)])
+    for k_ues in range(5, 11):
+        yield adversarial_table(k_ues)
+
+
+def test_block_scan_matches_chunked_reference(monkeypatch):
+    """Value bits, first maximizer and head flags equal the row-at-a-time
+    enumeration, at the default block size and at blocks of 3 rows (many
+    blocks, so partial sums are shared across blocks)."""
     set_backend("numpy")
-    whole = brute_force_scan(table)
-    monkeypatch.setattr(kernels, "_CHUNK", 7)
-    chunked = brute_force_scan(table)
-    assert chunked == whole
+    false_flags = 0
+    for table in _reference_tables():
+        heads = _all_heads(table.num_ue)
+        ref_val, ref_idx, ref_flags = chunked_scan(table, heads)
+        for block_ues in (kernels._BLOCK_UES, 1):
+            monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
+            val, idx, flags = kernels._block_scan(*_scan_args(table), heads)
+            assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
+            assert brute_force_scan(table) == (ref_val, ref_idx)
+        monkeypatch.undo()
+        false_flags += ref_flags.count(False)
+    assert false_flags > 0
+
+
+def test_block_scan_keys_partial_sums_on_sbs_loads(monkeypatch):
+    """With blocks over UE 0 alone, the blocks where UE 1 takes digit 0 and
+    digit 1 add the same macro load but different loads to SBS 0, which UE 0
+    shares. Reusing one block's partial sums for the other would price UE 0's
+    small term at the wrong load and miss the optimum: UE 0 small-only and
+    UE 1 macro-only, index 2 + 3 * 1."""
+    snr = np.array([0.5, 60.0])
+    sinr = np.array([80.0, 0.2])
+    params = seeded_table(2, num_sbs=1).params
+    table = ChannelTable(snr_macro=snr, assoc_sbs=np.array([0, 0]), sinr_small=sinr,
+                         params=params)
+    ref = chunked_scan(table, _all_heads(2))
+    assert ref[1] == 5
+    for block_ues in (0, 1, 2):
+        monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
+        assert kernels._block_scan(*_scan_args(table), _all_heads(2)) == ref
+
+
+def test_numpy_blocking_is_invisible(monkeypatch):
+    set_backend("numpy")
+    for seed in (9, 10):
+        table = seeded_table(6, num_sbs=4, seed=seed)
+        whole = brute_force_scan(table)
+        for block_ues in (0, 1, 5, 6, kernels._BLOCK_UES):
+            monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
+            blocked = brute_force_scan(table)
+            assert (blocked[0].hex(), blocked[1]) == (whole[0].hex(), whole[1])
+        monkeypatch.undo()
 
 
 def _lexicographic_winner(candidates, degs, ues_of):

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dcalloc.kernels as kernels
 import dcalloc.solvers as solvers
 from dcalloc import (Allocation, BruteForceCapError, ChannelTable, RateCalcCounter,
                      ScenarioParams, build_sorted_matrix, check_proposition1,
                      evaluate, serving_sets, solve_1a_only, solve_3c_only,
                      solve_brute_force, solve_proposed, solve_stronger)
 
-from conftest import adversarial_table, python_brute, seeded_table
+from conftest import adversarial_table, python_brute, seeded_table, twin_table
 
 
 def _synthetic(snr, sinr, assoc, num_sbs, rx_macro=None, rx_small=None):
@@ -244,6 +245,7 @@ def test_proposed_prefix_tie_goes_to_lexicographically_smallest_ues():
 _LARGE_K_SCRIPT = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import dcalloc.kernels as kernels
 import dcalloc.solvers as solvers
 from dcalloc import RateCalcCounter, ScenarioParams, make_instance
 
@@ -318,15 +320,28 @@ def test_check_proposition1_on_seeded_instances():
         assert ok, witness
 
 
-def test_check_proposition1_chunking_is_invisible(monkeypatch):
-    """The one-pass running maximum must carry across chunk boundaries."""
-    monkeypatch.setattr(solvers, "_CHUNK", 7)
-    for seed in range(5):
-        table = seeded_table(num_ue=5, num_sbs=4, seed=300 + seed)
+def test_check_proposition1_blocking_is_invisible(monkeypatch):
+    """The running maximum and the head flags must carry across block
+    boundaries. The last table twins UE 2 onto UE 0: the two swapped optima
+    tie in exact arithmetic but not in summation order, so the only
+    maximizer leaves SBS 0's head macro-only and the check fails, with the
+    same witness at every block size."""
+    tables = [seeded_table(num_ue=5, num_sbs=4, seed=300 + seed) for seed in range(5)]
+    tables.append(twin_table(seeded_table(num_ue=3, num_sbs=2, seed=5321), [(0, 2)]))
+    for table in tables:
         opt = solve_brute_force(table)
-        assert check_proposition1(table, opt.alloc) == (True, None)
-        with pytest.raises(ValueError):
-            check_proposition1(table, solve_1a_only(table).alloc)
+        expected = check_proposition1(table, opt.alloc)
+        for block_ues in (0, 1, table.num_ue - 1, table.num_ue, kernels._BLOCK_UES):
+            monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
+            blocked = solve_brute_force(table)
+            assert (repr(blocked.sum_rate), blocked.wall_notes["best_index"]) == \
+                (repr(opt.sum_rate), opt.wall_notes["best_index"])
+            assert check_proposition1(table, opt.alloc) == expected
+            with pytest.raises(ValueError):
+                check_proposition1(table, solve_1a_only(table).alloc)
+        monkeypatch.undo()
+    assert expected == (False, {"bs": 0, "head_ue": 0, "max_sum_rate": opt.sum_rate})
+    assert opt.alloc.to_digits().tolist() == [1, 1, 0]
 
 
 def test_check_proposition1_rejects_non_optimal_input():
@@ -336,3 +351,13 @@ def test_check_proposition1_rejects_non_optimal_input():
     assert sub.sum_rate < opt.sum_rate  # genuinely suboptimal here
     with pytest.raises(ValueError):
         check_proposition1(table, sub.alloc)
+
+
+def test_check_proposition1_rejects_malformed_allocations():
+    table = seeded_table(num_ue=5, num_sbs=4, seed=71)
+    with pytest.raises(ValueError, match="size"):
+        check_proposition1(table, Allocation.all_both(4))
+    unserved = Allocation.all_both(5)
+    unserved.d_macro[2] = unserved.d_small[2] = 0
+    with pytest.raises(ValueError, match="without any serving tier"):
+        check_proposition1(table, unserved)
