@@ -10,7 +10,7 @@ from .topology import (ScenarioParams, Topology, ChannelTable, channel_gain,
 from .allocation import (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY,
                          Allocation, EvalReport, RateCalcCounter, evaluate,
                          rate_macro_ue, rate_small_ue, serving_sets, share_rate)
-from .kernels import (ENV_BACKEND, available_backends, get_backend, set_backend,
+from .kernels import (ENV_BACKEND, available_backends, get_backend,
                       brute_force_scan, subset_degradations, decode_combo)
 from .solvers import (DEFAULT_BRUTE_CAP, BruteForceCapError, SortedMatrix,
                       SolverResult, build_sorted_matrix, check_proposition1,
@@ -30,7 +30,7 @@ __all__ = [
     "DIGIT_BOTH", "DIGIT_MACRO_ONLY", "DIGIT_SMALL_ONLY",
     "Allocation", "EvalReport", "RateCalcCounter", "evaluate",
     "rate_macro_ue", "rate_small_ue", "serving_sets", "share_rate",
-    "ENV_BACKEND", "available_backends", "get_backend", "set_backend",
+    "ENV_BACKEND", "available_backends", "get_backend",
     "brute_force_scan", "subset_degradations", "decode_combo",
     "DEFAULT_BRUTE_CAP", "BruteForceCapError", "SortedMatrix", "SolverResult",
     "build_sorted_matrix", "check_proposition1", "solve_brute_force",

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 from .harness import (DEFAULT_MASTER_SEED, capacity_config, emit_csv,
                       load_config, ratio_config, run_experiment, trial_seed)
-from .solvers import check_proposition1, solve_brute_force
+from .solvers import DEFAULT_BRUTE_CAP, check_proposition1, solve_brute_force
 from .topology import ScenarioParams, make_instance
 
 
@@ -66,6 +66,9 @@ def _cmd_run(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
+    if not 1 <= args.k <= DEFAULT_BRUTE_CAP:
+        raise ValueError(f"--k must be between 1 and the exhaustive-search cap of "
+                         f"{DEFAULT_BRUTE_CAP} UEs, got {args.k}")
     npass = 0
     for t in range(args.trials):
         seed = trial_seed(args.seed, args.k, t)

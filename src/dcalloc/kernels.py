@@ -1,31 +1,20 @@
 """Hot numeric kernels.
 
-The exhaustive 3^K scan has two backends that compute identical results
-bit for bit:
+The exhaustive 3^K scan enumerates in blocks of 3^c rows that share the
+digits of UEs c..K-1. A row's sum adds UE 0..K-1 in order, so its first 2c
+additions depend only on the low digits and on the row's loads (n_macro and
+the n_small of the low UEs' SBSs). Those loads are the low digits' own plus
+what the high digits add, so blocks whose high digits add equal loads share
+one partial-sum vector, and each block adds only its K-c high terms to it.
 
-* ``numba``: @njit-compiled loops (default whenever numba imports cleanly)
-* ``numpy``: a block scan that reuses the low UEs' partial sums (below)
-
-Selection: the DCALLOC_BACKEND environment variable ("numba" or "numpy")
-wins at import time; set_backend() switches at runtime. Both backends keep
-the same floating-point operation order, so solver outputs do not depend on
-the backend choice.
-
-The numpy scan enumerates in blocks of 3^c rows that share the digits of
-UEs c..K-1. A row's sum adds UE 0..K-1 in order, so its first 2c additions
-depend only on the low digits and on the row's loads (n_macro and the
-n_small of the low UEs' SBSs). Those loads are the low digits' own plus what
-the high digits add, so blocks whose high digits add equal loads share one
-partial-sum vector, and each block adds only its K-c high terms to it.
-
-The greedy's window pricing needs no backend: the least-degrading subset of
+The greedy's window pricing is a closed form: the least-degrading subset of
 a descending window is always a prefix, so subset_degradations() prices the
 w prefixes with one cumulative sum instead of enumerating 2^w subsets.
 """
 
 from __future__ import annotations
 
-import os
+import math
 
 import numpy as np
 
@@ -33,53 +22,31 @@ __all__ = [
     "ENV_BACKEND",
     "available_backends",
     "get_backend",
-    "set_backend",
     "decode_combo",
     "objective_chunk",
     "brute_force_scan",
     "subset_degradations",
 ]
 
+# Read by nothing; the benchmark's environment record still reports it, so it
+# stays with the two constant backend reports until the benchmark changes
 ENV_BACKEND = "DCALLOC_BACKEND"
 
-# UEs enumerated inside one block of the numpy scan: a block holds the
+# UEs enumerated inside one block of the scan: a block holds the
 # 3^_BLOCK_UES combinations that share the digits of every higher UE
 _BLOCK_UES = 8
 
-try:
-    import numba
-    _HAVE_NUMBA = True
-except ImportError:       # pragma: no cover - exercised only without numba
-    numba = None
-    _HAVE_NUMBA = False
-
 
 def available_backends() -> tuple:
-    return ("numba", "numpy") if _HAVE_NUMBA else ("numpy",)
-
-
-def _resolve_backend(name) -> str:
-    if name is None:
-        return "numba" if _HAVE_NUMBA else "numpy"
-    low = str(name).strip().lower()
-    if low not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}, expected 'numba' or 'numpy'")
-    if low == "numba" and not _HAVE_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return low
-
-
-_BACKEND = _resolve_backend(os.environ.get(ENV_BACKEND))
+    """Constant ("numpy",): the scan has one implementation. Kept only for
+    the benchmark's environment record, until the benchmark changes."""
+    return ("numpy",)
 
 
 def get_backend() -> str:
-    return _BACKEND
-
-
-def set_backend(name: str) -> str:
-    global _BACKEND
-    _BACKEND = _resolve_backend(name)
-    return _BACKEND
+    """Constant "numpy": the scan has one implementation. Kept only for the
+    benchmark's environment record, until the benchmark changes."""
+    return "numpy"
 
 
 def decode_combo(index: int, num_ue: int) -> np.ndarray:
@@ -96,7 +63,7 @@ def decode_combo(index: int, num_ue: int) -> np.ndarray:
 
 def objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> np.ndarray:
     """Sum-rate of each digit row. Accumulates per UE in ascending order,
-    macro term then small term, matching evaluate() and the njit kernels."""
+    macro term then small term, matching evaluate() and the block scan."""
     n_rows, k_ues = digits.shape
     macro_served = digits != 2
     small_served = digits != 1
@@ -126,7 +93,11 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s, heads=()):
 
     Returns (best_val, best_idx, flags): the maximum, the lowest enumeration
     index attaining it, and for each (ue, excluded_digit) pair in heads
-    whether some maximizer gives that UE another digit.
+    whether some maximizer gives that UE another digit. The maximizers are
+    the rows within tol = 2*K*ulp(best_val) of the maximum: rows that tie in
+    exact arithmetic, such as the swaps of two identical UEs, add the same
+    2K nonnegative terms in different orders, and tol bounds the difference
+    of such sums. best_val and best_idx are exact, the strict first maximum.
 
     Every row adds UE 0..K-1 in order, macro term then small term, each term
     bw / load * log, as objective_chunk does, which skips the term of a tier
@@ -171,7 +142,8 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s, heads=()):
     high_assoc = assoc[c:].tolist()
     prefixes = {}
     best_val, best_idx = -1.0, -1
-    flags = [False] * len(heads)
+    # per head, the best value of a row read so far that gives the UE another digit
+    head_vals = [-1.0] * len(heads)
     for block, high in enumerate(_digit_rows(k_ues - c).tolist()):
         load_m = 0
         load_s = [0] * num_sbs
@@ -189,61 +161,33 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s, heads=()):
                 vals += share(i, load_s[i]) * log_s[k]
         j = int(np.argmax(vals))
         top = float(vals[j])
-        if top < best_val:
-            continue
         if top > best_val:
             best_val, best_idx = top, block * 3 ** c + j
-            flags = [False] * len(heads)
-        rows = low[vals == top] if heads else None
+        if not heads:
+            continue
+        # a maximizer ends within tol of the final maximum, whose tol is at
+        # most twice the running maximum's; rows below 2*tol of it can go
+        floor = best_val - 4 * k_ues * math.ulp(best_val)
+        if top < floor:
+            continue
+        near = vals >= floor
+        rows, near_vals = low[near], vals[near]
         for h, (ue, excluded) in enumerate(heads):
             if ue >= c:
-                flags[h] = flags[h] or high[ue - c] != excluded
+                if high[ue - c] != excluded:
+                    head_vals[h] = max(head_vals[h], top)
             else:
-                flags[h] = flags[h] or bool(np.any(rows[:, ue] != excluded))
-    return best_val, best_idx, flags
+                other = near_vals[rows[:, ue] != excluded]
+                head_vals[h] = max(head_vals[h], float(other.max(initial=-1.0)))
+    floor = best_val - 2 * k_ues * math.ulp(best_val)
+    return best_val, best_idx, [v >= floor for v in head_vals]
 
 
-if _HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _brute_scan_numba(log_m, log_s, assoc, num_sbs, bw_m, bw_s, n_combos):
-        k_ues = log_m.shape[0]
-        digits = np.zeros(k_ues, np.int64)
-        n_small = np.zeros(num_sbs, np.int64)
-        for k in range(k_ues):
-            n_small[assoc[k]] += 1
-        n_macro = k_ues
-        best_val = -1.0
-        best_idx = -1
-        for idx in range(n_combos):
-            obj = 0.0
-            for k in range(k_ues):
-                d = digits[k]
-                if d != 2:
-                    obj += bw_m / n_macro * log_m[k]
-                if d != 1:
-                    obj += bw_s / n_small[assoc[k]] * log_s[k]
-            if obj > best_val:
-                best_val = obj
-                best_idx = idx
-            # base-3 odometer with incremental tier counts, UE 0 first
-            p = 0
-            while p < k_ues:
-                d = digits[p]
-                if d == 0:
-                    digits[p] = 1
-                    n_small[assoc[p]] -= 1
-                    break
-                elif d == 1:
-                    digits[p] = 2
-                    n_macro -= 1
-                    n_small[assoc[p]] += 1
-                    break
-                else:
-                    digits[p] = 0
-                    n_macro += 1
-                    p += 1
-        return best_val, best_idx
+def _scan_args(table):
+    """The table's arrays and bandwidths in the argument order of _block_scan
+    and objective_chunk."""
+    return (table.log_macro, table.log_small, table.assoc_sbs, table.num_sbs,
+            table.params.bw_macro_hz, table.params.bw_small_hz)
 
 
 def brute_force_scan(table):
@@ -252,16 +196,7 @@ def brute_force_scan(table):
     Returns (best_value, best_index) where best_index is the lowest
     enumeration index attaining the maximum.
     """
-    log_m = np.ascontiguousarray(table.log_macro)
-    log_s = np.ascontiguousarray(table.log_small)
-    assoc = np.ascontiguousarray(table.assoc_sbs, dtype=np.int64)
-    args = (log_m, log_s, assoc, table.num_sbs,
-            table.params.bw_macro_hz, table.params.bw_small_hz)
-    if _BACKEND == "numba":
-        val, idx = _brute_scan_numba(*args, 3 ** table.num_ue)
-    else:
-        val, idx, _ = _block_scan(*args)
-    return float(val), int(idx)
+    return _block_scan(*_scan_args(table))[:2]
 
 
 def subset_degradations(pool_logs, cs_logsum, cs_size, bw):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import Allocation, EvalReport, RateCalcCounter, evaluate
-from .kernels import (_block_scan, brute_force_scan, decode_combo, objective_chunk,
-                      subset_degradations)
+from .kernels import (_block_scan, _scan_args, brute_force_scan, decode_combo,
+                      objective_chunk, subset_degradations)
 from .topology import ChannelTable
 
 __all__ = [
@@ -283,11 +283,12 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     does not attain the enumerated maximum, and BruteForceCapError above
     DEFAULT_BRUTE_CAP UEs.
 
-    The maximum and the per-head flags come from one pass of the numpy
-    block scan behind brute_force_scan: a block that raises the maximum
-    resets the flags, one that equals it ORs in whether its maximizers
-    serve each head. The supplied allocation's own digit row is scored by
-    objective_chunk, in the scan's summation order.
+    The maximum and the per-head flags come from one pass of the block scan
+    behind brute_force_scan. Its maximizers are the rows within 2*K ulps of
+    the maximum, so that the swapped optima of identical UEs, which sum the
+    same terms in another order, count as maximizers too. The supplied
+    allocation's own digit row is scored by objective_chunk, in the scan's
+    summation order, and must equal the maximum exactly.
     """
     k_ues = table.num_ue
     if k_ues > DEFAULT_BRUTE_CAP:
@@ -295,9 +296,7 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
             f"K={k_ues} exceeds the exhaustive-search cap of {DEFAULT_BRUTE_CAP} UEs")
     if optimum.num_ue != k_ues:
         raise ValueError("allocation size does not match table")
-    args = (np.ascontiguousarray(table.log_macro), np.ascontiguousarray(table.log_small),
-            np.ascontiguousarray(table.assoc_sbs, dtype=np.int64), table.num_sbs,
-            table.params.bw_macro_hz, table.params.bw_small_hz)
+    args = _scan_args(table)
     value = objective_chunk(optimum.to_digits()[None, :], *args)[0]
 
     mat = build_sorted_matrix(table)

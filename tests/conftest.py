@@ -1,12 +1,12 @@
 """Shared fixtures and independent oracles.
 
 The oracles here are deliberately plain Python (math module, lists, no
-vectorization) so they cannot share a bug with the package's numpy/numba
-paths. The one exception is chunked_scan, the row-at-a-time enumeration the
-block scan replaced, kept as its bit-exact reference. Tolerances: oracle
+vectorization) so they cannot share a bug with the package's numpy paths.
+The one exception is chunked_scan, the row-at-a-time enumeration the block
+scan replaced, kept as its bit-exact reference. Tolerances: oracle
 comparisons allow 1e-12 relative error for the different summation orders;
 identities that must hold exactly (counters, serialization round-trips,
-backend agreement) are compared with ==.
+scan value bits against the reference) are compared with ==.
 """
 
 import math
@@ -72,7 +72,9 @@ def chunked_scan(table: ChannelTable, heads=()):
 
     Returns (best_val, best_idx, flags): the maximum, its first index in
     enumeration order, and for each (ue, excluded_digit) pair whether some
-    maximizer row gives that UE another digit."""
+    maximizer row gives that UE another digit. Maximizer rows are those
+    within 2*K ulps of the maximum, the bound on the rounding difference of
+    two sums of the same 2K nonnegative terms in different orders."""
     k_ues = table.num_ue
     idx = np.arange(3 ** k_ues, dtype=np.int64)
     digits = (idx[:, None] // 3 ** np.arange(k_ues, dtype=np.int64)) % 3
@@ -80,8 +82,9 @@ def chunked_scan(table: ChannelTable, heads=()):
                            table.assoc_sbs.astype(np.int64), table.num_sbs,
                            table.params.bw_macro_hz, table.params.bw_small_hz)
     j = int(np.argmax(vals))
-    rows = digits[vals == vals[j]]
-    return float(vals[j]), j, [bool(np.any(rows[:, ue] != e)) for ue, e in heads]
+    best = float(vals[j])
+    rows = digits[vals >= best - 2 * k_ues * math.ulp(best)]
+    return best, j, [bool(np.any(rows[:, ue] != e)) for ue, e in heads]
 
 
 def twin_table(table: ChannelTable, pairs) -> ChannelTable:

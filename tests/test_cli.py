@@ -55,6 +55,16 @@ def test_oracle_check(capsys):
     assert "3/3 pass" in captured.out
 
 
+def test_oracle_check_rejects_k_outside_cap(capsys):
+    for k in (15, -3):
+        code = cli_main(["oracle-check", "--k", str(k), "--trials", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (f"error: --k must be between 1 and the exhaustive-search "
+                                f"cap of 14 UEs, got {k}\n")
+
+
 def test_sweep_writes_four_files(tmp_path, capsys):
     prefix = str(tmp_path / "dc")
     code = cli_main(["sweep", "--out", prefix, "--trials", "1"])

@@ -15,7 +15,8 @@ from dcalloc import (Allocation, BruteForceCapError, ChannelTable, RateCalcCount
                      evaluate, serving_sets, solve_1a_only, solve_3c_only,
                      solve_brute_force, solve_proposed, solve_stronger)
 
-from conftest import adversarial_table, python_brute, seeded_table, twin_table
+from conftest import (adversarial_table, chunked_scan, python_brute, seeded_table,
+                      twin_table)
 
 
 def _synthetic(snr, sinr, assoc, num_sbs, rx_macro=None, rx_small=None):
@@ -323,25 +324,59 @@ def test_check_proposition1_on_seeded_instances():
 def test_check_proposition1_blocking_is_invisible(monkeypatch):
     """The running maximum and the head flags must carry across block
     boundaries. The last table twins UE 2 onto UE 0: the two swapped optima
-    tie in exact arithmetic but not in summation order, so the only
-    maximizer leaves SBS 0's head macro-only and the check fails, with the
-    same witness at every block size."""
+    tie in exact arithmetic but not in summation order, and the swap that
+    sums one ulp lower must still count as a maximizer at every block size."""
     tables = [seeded_table(num_ue=5, num_sbs=4, seed=300 + seed) for seed in range(5)]
     tables.append(twin_table(seeded_table(num_ue=3, num_sbs=2, seed=5321), [(0, 2)]))
     for table in tables:
         opt = solve_brute_force(table)
-        expected = check_proposition1(table, opt.alloc)
         for block_ues in (0, 1, table.num_ue - 1, table.num_ue, kernels._BLOCK_UES):
             monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
             blocked = solve_brute_force(table)
             assert (repr(blocked.sum_rate), blocked.wall_notes["best_index"]) == \
                 (repr(opt.sum_rate), opt.wall_notes["best_index"])
-            assert check_proposition1(table, opt.alloc) == expected
+            assert check_proposition1(table, opt.alloc) == (True, None)
             with pytest.raises(ValueError):
                 check_proposition1(table, solve_1a_only(table).alloc)
         monkeypatch.undo()
-    assert expected == (False, {"bs": 0, "head_ue": 0, "max_sum_rate": opt.sum_rate})
     assert opt.alloc.to_digits().tolist() == [1, 1, 0]
+
+
+def test_check_proposition1_witness_names_first_failing_station(monkeypatch):
+    table = seeded_table(num_ue=5, num_sbs=4, seed=300)
+    opt = solve_brute_force(table)
+    mat = build_sorted_matrix(table)
+    stations = [bs for bs in range(table.num_sbs + 1) if mat.head(bs) is not None]
+    scan = solvers._block_scan
+
+    def first_head_only(*args):
+        best, idx, flags = scan(*args)
+        return best, idx, [True] + [False] * (len(flags) - 1)
+
+    monkeypatch.setattr(solvers, "_block_scan", first_head_only)
+    assert check_proposition1(table, opt.alloc) == (False, {
+        "bs": stations[1], "head_ue": mat.head(stations[1]), "max_sum_rate": opt.sum_rate})
+
+
+def test_check_proposition1_passes_on_twin_tables():
+    """Exact twins make several optima tie in exact arithmetic while their
+    sums differ in the last bits; every one of them must count as a
+    maximizer, and the exhaustive optimum must keep the reference scan's
+    value bits and first index."""
+    for k_ues in range(2, 10):
+        for num_sbs in (1, 2, 4, 16):
+            for s in range(3):
+                base = seeded_table(k_ues, num_sbs=num_sbs,
+                                    seed=5000 + 100 * k_ues + 10 * num_sbs + s)
+                for pairs in ([(0, 1)], [(0, k_ues - 1)],
+                              [(j, j + 1) for j in range(0, k_ues - 1, 2)]):
+                    table = twin_table(base, pairs)
+                    ref_val, ref_idx, _ = chunked_scan(table)
+                    opt = solve_brute_force(table)
+                    assert (opt.sum_rate.hex(), opt.wall_notes["best_index"]) == \
+                        (ref_val.hex(), ref_idx)
+                    assert check_proposition1(table, opt.alloc) == (True, None), \
+                        (k_ues, num_sbs, s, pairs)
 
 
 def test_check_proposition1_rejects_non_optimal_input():
