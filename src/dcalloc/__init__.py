@@ -9,7 +9,7 @@ from .topology import (ScenarioParams, Topology, ChannelTable, channel_gain,
                        parse_channel_table)
 from .allocation import (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY,
                          Allocation, EvalReport, RateCalcCounter, evaluate,
-                         rate_macro_ue, rate_small_ue, serving_sets, share_rate)
+                         serving_sets, share_rate)
 from .kernels import (ENV_BACKEND, available_backends, get_backend,
                       brute_force_scan, subset_degradations, decode_combo)
 from .solvers import (DEFAULT_BRUTE_CAP, BruteForceCapError, SortedMatrix,
@@ -29,7 +29,7 @@ __all__ = [
     "format_channel_table", "write_channel_table", "parse_channel_table",
     "DIGIT_BOTH", "DIGIT_MACRO_ONLY", "DIGIT_SMALL_ONLY",
     "Allocation", "EvalReport", "RateCalcCounter", "evaluate",
-    "rate_macro_ue", "rate_small_ue", "serving_sets", "share_rate",
+    "serving_sets", "share_rate",
     "ENV_BACKEND", "available_backends", "get_backend",
     "brute_force_scan", "subset_degradations", "decode_combo",
     "DEFAULT_BRUTE_CAP", "BruteForceCapError", "SortedMatrix", "SolverResult",

@@ -26,8 +26,6 @@ __all__ = [
     "Allocation",
     "EvalReport",
     "share_rate",
-    "rate_macro_ue",
-    "rate_small_ue",
     "serving_sets",
     "evaluate",
 ]
@@ -128,18 +126,6 @@ def share_rate(bw_hz: float, n_served: int, log_term: float) -> float:
     return bw_hz / n_served * log_term
 
 
-def rate_macro_ue(k: int, n_served: int, table: ChannelTable, counter: RateCalcCounter) -> float:
-    """Macro-tier rate of UE k when the MBS serves n_served UEs. One tick."""
-    counter.tick()
-    return share_rate(table.params.bw_macro_hz, n_served, table.log_macro[k])
-
-
-def rate_small_ue(k: int, n_served: int, table: ChannelTable, counter: RateCalcCounter) -> float:
-    """Small-tier rate of UE k at its associated SBS serving n_served UEs."""
-    counter.tick()
-    return share_rate(table.params.bw_small_hz, n_served, table.log_small[k])
-
-
 def serving_sets(alloc: Allocation, table: ChannelTable):
     """Split an allocation into the MBS served set and per-SBS served sets."""
     if alloc.num_ue != table.num_ue:
@@ -154,9 +140,11 @@ def evaluate(alloc: Allocation, table: ChannelTable, counter: RateCalcCounter | 
     """Total sum-rate of an allocation, ticking the counter once per served
     (UE, tier) pair when a counter is supplied.
 
-    The accumulation order (UE 0..K-1, macro term then small term) matches
-    the enumeration kernels, so an allocation evaluated here equals the same
-    allocation scored inside brute force bit for bit.
+    Each served term is bw / load * log, as share_rate computes it, and an
+    unserved one is +0.0. The total adds UE 0..K-1 in order, macro term
+    then small term, left to right (cumsum, not the pairwise sum), which
+    matches the enumeration kernels, so an allocation evaluated here equals
+    the same allocation scored inside brute force bit for bit.
     """
     if alloc.num_ue != table.num_ue:
         raise ValueError("allocation size does not match table")
@@ -164,18 +152,11 @@ def evaluate(alloc: Allocation, table: ChannelTable, counter: RateCalcCounter | 
     cnt = counter if counter is not None else RateCalcCounter()
 
     n_macro = int(alloc.d_macro.sum())
-    served_small = alloc.d_small == 1
-    n_small = np.bincount(table.assoc_sbs[served_small], minlength=table.num_sbs)
-
-    k_ues = table.num_ue
-    rate_m = np.zeros(k_ues)
-    rate_s = np.zeros(k_ues)
-    total = 0.0
-    for k in range(k_ues):
-        rm = rate_macro_ue(k, n_macro, table, cnt) if alloc.d_macro[k] else 0.0
-        rs = rate_small_ue(k, int(n_small[table.assoc_sbs[k]]), table, cnt) if alloc.d_small[k] else 0.0
-        rate_m[k] = rm
-        rate_s[k] = rs
-        total += rm
-        total += rs
+    n_small = np.bincount(table.assoc_sbs[alloc.d_small == 1], minlength=table.num_sbs)
+    # a station that serves nobody has every flag 0; max(., 1) only avoids 0/0
+    rate_m = alloc.d_macro * (table.params.bw_macro_hz / max(n_macro, 1) * table.log_macro)
+    loads = np.maximum(n_small[table.assoc_sbs], 1)
+    rate_s = alloc.d_small * (table.params.bw_small_hz / loads * table.log_small)
+    cnt.tick(n_macro + int(alloc.d_small.sum()))
+    total = np.column_stack((rate_m, rate_s)).ravel().cumsum()[-1]
     return EvalReport(sum_rate=total, rate_macro=rate_m, rate_small=rate_s, rate_calc_count=cnt.count)

@@ -212,10 +212,10 @@ def subset_degradations(pool_logs, cs_logsum, cs_size, bw):
 
     where csum[s-1] = cs_logsum + pool_logs[0] + ... + pool_logs[s-1],
     accumulated in that order; an empty committed set contributes 0 before.
-    Returns (degs, csum).
+    Returns degs, a float64 array of w entries.
     """
     pool_logs = np.asarray(pool_logs, dtype=np.float64)
     csum = np.cumsum(np.concatenate(([float(cs_logsum)], pool_logs)))[1:]
     bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
     sizes = cs_size + np.arange(1, pool_logs.shape[0] + 1, dtype=np.int64)
-    return bef - bw / sizes * csum, csum
+    return bef - bw / sizes * csum

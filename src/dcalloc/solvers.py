@@ -93,17 +93,18 @@ def build_sorted_matrix(table: ChannelTable) -> SortedMatrix:
 
 
 def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = None,
-                      cap: int = DEFAULT_BRUTE_CAP, override_cap: bool = False) -> SolverResult:
+                      override_cap: bool = False) -> SolverResult:
     """Exact optimum over every profile combination.
 
     Charges K rate calculations per combination (K * 3^K total). Ties keep
     the first maximizer in enumeration order: profiles ordered (1,1), (1,0),
-    (0,1) with UE 0 as the least significant digit.
+    (0,1) with UE 0 as the least significant digit. Refuses K above
+    DEFAULT_BRUTE_CAP unless override_cap is set.
     """
     k_ues = table.num_ue
-    if k_ues > cap and not override_cap:
+    if k_ues > DEFAULT_BRUTE_CAP and not override_cap:
         raise BruteForceCapError(
-            f"K={k_ues} exceeds the exhaustive-search cap of {cap} UEs; "
+            f"K={k_ues} exceeds the exhaustive-search cap of {DEFAULT_BRUTE_CAP} UEs; "
             f"pass override_cap=True to run anyway")
     cnt = counter if counter is not None else RateCalcCounter()
     best_val, best_idx = brute_force_scan(table)
@@ -160,6 +161,15 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     Ties between prefixes go to the lexicographically smallest sorted UE
     tuple.
 
+    Every adoption is thus a prefix of the rows just below the committed
+    ones, so a station's committed UEs are always the first depth[bs] rows
+    of its column, and its committed log sum is the running sum of the
+    column's log terms at row depth[bs]-1. The depths and the served mask
+    are the whole state. There is no fallback: the MBS column holds every
+    UE and committed UEs are served, so while a UE is unserved the MBS has
+    a window; each pass then adds at least one row to the sum of the
+    depths, which is at most 2K, so at most 2K passes run.
+
     Counter accounting still charges the paper's enumeration of every
     subset: per examined window of w rows at a station already serving cs
     UEs, each subset costs one rate evaluation per UE the station would
@@ -169,106 +179,58 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     (UE, tier) pair.
     """
     cnt = counter if counter is not None else RateCalcCounter()
-    k_ues = table.num_ue
-    mat = build_sorted_matrix(table)
-    n_bs = table.num_sbs + 1
-    mbs = n_bs - 1
+    columns = build_sorted_matrix(table).columns
+    mbs = table.num_sbs
+    logs = [table.log_small[col] for col in columns[:mbs]] + [table.log_macro[columns[mbs]]]
+    bws = [table.params.bw_small_hz] * mbs + [table.params.bw_macro_hz]
+    # running[bs][r] adds the log terms of rows 0..r left to right
+    running = [np.cumsum(col_logs) for col_logs in logs]
 
-    def log_terms(bs: int, ues) -> np.ndarray:
-        return table.log_macro[ues] if bs == mbs else table.log_small[ues]
-
-    def bandwidth(bs: int) -> float:
-        return table.params.bw_macro_hz if bs == mbs else table.params.bw_small_hz
-
-    committed_macro = np.zeros(k_ues, dtype=bool)
-    committed_small = np.zeros(k_ues, dtype=bool)
-    served = np.zeros(k_ues, dtype=bool)
-    current = [-1] * n_bs
-    exhausted = [False] * n_bs
-    csize = [0] * n_bs
-    logsum = [0.0] * n_bs
-
-    initial_commits = 0
-    for bs in range(n_bs):
-        col = mat.columns[bs]
-        if len(col) == 0:
-            exhausted[bs] = True
-            continue
-        head = int(col[0])
-        (committed_macro if bs == mbs else committed_small)[head] = True
-        served[head] = True
-        current[bs] = 0
-        csize[bs] = 1
-        logsum[bs] = float(log_terms(bs, head))
-        initial_commits += 1
+    depth = [min(len(col), 1) for col in columns]
+    exhausted = [len(col) == 0 for col in columns]
+    served = np.zeros(table.num_ue, dtype=bool)
+    for col in columns:
+        served[col[:1]] = True
+    initial_commits = sum(depth)
 
     passes = 0
     commits = 0
     subset_evals = 0
-    fallback = False
-
     while not served.all():
         passes += 1
-        if passes > 4 * k_ues + 8:
-            raise RuntimeError("greedy allocation failed to make progress")
-
-        # (degradation, bs, window start row, adopted logsum, pool prefix UEs)
+        # (degradation, bs, rows adopted)
         best = None
-        for bs in range(n_bs):
+        for bs, col in enumerate(columns):
             if exhausted[bs]:
                 continue
-            col = mat.columns[bs]
-            nxt = -1
-            for r in range(current[bs] + 1, len(col)):
-                if not served[col[r]]:
-                    nxt = r
-                    break
-            if nxt < 0:
+            lo = depth[bs]
+            below = served[col[lo:]]
+            if below.all():
                 # no unserved UE left in this column, and served never reverts
                 exhausted[bs] = True
                 continue
-            lo = current[bs] + 1
-            w = nxt - lo + 1
-            pool_ues = col[lo:nxt + 1]
-            degs, csum = subset_degradations(
-                log_terms(bs, pool_ues), logsum[bs], csize[bs], bandwidth(bs))
+            w = int(below.argmin()) + 1
+            degs = subset_degradations(logs[bs][lo:lo + w], running[bs][lo - 1], lo, bws[bs])
             subset_evals += 1 << w
-            cnt.tick(csize[bs] * (1 << w) + w * (1 << (w - 1)))
+            cnt.tick(lo * (1 << w) + w * (1 << (w - 1)))
             ties = np.flatnonzero(degs == degs.min())
-            j = int(min(ties, key=lambda t: sorted(pool_ues[:t + 1].tolist())))
-            cand = (float(degs[j]), bs, lo, float(csum[j]), pool_ues[:j + 1])
-            if best is None or cand[0] < best[0]:
-                best = cand
+            j = int(min(ties, key=lambda t: sorted(col[lo:lo + t + 1].tolist())))
+            if best is None or degs[j] < best[0]:
+                best = (float(degs[j]), bs, j + 1)
 
-        if best is None:
-            # unreachable: the MBS column holds every UE, so an unserved UE
-            # always sits below the MBS cursor; kept as a terminating net
-            rest = np.flatnonzero(~served)
-            committed_macro[rest] = True
-            served[rest] = True
-            fallback = True
-            break
-
-        _, bs, lo, new_logsum, ues = best
-        (committed_macro if bs == mbs else committed_small)[ues] = True
-        served[ues] = True
-        current[bs] = lo + len(ues) - 1
-        csize[bs] += len(ues)
-        logsum[bs] = new_logsum
+        _, bs, rows = best
+        served[columns[bs][depth[bs]:depth[bs] + rows]] = True
+        depth[bs] += rows
         commits += 1
 
-    alloc = Allocation(d_macro=committed_macro.astype(np.uint8),
-                       d_small=committed_small.astype(np.uint8))
-    for bs in range(n_bs):
-        head = mat.head(bs)
-        if head is None:
-            continue
-        holds = committed_macro[head] if bs == mbs else committed_small[head]
-        assert holds, "a station lost its column head"
-
+    d_macro = np.zeros(table.num_ue, dtype=np.uint8)
+    d_small = np.zeros(table.num_ue, dtype=np.uint8)
+    for bs, col in enumerate(columns):
+        (d_macro if bs == mbs else d_small)[col[:depth[bs]]] = 1
+    alloc = Allocation(d_macro=d_macro, d_small=d_small)
     report = evaluate(alloc, table, cnt)
     notes = {"passes": passes, "commits": commits, "initial_commits": initial_commits,
-             "subset_evaluations": subset_evals, "fallback": fallback}
+             "subset_evaluations": subset_evals}
     return SolverResult(alloc=alloc, report=report, wall_notes=notes)
 
 

@@ -117,6 +117,71 @@ def python_subset_table(pool_logs, cs_logsum, cs_size, bw):
     return degs, csums, pcnts
 
 
+def python_greedy(table: ChannelTable):
+    """The paper's greedy allocation in plain Python, by full subset
+    enumeration rather than prefix pricing. Columns hold each SBS's UEs by descending SINR and all
+    UEs by descending SNR for the MBS (last), equal values by ascending
+    index. Heads are committed first. Each pass takes every live station's
+    window (the rows below its deepest committed row, down to the first
+    unserved UE), prices every nonempty subset with python_subset_table and
+    picks the least degradation, ties to the lexicographically smallest
+    sorted UE tuple; across stations a later one wins only by a strictly
+    smaller degradation. Each window charges one tick per UE the station
+    would serve under each of its 2^w subsets, and the end one tick per
+    served (UE, tier) pair. Returns (digits, ticks, notes)."""
+    k_ues, mbs = table.num_ue, table.num_sbs
+    snr, sinr = table.snr_macro.tolist(), table.sinr_small.tolist()
+    assoc = table.assoc_sbs.tolist()
+    columns = [sorted((u for u in range(k_ues) if assoc[u] == i), key=lambda u: (-sinr[u], u))
+               for i in range(mbs)]
+    columns.append(sorted(range(k_ues), key=lambda u: (-snr[u], u)))
+    logs = [table.log_small.tolist()] * mbs + [table.log_macro.tolist()]
+    bws = [table.params.bw_small_hz] * mbs + [table.params.bw_macro_hz]
+
+    committed = [col[:1] for col in columns]
+    logsum = [logs[bs][col[0]] if col else 0.0 for bs, col in enumerate(columns)]
+    deepest = [0] * len(columns)
+    live = [bool(col) for col in columns]
+    served = {col[0] for col in columns if col}
+    ticks = 0
+    notes = {"passes": 0, "commits": 0, "initial_commits": sum(live), "subset_evaluations": 0}
+    while len(served) < k_ues:
+        notes["passes"] += 1
+        best = None
+        for bs, col in enumerate(columns):
+            if not live[bs]:
+                continue
+            unserved = [r for r in range(deepest[bs] + 1, len(col)) if col[r] not in served]
+            if not unserved:
+                live[bs] = False
+                continue
+            window = col[deepest[bs] + 1:unserved[0] + 1]
+            cs = len(committed[bs])
+            degs, sums, sizes = python_subset_table(
+                [logs[bs][u] for u in window], logsum[bs], cs, bws[bs])
+            notes["subset_evaluations"] += len(degs)
+            ticks += sum(cs + n for n in sizes)
+
+            def rows(mask):
+                return [b for b in range(len(window)) if (mask >> b) & 1]
+            mask = min(range(1, len(degs)),
+                       key=lambda m: (degs[m], sorted(window[b] for b in rows(m))))
+            if best is None or degs[mask] < best[0]:
+                best = (degs[mask], bs, [window[b] for b in rows(mask)],
+                        deepest[bs] + 1 + max(rows(mask)), sums[mask])
+        _, bs, ues, last_row, total = best
+        committed[bs] += ues
+        deepest[bs], logsum[bs] = last_row, total
+        served.update(ues)
+        notes["commits"] += 1
+
+    macro = set(committed[mbs])
+    small = {u for ues in committed[:mbs] for u in ues}
+    ticks += len(macro) + len(small)
+    digits = [0 if u in macro and u in small else 1 if u in macro else 2 for u in range(k_ues)]
+    return digits, ticks, notes
+
+
 def adversarial_table(num_ue: int) -> ChannelTable:
     """Instance family whose greedy run funnels every post-initialization
     commit to SBS 0 while the MBS candidate window widens by one row per

@@ -78,6 +78,8 @@ def test_evaluate_matches_python_oracle():
         assert report.rate_macro == pytest.approx(rates_m, rel=1e-12)
         assert report.rate_small == pytest.approx(rates_s, rel=1e-12)
         assert report.sum_rate == pytest.approx(sum(rates_m) + sum(rates_s), rel=1e-12)
+        # repr(sum_rate) is hashed into the benchmark's golden digests
+        assert type(report.sum_rate) is np.float64
         served_pairs = int(np.sum(alloc.d_macro)) + int(np.sum(alloc.d_small))
         assert counter.count == served_pairs
         assert report.rate_calc_count == counter.count

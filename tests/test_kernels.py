@@ -148,7 +148,8 @@ def _lexicographic_winner(candidates, degs, ues_of):
 
 def test_subset_degradations_match_python_oracle():
     """Prefix pricing picks the subset full enumeration picks, with the same
-    degradation and log-sum bits. Windows are descending, as in a station
+    degradation bits, and the running sum the greedy keeps per column has
+    the enumeration's log-sum bits. Windows are descending, as in a station
     column, with equal terms in ascending UE order; every other window draws
     its terms from four values so that they repeat exactly."""
     rng = np.random.default_rng(17)
@@ -166,7 +167,9 @@ def test_subset_degradations_match_python_oracle():
         bw = 10e6
         ref_degs, ref_csums, ref_pcnts = python_subset_table(
             pool.tolist(), cs_logsum, cs_size, bw)
-        degs, csum = subset_degradations(pool, cs_logsum, cs_size, bw)
+        degs = subset_degradations(pool, cs_logsum, cs_size, bw)
+        # the greedy's running sum over the committed rows, then the window
+        csum = np.cumsum(np.concatenate(([cs_logsum], pool)))[1:]
         prefix_masks = [(1 << s) - 1 for s in range(1, w + 1)]
         assert degs.tolist() == [ref_degs[m] for m in prefix_masks]
         assert csum.tolist() == [ref_csums[m] for m in prefix_masks]
@@ -184,12 +187,13 @@ def test_subset_degradations_match_python_oracle():
 def test_subset_degradations_signs():
     """Adopting a stronger-than-average UE must register as an improvement
     (negative degradation), a weaker one as a loss."""
-    degs, csum = subset_degradations(np.array([9.0, 0.001]), 1.0, 1, 1.0)
+    degs = subset_degradations(np.array([9.0, 0.001]), 1.0, 1, 1.0)
     assert degs[0] < 0.0        # newcomer log 9 vs committed average 1
     assert degs[1] > degs[0]    # the weak second row drags the average down
-    assert csum.tolist() == [10.0, 10.001]
-    weak, _ = subset_degradations(np.array([0.001]), 1.0, 1, 1.0)
+    # 1 - (1 + 9) / 2 and 1 - (1 + 9 + 0.001) / 3, in the kernel's order
+    assert degs.tolist() == [1.0 - 1.0 / 2 * 10.0, 1.0 - 1.0 / 3 * 10.001]
+    weak = subset_degradations(np.array([0.001]), 1.0, 1, 1.0)
     assert weak[0] > 0.0
     # empty committed set: any adoption is pure gain
-    degs0, _ = subset_degradations(np.array([0.5]), 0.0, 0, 1.0)
+    degs0 = subset_degradations(np.array([0.5]), 0.0, 0, 1.0)
     assert degs0[0] == pytest.approx(-0.5, rel=1e-15)
