@@ -110,23 +110,29 @@ def analytic_brute_count(k_ues: int) -> int:
 
 def run_trial(args) -> TrialRecord:
     """One (K, trial) cell. Module-level and tuple-argumented so process
-    pools can ship it around."""
+    pools can ship it around. A solver error is re-raised as RuntimeError
+    naming the cell's (K, trial, seed) and the algorithm, which replays it
+    through make_instance."""
     k_ues, trial, seed, scenario, algorithms, override_cap = args
     params = replace(scenario, num_ue=k_ues, seed=seed)
     _, table = make_instance(params)
     rec = TrialRecord(k_ues=k_ues, trial=trial, seed=seed)
     for algo in algorithms:
         counter = RateCalcCounter()
-        if algo == "optimal":
-            res = solve_brute_force(table, counter, override_cap=override_cap)
-        elif algo == "proposed":
-            res = solve_proposed(table, counter)
-        elif algo == "3c_only":
-            res = solve_3c_only(table, counter)
-        elif algo == "1a_only":
-            res = solve_1a_only(table, counter)
-        else:
-            res = solve_stronger(table, counter)
+        try:
+            if algo == "optimal":
+                res = solve_brute_force(table, counter, override_cap=override_cap)
+            elif algo == "proposed":
+                res = solve_proposed(table, counter)
+            elif algo == "3c_only":
+                res = solve_3c_only(table, counter)
+            elif algo == "1a_only":
+                res = solve_1a_only(table, counter)
+            else:
+                res = solve_stronger(table, counter)
+        except Exception as exc:
+            raise RuntimeError(f"{algo} failed at K={k_ues}, trial={trial}, "
+                               f"seed={seed}: {exc}") from exc
         rec.sum_rates[algo] = float(res.sum_rate)
         rec.op_counts[algo] = int(res.op_count)
     if "optimal" in rec.sum_rates and "proposed" in rec.sum_rates:

@@ -6,6 +6,11 @@ additions depend only on the low digits and on the row's loads (n_macro and
 the n_small of the low UEs' SBSs). Those loads are the low digits' own plus
 what the high digits add, so blocks whose high digits add equal loads share
 one partial-sum vector, and each block adds only its K-c high terms to it.
+The low rows' digits and MBS loads depend on c alone and are built once per
+block size. One scan yields the maximum, its first index and, per UE, whether
+some maximizer serves it at each tier; the last scan is memoized on the
+content of its inputs, so the exhaustive solver and the optimality checker
+share one scan of a table.
 
 The greedy's window pricing is a closed form: the least-degrading subset of
 a descending window is always a prefix, so subset_degradations() prices the
@@ -14,6 +19,8 @@ w prefixes with one cumulative sum instead of enumerating 2^w subsets.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -82,46 +89,58 @@ def objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> np.ndar
     return obj
 
 
-def _digit_rows(n_digits: int) -> np.ndarray:
-    """All 3^n digit rows in enumeration order, digit 0 least significant."""
-    idx = np.arange(3 ** n_digits, dtype=np.int64)
-    return (idx[:, None] // 3 ** np.arange(n_digits, dtype=np.int64)) % 3
+@functools.lru_cache(maxsize=None)
+def _low_layout(c: int):
+    """Table-independent layout of the 3^c rows of one block, built once per
+    block size and read-only: the digits of the low UEs, one row per UE
+    (uint8, c x 3^c, enumeration order with UE 0 least significant), and
+    each low row's MBS load."""
+    idx = np.arange(3 ** c, dtype=np.int64)
+    digits = ((idx // 3 ** np.arange(c, dtype=np.int64)[:, None]) % 3).astype(np.uint8)
+    macro_load = (digits != 2).sum(axis=0)
+    digits.flags.writeable = False
+    macro_load.flags.writeable = False
+    return digits, macro_load
 
 
-def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s, heads=()):
+def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
     """Exhaustive scan in blocks of 3^c rows, c = min(K, _BLOCK_UES).
 
-    Returns (best_val, best_idx, flags): the maximum, the lowest enumeration
-    index attaining it, and for each (ue, excluded_digit) pair in heads
-    whether some maximizer gives that UE another digit. The maximizers are
-    the rows within tol = 2*K*ulp(best_val) of the maximum: rows that tie in
-    exact arithmetic, such as the swaps of two identical UEs, add the same
-    2K nonnegative terms in different orders, and tol bounds the difference
-    of such sums. best_val and best_idx are exact, the strict first maximum.
+    Returns (best_val, best_idx, macro_served, small_served): the maximum,
+    the lowest enumeration index attaining it, and two tuples holding per UE
+    whether some maximizer serves it at the MBS (digit != 2) and at its SBS
+    (digit != 1). The maximizers are the rows within tol = 2*K*ulp(best_val)
+    of the maximum: rows that tie in exact arithmetic, such as the swaps of
+    two identical UEs, add the same 2K nonnegative terms in different
+    orders, and tol bounds the difference of such sums. best_val and
+    best_idx are exact, the strict first maximum. The flags cover every UE,
+    so the result depends on the arguments alone.
 
     Every row adds UE 0..K-1 in order, macro term then small term, each term
     bw / load * log, as objective_chunk does, which skips the term of a tier
     that does not serve the UE. Blocks skip it too; the cached low-UE partial
-    sums multiply it by 0.0 instead. Both give objective_chunk's bits: every
-    partial sum is >= +0.0, a finite term times 0.0 is +0.0, and x + 0.0 == x
-    for such x. The partial sums are cached per load the high digits add to
-    the MBS and to each SBS a low UE uses.
+    sums multiply bw / load by log * 0.0 instead. Both give objective_chunk's
+    bits: every partial sum is >= +0.0, a finite term times 0.0 is +0.0, and
+    x + 0.0 == x for such x. The partial sums are cached per load the high
+    digits add to the MBS and to each SBS a low UE uses. The low rows'
+    digits and MBS loads come from _low_layout, shared by every scan.
     """
     k_ues = log_m.shape[0]
     c = min(k_ues, _BLOCK_UES)
-    low = _digit_rows(c)
+    low, macro_load = _low_layout(c)
     low_assoc = assoc[:c].tolist()
     low_sbs = sorted(set(low_assoc))
-    macro_served = low != 2
     small_served = low != 1
-    # 1.0 where the tier serves low UE k, else 0.0
-    macro_low = macro_served.T.astype(np.float64)
-    small_low = small_served.T.astype(np.float64)
+    # log of low UE k where the tier serves it, else 0.0
+    macro_log = (low != 2) * log_m[:c, None]
+    small_log = small_served * log_s[:c, None]
     # loads of the low rows per station, the MBS last; an SBS that no low UE
-    # uses has load 0 on every low row
-    low_loads = [0] * num_sbs + [macro_served.sum(axis=1)]
-    for i in low_sbs:
-        low_loads[i] = (small_served & (assoc[:c] == i)).sum(axis=1)
+    # uses has load 0 on every low row. One reduceat sums each SBS's UEs.
+    order = np.argsort(assoc[:c], kind="stable")
+    starts = np.searchsorted(assoc[:c][order], low_sbs)
+    low_loads = [0] * num_sbs + [macro_load]
+    for i, load in zip(low_sbs, np.add.reduceat(small_served[order], starts, axis=0)):
+        low_loads[i] = load
     bws = [bw_s] * num_sbs + [bw_m]
     inverses = {}
 
@@ -132,19 +151,25 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s, heads=()):
             inverses[key] = bws[station] / np.maximum(low_loads[station] + load, 1)
         return inverses[key]
 
+    tmp = np.empty(3 ** c)
+
     def partial_sums(load_m, load_s):
         vals = np.zeros(3 ** c)
         for k, i in enumerate(low_assoc):
-            vals += share(num_sbs, load_m) * log_m[k] * macro_low[k]
-            vals += share(i, load_s[i]) * log_s[k] * small_low[k]
+            vals += np.multiply(share(num_sbs, load_m), macro_log[k], out=tmp)
+            vals += np.multiply(share(i, load_s[i]), small_log[k], out=tmp)
         return vals
 
     high_assoc = assoc[c:].tolist()
     prefixes = {}
+    block_vals = np.empty(3 ** c)
     best_val, best_idx = -1.0, -1
-    # per head, the best value of a row read so far that gives the UE another digit
-    head_vals = [-1.0] * len(heads)
-    for block, high in enumerate(_digit_rows(k_ues - c).tolist()):
+    # per UE, the best value read so far of a row where the MBS (its SBS) serves it
+    macro_vals = np.full(k_ues, -1.0)
+    small_vals = np.full(k_ues, -1.0)
+    # high digits in enumeration order: UE c varies fastest
+    for block, rev in enumerate(itertools.product(range(3), repeat=k_ues - c)):
+        high = rev[::-1]
         load_m = 0
         load_s = [0] * num_sbs
         for d, i in zip(high, high_assoc):
@@ -153,34 +178,38 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s, heads=()):
         key = (load_m, *(load_s[i] for i in low_sbs))
         if key not in prefixes:
             prefixes[key] = partial_sums(load_m, load_s)
-        vals = prefixes[key].copy()
+        vals = prefixes[key]
         for k, d, i in zip(range(c, k_ues), high, high_assoc):
+            # every UE takes a term, so the first write moves vals off the cache
             if d != 2:
-                vals += share(num_sbs, load_m) * log_m[k]
+                vals = np.add(vals, np.multiply(share(num_sbs, load_m), log_m[k], out=tmp),
+                              out=block_vals)
             if d != 1:
-                vals += share(i, load_s[i]) * log_s[k]
+                vals = np.add(vals, np.multiply(share(i, load_s[i]), log_s[k], out=tmp),
+                              out=block_vals)
         j = int(np.argmax(vals))
         top = float(vals[j])
         if top > best_val:
             best_val, best_idx = top, block * 3 ** c + j
-        if not heads:
-            continue
         # a maximizer ends within tol of the final maximum, whose tol is at
         # most twice the running maximum's; rows below 2*tol of it can go
         floor = best_val - 4 * k_ues * math.ulp(best_val)
         if top < floor:
             continue
         near = vals >= floor
-        rows, near_vals = low[near], vals[near]
-        for h, (ue, excluded) in enumerate(heads):
-            if ue >= c:
-                if high[ue - c] != excluded:
-                    head_vals[h] = max(head_vals[h], top)
-            else:
-                other = near_vals[rows[:, ue] != excluded]
-                head_vals[h] = max(head_vals[h], float(other.max(initial=-1.0)))
+        rows, near_vals = low[:, near], vals[near]
+        np.maximum(macro_vals[:c], np.where(rows != 2, near_vals, -1.0).max(axis=1),
+                   out=macro_vals[:c])
+        np.maximum(small_vals[:c], np.where(rows != 1, near_vals, -1.0).max(axis=1),
+                   out=small_vals[:c])
+        for k, d in enumerate(high, c):
+            if d != 2:
+                macro_vals[k] = max(macro_vals[k], top)
+            if d != 1:
+                small_vals[k] = max(small_vals[k], top)
     floor = best_val - 2 * k_ues * math.ulp(best_val)
-    return best_val, best_idx, [v >= floor for v in head_vals]
+    return (best_val, best_idx, tuple((macro_vals >= floor).tolist()),
+            tuple((small_vals >= floor).tolist()))
 
 
 def _scan_args(table):
@@ -190,13 +219,35 @@ def _scan_args(table):
             table.params.bw_macro_hz, table.params.bw_small_hz)
 
 
+# (key, result) of the last scan. The oracle loop scans a table in
+# solve_brute_force and reads the same result in check_proposition1.
+_last_scan = (None, None)
+
+
+def _table_scan(table):
+    """_block_scan of the table, memoized on the last table scanned.
+
+    The key is the content of every input the scan reads, the block size
+    included, so an equal table built anew, or the same table after its
+    arrays changed, is recognised by value.
+    """
+    global _last_scan
+    args = _scan_args(table)
+    key = (*((a.dtype.str, a.tobytes()) for a in args[:3]), *args[3:], _BLOCK_UES)
+    last_key, result = _last_scan
+    if key != last_key:
+        result = _block_scan(*args)
+        _last_scan = (key, result)
+    return result
+
+
 def brute_force_scan(table):
     """Best sum-rate over all 3^K profile combinations.
 
     Returns (best_value, best_index) where best_index is the lowest
     enumeration index attaining the maximum.
     """
-    return _block_scan(*_scan_args(table))[:2]
+    return _table_scan(table)[:2]
 
 
 def subset_degradations(pool_logs, cs_logsum, cs_size, bw):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import Allocation, EvalReport, RateCalcCounter, evaluate
-from .kernels import (_block_scan, _scan_args, brute_force_scan, decode_combo,
+from .kernels import (_scan_args, _table_scan, brute_force_scan, decode_combo,
                       objective_chunk, subset_degradations)
 from .topology import ChannelTable
 
@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 # 14 * 3**14 is about 6.7e7 rate calculations; the numpy block scan covers
-# them in about 0.1 s on a shared 2-vCPU host, and each further UE triples that
+# them in about 45 ms on a shared 2-vCPU host, check_proposition1 reuses that
+# scan, and each further UE triples it
 DEFAULT_BRUTE_CAP = 14
 
 
@@ -112,7 +113,9 @@ def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = Non
     alloc = Allocation.from_digits(decode_combo(best_idx, k_ues))
     report = evaluate(alloc, table)
     # the replay must agree with the scan kernel bit for bit
-    assert report.sum_rate == best_val, "enumeration kernel and evaluate() disagree"
+    if report.sum_rate != best_val:
+        raise RuntimeError(f"exhaustive scan maximum {best_val!r} and the evaluate() "
+                           f"replay {float(report.sum_rate)!r} of index {best_idx} disagree")
     report.rate_calc_count = cnt.count
     return SolverResult(alloc=alloc, report=report,
                         wall_notes={"best_index": best_idx, "combinations": 3 ** k_ues})
@@ -245,12 +248,13 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     does not attain the enumerated maximum, and BruteForceCapError above
     DEFAULT_BRUTE_CAP UEs.
 
-    The maximum and the per-head flags come from one pass of the block scan
-    behind brute_force_scan. Its maximizers are the rows within 2*K ulps of
-    the maximum, so that the swapped optima of identical UEs, which sum the
-    same terms in another order, count as maximizers too. The supplied
-    allocation's own digit row is scored by objective_chunk, in the scan's
-    summation order, and must equal the maximum exactly.
+    The maximum and the per-UE served flags come from the block scan behind
+    brute_force_scan, read from its memo: after solve_brute_force on the
+    same table, the check scans nothing. The scan's maximizers are the rows
+    within 2*K ulps of the maximum, so that the swapped optima of identical
+    UEs, which sum the same terms in another order, count as maximizers too.
+    The supplied allocation's own digit row is scored by objective_chunk, in
+    the scan's summation order, and must equal the maximum exactly.
     """
     k_ues = table.num_ue
     if k_ues > DEFAULT_BRUTE_CAP:
@@ -258,19 +262,15 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
             f"K={k_ues} exceeds the exhaustive-search cap of {DEFAULT_BRUTE_CAP} UEs")
     if optimum.num_ue != k_ues:
         raise ValueError("allocation size does not match table")
-    args = _scan_args(table)
-    value = objective_chunk(optimum.to_digits()[None, :], *args)[0]
-
-    mat = build_sorted_matrix(table)
-    mbs = table.num_sbs
-    heads = [(bs, mat.head(bs)) for bs in range(mbs + 1) if mat.head(bs) is not None]
-    # a station's head is served unless its digit excludes that tier
-    best, _, satisfied = _block_scan(
-        *args, [(head, 2 if bs == mbs else 1) for bs, head in heads])
+    value = objective_chunk(optimum.to_digits()[None, :], *_scan_args(table))[0]
+    best, _, macro_served, small_served = _table_scan(table)
 
     if value != best:
         raise ValueError("supplied allocation is not an exhaustive-search maximizer")
-    for (bs, head), ok in zip(heads, satisfied):
-        if not ok:
+    mat = build_sorted_matrix(table)
+    mbs = table.num_sbs
+    for bs in range(mbs + 1):
+        head = mat.head(bs)
+        if head is not None and not (macro_served if bs == mbs else small_served)[head]:
             return False, {"bs": bs, "head_ue": head, "max_sum_rate": best}
     return True, None

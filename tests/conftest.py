@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+import dcalloc.kernels as kernels
 from dcalloc import ChannelTable, ScenarioParams, make_instance
 from dcalloc.kernels import objective_chunk
 
@@ -67,14 +68,15 @@ def python_brute(table: ChannelTable):
     return best_val, best_idx, best_digits
 
 
-def chunked_scan(table: ChannelTable, heads=()):
+def chunked_scan(table: ChannelTable):
     """Exhaustive scan by scoring every digit row with objective_chunk.
 
-    Returns (best_val, best_idx, flags): the maximum, its first index in
-    enumeration order, and for each (ue, excluded_digit) pair whether some
-    maximizer row gives that UE another digit. Maximizer rows are those
-    within 2*K ulps of the maximum, the bound on the rounding difference of
-    two sums of the same 2K nonnegative terms in different orders."""
+    Returns (best_val, best_idx, macro_served, small_served): the maximum,
+    its first index in enumeration order, and per UE whether some maximizer
+    row serves it at the MBS (digit != 2) and at its SBS (digit != 1).
+    Maximizer rows are those within 2*K ulps of the maximum, the bound on
+    the rounding difference of two sums of the same 2K nonnegative terms in
+    different orders."""
     k_ues = table.num_ue
     idx = np.arange(3 ** k_ues, dtype=np.int64)
     digits = (idx[:, None] // 3 ** np.arange(k_ues, dtype=np.int64)) % 3
@@ -84,7 +86,25 @@ def chunked_scan(table: ChannelTable, heads=()):
     j = int(np.argmax(vals))
     best = float(vals[j])
     rows = digits[vals >= best - 2 * k_ues * math.ulp(best)]
-    return best, j, [bool(np.any(rows[:, ue] != e)) for ue, e in heads]
+    return (best, j, tuple(np.any(rows != 2, axis=0).tolist()),
+            tuple(np.any(rows != 1, axis=0).tolist()))
+
+
+@pytest.fixture
+def scan_calls(monkeypatch):
+    """Block size of every _block_scan call the test makes, in order. The
+    scan memo starts empty, so a table an earlier test scanned is not
+    skipped."""
+    calls = []
+    scan = kernels._block_scan
+
+    def counted(*args):
+        calls.append(kernels._BLOCK_UES)
+        return scan(*args)
+
+    monkeypatch.setattr(kernels, "_block_scan", counted)
+    monkeypatch.setattr(kernels, "_last_scan", (None, None))
+    return calls
 
 
 def twin_table(table: ChannelTable, pairs) -> ChannelTable:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import dcalloc.harness as harness
 from dcalloc import (ALGORITHM_ORDER, DEFAULT_MASTER_SEED, ExperimentConfig,
                      ScenarioParams, TrialRecord, analytic_brute_count,
                      capacity_config, emit_csv, load_config, load_records,
@@ -117,6 +118,28 @@ def test_run_experiment_without_optimal_has_no_ratio():
     records, summary = run_experiment(cfg)
     assert all(r.ratio is None for r in records)
     assert all(row["mean_ratio_proposed_optimal"] is None for row in summary["rows"])
+
+
+def test_solver_error_names_its_trial(monkeypatch):
+    """A solver that raises inside a sweep is re-raised as RuntimeError with
+    the (K, trial, seed) that replays it and the algorithm, chained to the
+    original error."""
+    cfg = _tiny_config(ue_sweep=(2, 3), trials=2)
+    solve = harness.solve_proposed
+    calls = []
+
+    def broken(table, counter=None):
+        # threads=1 runs the cells in order, so the fourth is K=3, trial 1
+        calls.append(table.num_ue)
+        if len(calls) == 4:
+            raise ZeroDivisionError("injected")
+        return solve(table, counter)
+
+    monkeypatch.setattr(harness, "solve_proposed", broken)
+    witness = f"proposed failed at K=3, trial=1, seed={trial_seed(99, 3, 1)}"
+    with pytest.raises(RuntimeError, match=witness) as info:
+        run_experiment(cfg, threads=1)
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 # --- summarize arithmetic --------------------------------------------------

@@ -1,17 +1,19 @@
 """Bit-identity of the block scan with the row-at-a-time reference and the
-Python oracle, the numba-free import, and prefix window pricing against
-full subset enumeration."""
+Python oracle, the scan memo's key, the numba-free import, and prefix
+window pricing against full subset enumeration."""
 
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dcalloc.kernels as kernels
-from dcalloc import ChannelTable, brute_force_scan, decode_combo, subset_degradations
+from dcalloc import (ChannelTable, brute_force_scan, check_proposition1, decode_combo,
+                     solve_brute_force, subset_degradations)
 
 from conftest import (adversarial_table, chunked_scan, python_brute, python_objective,
                       python_subset_table, seeded_table, twin_table)
@@ -72,12 +74,6 @@ def test_brute_scan_first_maximizer_on_ties():
     assert brute_force_scan(twin)[1] == ref_idx
 
 
-def _all_heads(num_ue):
-    """Every (ue, excluded digit) pair: against a unique maximizer, the
-    pairs excluding its own digits come out False."""
-    return [(ue, e) for ue in range(num_ue) for e in range(3)]
-
-
 def _reference_tables():
     for k_ues in range(1, 10):
         for num_sbs in (1, 4, 16):
@@ -92,20 +88,20 @@ def _reference_tables():
 
 
 def test_block_scan_matches_chunked_reference(monkeypatch):
-    """Value bits, first maximizer and head flags equal the row-at-a-time
+    """Value bits, first maximizer and served flags equal the row-at-a-time
     enumeration, at the default block size and at blocks of 3 rows (many
-    blocks, so partial sums are shared across blocks)."""
+    blocks, so partial sums are shared across blocks). Against a unique
+    maximizer, a UE's flag for the tier its digit excludes is False."""
     false_flags = 0
     for table in _reference_tables():
-        heads = _all_heads(table.num_ue)
-        ref_val, ref_idx, ref_flags = chunked_scan(table, heads)
+        ref_val, ref_idx, *ref_flags = chunked_scan(table)
         for block_ues in (kernels._BLOCK_UES, 1):
             monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
-            val, idx, flags = kernels._block_scan(*kernels._scan_args(table), heads)
+            val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
             assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
             assert brute_force_scan(table) == (ref_val, ref_idx)
         monkeypatch.undo()
-        false_flags += ref_flags.count(False)
+        false_flags += sum(flag.count(False) for flag in ref_flags)
     assert false_flags > 0
 
 
@@ -120,22 +116,80 @@ def test_block_scan_keys_partial_sums_on_sbs_loads(monkeypatch):
     params = seeded_table(2, num_sbs=1).params
     table = ChannelTable(snr_macro=snr, assoc_sbs=np.array([0, 0]), sinr_small=sinr,
                          params=params)
-    ref = chunked_scan(table, _all_heads(2))
+    ref = chunked_scan(table)
     assert ref[1] == 5
     for block_ues in (0, 1, 2):
         monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
-        assert kernels._block_scan(*kernels._scan_args(table), _all_heads(2)) == ref
+        assert kernels._block_scan(*kernels._scan_args(table)) == ref
 
 
-def test_numpy_blocking_is_invisible(monkeypatch):
+def test_numpy_blocking_is_invisible(monkeypatch, scan_calls):
+    """Every block size gives the same value bits and first maximizer, and
+    each one really scans: the memo is keyed on the block size too."""
     for seed in (9, 10):
         table = seeded_table(6, num_sbs=4, seed=seed)
         whole = brute_force_scan(table)
-        for block_ues in (0, 1, 5, 6, kernels._BLOCK_UES):
-            monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
-            blocked = brute_force_scan(table)
-            assert (blocked[0].hex(), blocked[1]) == (whole[0].hex(), whole[1])
-        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            for block_ues in (0, 1, 5, 6, kernels._BLOCK_UES):
+                m.setattr(kernels, "_BLOCK_UES", block_ues)
+                blocked = brute_force_scan(table)
+                assert (blocked[0].hex(), blocked[1]) == (whole[0].hex(), whole[1])
+                # consecutive sizes differ, so this is the scan just made
+                assert scan_calls[-1] == block_ues
+
+
+def test_scan_memo_recognises_equal_tables(scan_calls):
+    """A second table object with the same content is not scanned again, and
+    solve_brute_force then check_proposition1 cost one scan together."""
+    table = seeded_table(7, num_sbs=4, seed=31)
+    first = brute_force_scan(table)
+    assert brute_force_scan(seeded_table(7, num_sbs=4, seed=31)) == first
+    assert len(scan_calls) == 1
+    opt = solve_brute_force(seeded_table(7, num_sbs=4, seed=32))
+    assert check_proposition1(seeded_table(7, num_sbs=4, seed=32), opt.alloc) == (True, None)
+    assert len(scan_calls) == 2
+
+
+@pytest.mark.parametrize("change", ["log_macro", "log_small", "assoc_sbs",
+                                    "bw_macro_hz", "bw_small_hz", "block_ues"])
+def test_scan_memo_rescans_on_changed_input(monkeypatch, scan_calls, change):
+    """Each input the scan reads is part of the memo key: a one-ulp change
+    of a log term in the scanned table's own array, another SBS for one UE,
+    another bandwidth or another block size scans again, and the rescan
+    matches a fresh reference."""
+    table = seeded_table(6, num_sbs=4, seed=33)
+    brute_force_scan(table)
+    changed = replace(table)
+    if change in ("log_macro", "log_small"):
+        changed = table
+        logs = getattr(table, change)
+        logs[2] = np.nextafter(logs[2], np.inf)
+    elif change == "assoc_sbs":
+        changed.assoc_sbs = table.assoc_sbs.copy()
+        changed.assoc_sbs[1] = (changed.assoc_sbs[1] + 1) % table.num_sbs
+    elif change == "block_ues":
+        monkeypatch.setattr(kernels, "_BLOCK_UES", 3)
+    else:
+        changed.params = replace(table.params, **{change: getattr(table.params, change) * 2})
+    val, idx = brute_force_scan(changed)
+    assert len(scan_calls) == 2
+    ref_val, ref_idx, *_ = chunked_scan(changed)
+    assert (val.hex(), idx) == (ref_val.hex(), ref_idx)
+
+
+def test_scan_result_and_layout_are_read_only(scan_calls):
+    """The memoized result is a tuple of tuples and the cached block layout
+    is read-only, so no caller can corrupt a later scan."""
+    table = seeded_table(9, num_sbs=4, seed=34)
+    scan = kernels._table_scan(table)
+    assert type(scan) is tuple
+    assert all(type(flags) is tuple for flags in scan[2:])
+    for arr in kernels._low_layout(kernels._BLOCK_UES):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert kernels._table_scan(table) is scan
+    assert len(scan_calls) == 1
 
 
 def _lexicographic_winner(candidates, degs, ues_of):

@@ -14,6 +14,7 @@ from dcalloc import (Allocation, BruteForceCapError, ChannelTable, RateCalcCount
                      ScenarioParams, build_sorted_matrix, check_proposition1,
                      evaluate, serving_sets, solve_1a_only, solve_3c_only,
                      solve_brute_force, solve_proposed, solve_stronger)
+from dcalloc.cli import cli_main
 
 from conftest import (adversarial_table, chunked_scan, python_brute, python_greedy,
                       seeded_table, twin_table)
@@ -338,24 +339,28 @@ def test_check_proposition1_on_seeded_instances():
         assert ok, witness
 
 
-def test_check_proposition1_blocking_is_invisible(monkeypatch):
+def test_check_proposition1_blocking_is_invisible(monkeypatch, scan_calls):
     """The running maximum and the head flags must carry across block
     boundaries. The last table twins UE 2 onto UE 0: the two swapped optima
     tie in exact arithmetic but not in summation order, and the swap that
-    sums one ulp lower must still count as a maximizer at every block size."""
+    sums one ulp lower must still count as a maximizer at every block size.
+    Each block size scans exactly once, in solve_brute_force; the checks
+    read that scan."""
     tables = [seeded_table(num_ue=5, num_sbs=4, seed=300 + seed) for seed in range(5)]
     tables.append(twin_table(seeded_table(num_ue=3, num_sbs=2, seed=5321), [(0, 2)]))
     for table in tables:
         opt = solve_brute_force(table)
-        for block_ues in (0, 1, table.num_ue - 1, table.num_ue, kernels._BLOCK_UES):
-            monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
-            blocked = solve_brute_force(table)
-            assert (repr(blocked.sum_rate), blocked.wall_notes["best_index"]) == \
-                (repr(opt.sum_rate), opt.wall_notes["best_index"])
-            assert check_proposition1(table, opt.alloc) == (True, None)
-            with pytest.raises(ValueError):
-                check_proposition1(table, solve_1a_only(table).alloc)
-        monkeypatch.undo()
+        with monkeypatch.context() as m:
+            for block_ues in (0, 1, table.num_ue - 1, table.num_ue, kernels._BLOCK_UES):
+                m.setattr(kernels, "_BLOCK_UES", block_ues)
+                before = len(scan_calls)
+                blocked = solve_brute_force(table)
+                assert (repr(blocked.sum_rate), blocked.wall_notes["best_index"]) == \
+                    (repr(opt.sum_rate), opt.wall_notes["best_index"])
+                assert check_proposition1(table, opt.alloc) == (True, None)
+                with pytest.raises(ValueError):
+                    check_proposition1(table, solve_1a_only(table).alloc)
+                assert scan_calls[before:] == [block_ues]
     assert opt.alloc.to_digits().tolist() == [1, 1, 0]
 
 
@@ -364,13 +369,16 @@ def test_check_proposition1_witness_names_first_failing_station(monkeypatch):
     opt = solve_brute_force(table)
     mat = build_sorted_matrix(table)
     stations = [bs for bs in range(table.num_sbs + 1) if mat.head(bs) is not None]
-    scan = solvers._block_scan
+    scan = solvers._table_scan
 
-    def first_head_only(*args):
-        best, idx, flags = scan(*args)
-        return best, idx, [True] + [False] * (len(flags) - 1)
+    def first_head_only(tbl):
+        """Only the first station's head is served by some maximizer."""
+        best, idx, _, _ = scan(tbl)
+        first = tuple(ue == mat.head(stations[0]) for ue in range(tbl.num_ue))
+        none = (False,) * tbl.num_ue
+        return (best, idx) + ((first, none) if stations[0] == tbl.num_sbs else (none, first))
 
-    monkeypatch.setattr(solvers, "_block_scan", first_head_only)
+    monkeypatch.setattr(solvers, "_table_scan", first_head_only)
     assert check_proposition1(table, opt.alloc) == (False, {
         "bs": stations[1], "head_ue": mat.head(stations[1]), "max_sum_rate": opt.sum_rate})
 
@@ -388,7 +396,7 @@ def test_check_proposition1_passes_on_twin_tables():
                 for pairs in ([(0, 1)], [(0, k_ues - 1)],
                               [(j, j + 1) for j in range(0, k_ues - 1, 2)]):
                     table = twin_table(base, pairs)
-                    ref_val, ref_idx, _ = chunked_scan(table)
+                    ref_val, ref_idx, *_ = chunked_scan(table)
                     opt = solve_brute_force(table)
                     assert (opt.sum_rate.hex(), opt.wall_notes["best_index"]) == \
                         (ref_val.hex(), ref_idx)
@@ -413,3 +421,22 @@ def test_check_proposition1_rejects_malformed_allocations():
     unserved.d_macro[2] = unserved.d_small[2] = 0
     with pytest.raises(ValueError, match="without any serving tier"):
         check_proposition1(table, unserved)
+
+
+def test_oracle_loop_scans_once_per_trial(scan_calls, capsys):
+    """The oracle-check loop's solve_brute_force and check_proposition1 share
+    one scan per trial."""
+    assert cli_main(["oracle-check", "--k", "6", "--i", "4", "--trials", "4"]) == 0
+    assert "4/4 pass" in capsys.readouterr().out
+    assert len(scan_calls) == 4
+
+
+def test_solve_brute_force_raises_when_replay_disagrees(monkeypatch):
+    """The scan == evaluate() replay gate is an explicit error, so python -O
+    keeps it: a scan maximum one ulp off the replay raises RuntimeError."""
+    table = seeded_table(num_ue=5, num_sbs=4, seed=72)
+    val, idx = solvers.brute_force_scan(table)
+    monkeypatch.setattr(solvers, "brute_force_scan",
+                        lambda tbl: (float(np.nextafter(val, np.inf)), idx))
+    with pytest.raises(RuntimeError, match="disagree"):
+        solve_brute_force(table)
