@@ -69,6 +69,8 @@ def _cmd_oracle_check(args) -> int:
     if not 1 <= args.k <= DEFAULT_BRUTE_CAP:
         raise ValueError(f"--k must be between 1 and the exhaustive-search cap of "
                          f"{DEFAULT_BRUTE_CAP} UEs, got {args.k}")
+    if not 0 <= args.seed < 2 ** 64:
+        raise ValueError(f"--seed must be between 0 and 2**64 - 1, got {args.seed}")
     npass = 0
     for t in range(args.trials):
         seed = trial_seed(args.seed, args.k, t)

@@ -135,12 +135,10 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
     macro_log = (low != 2) * log_m[:c, None]
     small_log = small_served * log_s[:c, None]
     # loads of the low rows per station, the MBS last; an SBS that no low UE
-    # uses has load 0 on every low row. One reduceat sums each SBS's UEs.
-    order = np.argsort(assoc[:c], kind="stable")
-    starts = np.searchsorted(assoc[:c][order], low_sbs)
+    # uses has load 0 on every low row
     low_loads = [0] * num_sbs + [macro_load]
-    for i, load in zip(low_sbs, np.add.reduceat(small_served[order], starts, axis=0)):
-        low_loads[i] = load
+    for i in low_sbs:
+        low_loads[i] = small_served[assoc[:c] == i].sum(axis=0)
     bws = [bw_s] * num_sbs + [bw_m]
     inverses = {}
 

@@ -167,19 +167,29 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     Every adoption is thus a prefix of the rows just below the committed
     ones, so a station's committed UEs are always the first depth[bs] rows
     of its column, and its committed log sum is the running sum of the
-    column's log terms at row depth[bs]-1. The depths and the served mask
-    are the whole state. There is no fallback: the MBS column holds every
-    UE and committed UEs are served, so while a UE is unserved the MBS has
-    a window; each pass then adds at least one row to the sum of the
-    depths, which is at most 2K, so at most 2K passes run.
+    column's log terms at row depth[bs]-1. There is no fallback: the MBS
+    column holds every UE and committed UEs are served, so while a UE is
+    unserved the MBS has a window; each pass then adds at least one row to
+    the sum of the depths, which is at most 2K, so at most 2K passes run.
+
+    A pass commits rows to one station only, so most windows are the same
+    as in the last pass. A window's prices depend only on its station,
+    depth and width (the logs, running sums and bandwidth are fixed for the
+    solve), so each station keeps the (depth, width) it last priced with
+    the chosen degradation and row count, and calls subset_degradations and
+    the tie rule only when the window has changed. Depths and widths only
+    grow, so no window is priced twice. A per-station pointer to the first
+    unserved row only moves forward: served never reverts, and the rows
+    above the depth are committed and hence served, so each pass resumes
+    the scan where the last one stopped.
 
     Counter accounting still charges the paper's enumeration of every
     subset: per examined window of w rows at a station already serving cs
-    UEs, each subset costs one rate evaluation per UE the station would
-    then serve, summing to cs*2^w + w*2^(w-1) ticks. wall_notes likewise
-    reports 2^w subset evaluations per window, plus pass and commit
-    tallies. The final counted evaluate() adds one tick per served
-    (UE, tier) pair.
+    UEs, priced afresh or not, each subset costs one rate evaluation per UE
+    the station would then serve, summing to cs*2^w + w*2^(w-1) ticks.
+    wall_notes likewise reports 2^w subset evaluations per examined window,
+    plus pass and commit tallies. The final counted evaluate() adds one
+    tick per served (UE, tier) pair.
     """
     cnt = counter if counter is not None else RateCalcCounter()
     columns = build_sorted_matrix(table).columns
@@ -188,41 +198,50 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     bws = [table.params.bw_small_hz] * mbs + [table.params.bw_macro_hz]
     # running[bs][r] adds the log terms of rows 0..r left to right
     running = [np.cumsum(col_logs) for col_logs in logs]
+    cols = [col.tolist() for col in columns]
 
-    depth = [min(len(col), 1) for col in columns]
-    exhausted = [len(col) == 0 for col in columns]
-    served = np.zeros(table.num_ue, dtype=bool)
-    for col in columns:
-        served[col[:1]] = True
+    depth = [min(len(col), 1) for col in cols]
+    served = bytearray(table.num_ue)
+    for col in cols:
+        if col:
+            served[col[0]] = 1
     initial_commits = sum(depth)
+    # end[bs]: first unserved row at or below depth[bs] as of the last pass
+    end = list(depth)
+    # priced[bs]: (depth, width, degradation, rows) of the last window priced
+    priced = [None] * len(cols)
 
     passes = 0
     commits = 0
     subset_evals = 0
-    while not served.all():
+    while 0 in served:
         passes += 1
         # (degradation, bs, rows adopted)
         best = None
-        for bs, col in enumerate(columns):
-            if exhausted[bs]:
+        for bs, col in enumerate(cols):
+            r = end[bs]
+            while r < len(col) and served[col[r]]:
+                r += 1
+            end[bs] = r
+            if r == len(col):
+                # no unserved UE left in this column, and served never reverts
                 continue
             lo = depth[bs]
-            below = served[col[lo:]]
-            if below.all():
-                # no unserved UE left in this column, and served never reverts
-                exhausted[bs] = True
-                continue
-            w = int(below.argmin()) + 1
-            degs = subset_degradations(logs[bs][lo:lo + w], running[bs][lo - 1], lo, bws[bs])
+            w = r - lo + 1
             subset_evals += 1 << w
             cnt.tick(lo * (1 << w) + w * (1 << (w - 1)))
-            ties = np.flatnonzero(degs == degs.min())
-            j = int(min(ties, key=lambda t: sorted(col[lo:lo + t + 1].tolist())))
-            if best is None or degs[j] < best[0]:
-                best = (float(degs[j]), bs, j + 1)
+            memo = priced[bs]
+            if memo is None or memo[:2] != (lo, w):
+                degs = subset_degradations(logs[bs][lo:r + 1], running[bs][lo - 1], lo, bws[bs])
+                ties = np.flatnonzero(degs == degs.min())
+                j = int(min(ties, key=lambda t: sorted(col[lo:lo + t + 1])))
+                memo = priced[bs] = (lo, w, float(degs[j]), j + 1)
+            if best is None or memo[2] < best[0]:
+                best = (memo[2], bs, memo[3])
 
         _, bs, rows = best
-        served[columns[bs][depth[bs]:depth[bs] + rows]] = True
+        for ue in cols[bs][depth[bs]:depth[bs] + rows]:
+            served[ue] = 1
         depth[bs] += rows
         commits += 1
 

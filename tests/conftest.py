@@ -137,18 +137,43 @@ def python_subset_table(pool_logs, cs_logsum, cs_size, bw):
     return degs, csums, pcnts
 
 
-def python_greedy(table: ChannelTable):
-    """The paper's greedy allocation in plain Python, by full subset
-    enumeration rather than prefix pricing. Columns hold each SBS's UEs by descending SINR and all
-    UEs by descending SNR for the MBS (last), equal values by ascending
-    index. Heads are committed first. Each pass takes every live station's
+def _every_subset(pool_logs, cs_logsum, cs_size, bw):
+    """Every nonempty subset of a window as (degradation, window offsets,
+    post-adoption log sum), priced by python_subset_table, and the window's
+    ticks: one per UE the station would serve under each of its subsets."""
+    degs, sums, sizes = python_subset_table(pool_logs, cs_logsum, cs_size, bw)
+    subsets = [(degs[m], [b for b in range(len(pool_logs)) if (m >> b) & 1], sums[m])
+               for m in range(1, len(degs))]
+    return subsets, sum(cs_size + n for n in sizes)
+
+
+def _every_prefix(pool_logs, cs_logsum, cs_size, bw):
+    """Every prefix of a window, as _every_subset prices subsets, each with
+    the prefix's log sum accumulated left to right. The ticks still charge
+    every subset, in closed form: cs*2^w + w*2^(w-1)."""
+    w = len(pool_logs)
+    bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
+    prefixes, total = [], cs_logsum
+    for s in range(1, w + 1):
+        total += pool_logs[s - 1]
+        prefixes.append((bef - bw / (cs_size + s) * total, list(range(s)), total))
+    return prefixes, cs_size * 2 ** w + w * 2 ** (w - 1)
+
+
+def python_greedy(table: ChannelTable, candidates=_every_subset, windows=None):
+    """The paper's greedy allocation in plain Python, by default by full
+    subset enumeration rather than prefix pricing. Columns hold each SBS's
+    UEs by descending SINR and all UEs by descending SNR for the MBS (last),
+    equal values by ascending index. Heads are committed first. Each pass takes every live station's
     window (the rows below its deepest committed row, down to the first
-    unserved UE), prices every nonempty subset with python_subset_table and
-    picks the least degradation, ties to the lexicographically smallest
-    sorted UE tuple; across stations a later one wins only by a strictly
-    smaller degradation. Each window charges one tick per UE the station
-    would serve under each of its 2^w subsets, and the end one tick per
-    served (UE, tier) pair. Returns (digits, ticks, notes)."""
+    unserved UE, found by scanning from that row), prices the window's
+    candidates afresh and picks the least degradation, ties to the
+    lexicographically smallest sorted UE tuple; across stations a later one
+    wins only by a strictly smaller degradation. Each window charges the
+    ticks its pricer reports and 2^w subset evaluations, and the end one
+    tick per served (UE, tier) pair. Appends (station, committed count,
+    width) of every examined window to windows, if given. Returns (digits,
+    ticks, notes)."""
     k_ues, mbs = table.num_ue, table.num_sbs
     snr, sinr = table.snr_macro.tolist(), table.sinr_small.tolist()
     assoc = table.assoc_sbs.tolist()
@@ -177,18 +202,17 @@ def python_greedy(table: ChannelTable):
                 continue
             window = col[deepest[bs] + 1:unserved[0] + 1]
             cs = len(committed[bs])
-            degs, sums, sizes = python_subset_table(
+            if windows is not None:
+                windows.append((bs, cs, len(window)))
+            priced, window_ticks = candidates(
                 [logs[bs][u] for u in window], logsum[bs], cs, bws[bs])
-            notes["subset_evaluations"] += len(degs)
-            ticks += sum(cs + n for n in sizes)
-
-            def rows(mask):
-                return [b for b in range(len(window)) if (mask >> b) & 1]
-            mask = min(range(1, len(degs)),
-                       key=lambda m: (degs[m], sorted(window[b] for b in rows(m))))
-            if best is None or degs[mask] < best[0]:
-                best = (degs[mask], bs, [window[b] for b in rows(mask)],
-                        deepest[bs] + 1 + max(rows(mask)), sums[mask])
+            notes["subset_evaluations"] += 2 ** len(window)
+            ticks += window_ticks
+            least = min(c[0] for c in priced)
+            deg, rows, total = min((c for c in priced if c[0] == least),
+                                   key=lambda c: sorted(window[b] for b in c[1]))
+            if best is None or deg < best[0]:
+                best = (deg, bs, [window[b] for b in rows], deepest[bs] + 1 + max(rows), total)
         _, bs, ues, last_row, total = best
         committed[bs] += ues
         deepest[bs], logsum[bs] = last_row, total
@@ -200,6 +224,14 @@ def python_greedy(table: ChannelTable):
     ticks += len(macro) + len(small)
     digits = [0 if u in macro and u in small else 1 if u in macro else 2 for u in range(k_ues)]
     return digits, ticks, notes
+
+
+def python_prefix_greedy(table: ChannelTable, windows=None):
+    """python_greedy pricing only the w prefixes of each window, so that it
+    runs where windows are too wide to enumerate (dozens of rows at K >= 30).
+    It still prices every live window on every pass and finds each window
+    by a fresh scan: no memo, no pointer."""
+    return python_greedy(table, _every_prefix, windows)
 
 
 def adversarial_table(num_ue: int) -> ChannelTable:

@@ -65,6 +65,17 @@ def test_oracle_check_rejects_k_outside_cap(capsys):
                                 f"cap of 14 UEs, got {k}\n")
 
 
+def test_oracle_check_rejects_seed_outside_64_bits(capsys):
+    for seed in ("-1", str(2 ** 64)):
+        code = cli_main(["oracle-check", "--k", "3", "--seed", seed])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --seed must be between 0 and 2**64 - 1, got {seed}\n"
+    assert cli_main(["oracle-check", "--k", "3", "--seed", str(2 ** 64 - 1)]) == 0
+    assert "1/1 pass" in capsys.readouterr().out
+
+
 def test_sweep_writes_four_files(tmp_path, capsys):
     prefix = str(tmp_path / "dc")
     code = cli_main(["sweep", "--out", prefix, "--trials", "1"])

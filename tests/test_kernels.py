@@ -85,6 +85,11 @@ def _reference_tables():
         yield twin_table(base, [(j, j + 1) for j in range(0, k_ues - 1, 2)])
     for k_ues in range(5, 11):
         yield adversarial_table(k_ues)
+    # every SBS's low UEs interleave with another's in assoc
+    for num_sbs, assoc in ((2, [1, 0] * 5), (3, [2, 0, 1] * 3 + [0])):
+        base = seeded_table(10, num_sbs=num_sbs, seed=970 + num_sbs)
+        yield ChannelTable(snr_macro=base.snr_macro, assoc_sbs=np.array(assoc),
+                           sinr_small=base.sinr_small, params=base.params)
 
 
 def test_block_scan_matches_chunked_reference(monkeypatch):

@@ -17,7 +17,7 @@ from dcalloc import (Allocation, BruteForceCapError, ChannelTable, RateCalcCount
 from dcalloc.cli import cli_main
 
 from conftest import (adversarial_table, chunked_scan, python_brute, python_greedy,
-                      seeded_table, twin_table)
+                      python_prefix_greedy, seeded_table, twin_table)
 
 
 def _synthetic(snr, sinr, assoc, num_sbs, rx_macro=None, rx_small=None, **scenario):
@@ -264,42 +264,93 @@ def test_proposed_prefix_tie_goes_to_lexicographically_smallest_ues():
 _LARGE_K_SCRIPT = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-import dcalloc.kernels as kernels
-import dcalloc.solvers as solvers
-from dcalloc import RateCalcCounter, ScenarioParams, make_instance
-
-windows = []
-pricer = solvers.subset_degradations
-def recording(pool_logs, cs_logsum, cs_size, bw):
-    windows.append((len(pool_logs), cs_size))
-    return pricer(pool_logs, cs_logsum, cs_size, bw)
-solvers.subset_degradations = recording
+from dcalloc import RateCalcCounter, ScenarioParams, make_instance, solve_proposed
+from conftest import python_prefix_greedy
 
 for k_ues in (30, 60, 100, 200):
     for seed in range(3):
         _, table = make_instance(ScenarioParams(num_ue=k_ues, seed=seed))
-        windows.clear()
+        windows = []
+        digits, ticks, notes = python_prefix_greedy(table, windows)
         counter = RateCalcCounter()
-        res = solvers.solve_proposed(table, counter)
+        res = solve_proposed(table, counter)
         res.alloc.validate()
-        served_pairs = int(res.alloc.d_macro.sum() + res.alloc.d_small.sum())
-        paper = sum(cs * 2 ** w + w * 2 ** (w - 1) for w, cs in windows)
-        assert counter.count == paper + served_pairs, (k_ues, seed)
-        assert res.wall_notes["subset_evaluations"] == sum(2 ** w for w, _ in windows)
-        print(k_ues, seed, max(w for w, _ in windows))
+        assert res.alloc.to_digits().tolist() == digits, (k_ues, seed)
+        assert res.op_count == counter.count == ticks, (k_ues, seed)
+        assert res.wall_notes == notes, (k_ues, seed)
+        print(k_ues, seed, max(w for _, _, w in windows))
 """
 
 
 def test_proposed_large_k_under_memory_limit():
     """Windows reach dozens of rows at K >= 30; pricing them must not grow
     with 2^w. Runs in a child process capped at 2 GiB of address space, and
-    checks the counter still charges the paper's subset enumeration."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
+    checks digits, notes and the counter, which still charges the paper's
+    subset enumeration per examined window, against the plain-Python
+    prefix-pricing greedy."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
     proc = subprocess.run([sys.executable, "-c", _LARGE_K_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 12
+
+
+def _widening_table():
+    """Three UEs on one SBS. The SNRs, and the SINRs of UEs 1 and 2, are
+    consecutive doubles near 5e6 that share one log term; UE 0's SINR is
+    1.0. Pass 1 prices the MBS window [UE 2] below the head UE 1, but SBS 0
+    ties it, wins by its lower index and serves UE 2. Pass 2 then finds the
+    MBS window at the same depth widened to [UE 2, UE 0], whose two-row
+    prefix rounds to a degradation below zero and beats SBS 0's [UE 0]."""
+    x0 = 5e6
+    x1 = np.nextafter(x0, np.inf)
+    x2 = np.nextafter(x1, np.inf)
+    return _synthetic(snr=[x0, x2, x1], sinr=[1.0, x2, x1], assoc=[0, 0, 0], num_sbs=1)
+
+
+def test_proposed_reprices_a_window_widened_at_fixed_depth():
+    """A price kept from the MBS's one-row window would commit UE 2 alone
+    and take a third pass; the widened window must be priced afresh."""
+    table = _widening_table()
+    windows = []
+    python_prefix_greedy(table, windows)
+    assert windows == [(0, 1, 1), (1, 1, 1), (0, 2, 1), (1, 1, 2)]
+    res = solve_proposed(table)
+    assert (res.alloc.to_digits().tolist(), res.op_count, res.wall_notes) == \
+        python_greedy(table)
+    assert res.alloc.to_digits().tolist() == [1, 0, 0]
+    assert res.wall_notes["passes"] == 2
+
+
+def test_proposed_prices_each_distinct_window_once(monkeypatch):
+    """The reference greedy examines every live window on every pass;
+    solve_proposed must call subset_degradations exactly once per distinct
+    (station, depth, width) among them, and must still match it."""
+    calls = []
+    pricer = solvers.subset_degradations
+
+    def recording(pool_logs, cs_logsum, cs_size, bw):
+        calls.append((cs_size, len(pool_logs), bw))
+        return pricer(pool_logs, cs_logsum, cs_size, bw)
+
+    monkeypatch.setattr(solvers, "subset_degradations", recording)
+    tables = [seeded_table(k_ues, num_sbs=num_sbs, seed=7000 + 100 * k_ues + num_sbs)
+              for k_ues in range(2, 41, 3) for num_sbs in (1, 4, 16)]
+    tables += [adversarial_table(12), _widening_table()]
+    examined = distinct = 0
+    for table in tables:
+        windows = []
+        digits, ticks, notes = python_prefix_greedy(table, windows)
+        calls.clear()
+        res = solve_proposed(table)
+        assert (res.alloc.to_digits().tolist(), res.op_count, res.wall_notes) == \
+            (digits, ticks, notes)
+        bws = [table.params.bw_small_hz] * table.num_sbs + [table.params.bw_macro_hz]
+        assert sorted(calls) == sorted((cs, w, bws[bs]) for bs, cs, w in set(windows))
+        examined += len(windows)
+        distinct += len(set(windows))
+    assert distinct < examined / 2
 
 
 def test_proposed_handles_empty_sbs_columns():
