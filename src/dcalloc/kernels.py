@@ -1,16 +1,17 @@
 """Hot numeric kernels.
 
-The exhaustive 3^K scan enumerates in blocks of 3^c rows that share the
-digits of UEs c..K-1. A row's sum adds UE 0..K-1 in order, so its first 2c
-additions depend only on the low digits and on the row's loads (n_macro and
-the n_small of the low UEs' SBSs). Those loads are the low digits' own plus
-what the high digits add, so blocks whose high digits add equal loads share
-one partial-sum vector, and each block adds only its K-c high terms to it.
-The low rows' digits and MBS loads depend on c alone and are built once per
-block size. One scan yields the maximum, its first index and, per UE, whether
-some maximizer serves it at each tier; the last scan is memoized on the
-content of its inputs, so the exhaustive solver and the optimality checker
-share one scan of a table.
+The exhaustive 3^K scan groups rows by load class: the MBS load and every
+SBS load. Within a class each term's share bw / load is fixed, so no row of
+the class scores more than a closed form, the sum over stations of the
+share times the largest log terms the load can hold. The scan sums classes
+in descending bound and stops once a bound falls below the best row found,
+less a relative margin of 1e-9, many orders wider than rounding; on seeded
+tables with K >= 10 that leaves under 1% of the rows to sum. A class's
+rows are built from cached per-(n, r) choice tables, never from a 3^g
+table of a whole group. One scan yields the maximum, its first index and,
+per UE, whether some maximizer serves it at each tier; the last scan is
+memoized on the content of its inputs, so the exhaustive solver and the
+optimality checker share one scan of a table.
 
 The greedy's window pricing is a closed form: the least-degrading subset of
 a descending window is always a prefix, so subset_degradations() prices the
@@ -39,9 +40,8 @@ __all__ = [
 # stays with the two constant backend reports until the benchmark changes
 ENV_BACKEND = "DCALLOC_BACKEND"
 
-# UEs enumerated inside one block of the scan: a block holds the
-# 3^_BLOCK_UES combinations that share the digits of every higher UE
-_BLOCK_UES = 8
+# rows of a load class summed at once; a larger class is summed in pieces
+_CHUNK_ROWS = 1 << 12
 
 
 def available_backends() -> tuple:
@@ -70,7 +70,7 @@ def decode_combo(index: int, num_ue: int) -> np.ndarray:
 
 def objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> np.ndarray:
     """Sum-rate of each digit row. Accumulates per UE in ascending order,
-    macro term then small term, matching evaluate() and the block scan."""
+    macro term then small term, matching evaluate() and the exhaustive scan."""
     n_rows, k_ues = digits.shape
     macro_served = digits != 2
     small_served = digits != 1
@@ -90,21 +90,42 @@ def objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> np.ndar
 
 
 @functools.lru_cache(maxsize=None)
-def _low_layout(c: int):
-    """Table-independent layout of the 3^c rows of one block, built once per
-    block size and read-only: the digits of the low UEs, one row per UE
-    (uint8, c x 3^c, enumeration order with UE 0 least significant), and
-    each low row's MBS load."""
-    idx = np.arange(3 ** c, dtype=np.int64)
-    digits = ((idx // 3 ** np.arange(c, dtype=np.int64)[:, None]) % 3).astype(np.uint8)
-    macro_load = (digits != 2).sum(axis=0)
-    digits.flags.writeable = False
-    macro_load.flags.writeable = False
-    return digits, macro_load
+def _choices(n: int, r: int) -> np.ndarray:
+    """Every choice of r of n items as a read-only bool table, one column
+    per choice (n x C(n, r)). Built once per (n, r), shared by every scan."""
+    table = np.zeros((n, math.comb(n, r)), dtype=bool)
+    for col, chosen in enumerate(itertools.combinations(range(n), r)):
+        table[list(chosen), col] = True
+    table.flags.writeable = False
+    return table
+
+
+def _load_bounds(logs, bw) -> list:
+    """f[n] = bw / n * (sum of the n largest logs), f[0] = 0: the most a
+    station of bandwidth bw adds to a row where it serves n of these UEs."""
+    bounds, total = [0.0], 0.0
+    for n, x in enumerate(sorted(logs, reverse=True), 1):
+        total += x
+        bounds.append(bw / n * total)
+    return bounds
+
+
+def _small_served(groups, loads, k_ues) -> np.ndarray:
+    """Which UEs their SBS serves, one column per way for every group to put
+    its load on its SBS (k_ues x P, P the product of the groups' C(g, n))."""
+    served = np.zeros((k_ues, 1), dtype=bool)
+    for members, n in zip(groups, loads):
+        if n == len(members):
+            served[members] = True
+        elif n:
+            choice = _choices(len(members), n)
+            served = np.repeat(served, choice.shape[1], axis=1)
+            served[members] = np.tile(choice, served.shape[1] // choice.shape[1])
+    return served
 
 
 def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
-    """Exhaustive scan in blocks of 3^c rows, c = min(K, _BLOCK_UES).
+    """Exhaustive scan over load classes, best bound first.
 
     Returns (best_val, best_idx, macro_served, small_served): the maximum,
     the lowest enumeration index attaining it, and two tuples holding per UE
@@ -113,98 +134,142 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
     of the maximum: rows that tie in exact arithmetic, such as the swaps of
     two identical UEs, add the same 2K nonnegative terms in different
     orders, and tol bounds the difference of such sums. best_val and
-    best_idx are exact, the strict first maximum. The flags cover every UE,
-    so the result depends on the arguments alone.
+    best_idx are exact: the maximum, and the least index among the rows
+    equal to it, which does not depend on the order rows are summed in. The
+    flags cover every UE, so the result depends on the arguments alone.
 
-    Every row adds UE 0..K-1 in order, macro term then small term, each term
-    bw / load * log, as objective_chunk does, which skips the term of a tier
-    that does not serve the UE. Blocks skip it too; the cached low-UE partial
-    sums multiply bw / load by log * 0.0 instead. Both give objective_chunk's
-    bits: every partial sum is >= +0.0, a finite term times 0.0 is +0.0, and
-    x + 0.0 == x for such x. The partial sums are cached per load the high
-    digits add to the MBS and to each SBS a low UE uses. The low rows'
-    digits and MBS loads come from _low_layout, shared by every scan.
+    A load class fixes the MBS load n_m and every SBS load n_i, hence every
+    term's share bw / load. The MBS then adds at most f_m[n_m] = bw_m / n_m
+    * (sum of the n_m largest log_m), SBS i at most f_i[n_i], the same over
+    its UEs' log_small, and the class bound is f_m[n_m] + sum f_i[n_i]. A
+    row serves every UE somewhere, so classes with n_m + sum n_i < K hold no
+    rows. Classes are summed in descending bound, and the scan stops at the
+    first class whose bound is below best_val * (1 - 1e-9), best_val being
+    the maximum of the rows summed so far.
+
+    The stop loses no row within 4K ulps of the maximum. A term takes two
+    roundings (the share, then the product), a row's sum 2K - 1 more, and a
+    bound at most K + I + 1. While no nonzero intermediate is subnormal or
+    overflows, each rounding is a relative error of at most u = 2^-53, and
+    the exact row is at most its class's exact bound. So a row of a class
+    bounded below best_val * (1 - 1e-9) sums to less than best_val *
+    (1 - 1e-9) * (1 + 1.01 * (3K + I + 2) * u), which for K + I < 10^5 is
+    below best_val * (1 - 8*K*u) <= best_val - 4*K*ulp(best_val), the
+    near-row floor under which no row is a maximizer; later classes bound
+    lower still. The margin is thus many orders wider than the rounding,
+    and every row within 2K ulps of the final maximum is summed. The cut
+    applies only where that argument holds, when the smallest nonzero term
+    and the largest bound lie well inside the normal range; otherwise every
+    class is summed.
+
+    A class's rows are every way for each SBS group to put its load on its
+    SBS (_small_served, built once per combination of SBS loads in a scan)
+    times every way for the MBS to serve n_m - (K - sum n_i) of the
+    small-served UEs besides the UEs no SBS serves (_choices). Each
+    row adds UE 0..K-1 in order, macro term then small term, each
+    bw / load * log, as objective_chunk does, which skips the term of a
+    tier that does not serve the UE. The scan adds bw / load * (log * 0.0)
+    instead; both give objective_chunk's bits, because every partial sum is
+    >= +0.0, a finite share times 0.0 is +0.0, and x + 0.0 == x for such x.
+    At most _CHUNK_ROWS rows are summed at once.
     """
     k_ues = log_m.shape[0]
-    c = min(k_ues, _BLOCK_UES)
-    low, macro_load = _low_layout(c)
-    low_assoc = assoc[:c].tolist()
-    low_sbs = sorted(set(low_assoc))
-    small_served = low != 1
-    # log of low UE k where the tier serves it, else 0.0
-    macro_log = (low != 2) * log_m[:c, None]
-    small_log = small_served * log_s[:c, None]
-    # loads of the low rows per station, the MBS last; an SBS that no low UE
-    # uses has load 0 on every low row
-    low_loads = [0] * num_sbs + [macro_load]
-    for i in low_sbs:
-        low_loads[i] = small_served[assoc[:c] == i].sum(axis=0)
-    bws = [bw_s] * num_sbs + [bw_m]
-    inverses = {}
+    groups = [[] for _ in range(num_sbs)]
+    for k, i in enumerate(assoc.tolist()):
+        groups[i].append(k)
+    used = [i for i in range(num_sbs) if groups[i]]
+    groups = [groups[i] for i in used]
+    # bound and load sum of every combination of SBS loads, the last group
+    # varying fastest, then of every class: n_m major
+    f_s, n_s = np.zeros(1), np.zeros(1, dtype=np.int64)
+    for members in groups:
+        f_s = np.add.outer(f_s, _load_bounds(log_s[members].tolist(), bw_s)).ravel()
+        n_s = np.add.outer(n_s, np.arange(len(members) + 1)).ravel()
+    bounds = np.add.outer(_load_bounds(log_m.tolist(), bw_m), f_s).ravel()
+    feasible = np.add.outer(np.arange(k_ues + 1), n_s).ravel() >= k_ues
+    first = int(np.argmax(np.where(feasible, bounds, -np.inf)))
+    # the rounding argument for the cut needs every nonzero intermediate normal
+    nonzero = [x for x in (*log_m.tolist(), *log_s.tolist()) if x > 0.0]
+    prunes = (bounds[first] < 2.0 ** 1000
+              and min(bw_m, bw_s) / k_ues * min(nonzero, default=1.0) >= 2.0 ** -1000)
 
-    def share(station, load):
-        """bw / (low load + load) per low row; rows of load 0 never use it."""
-        key = (station, load)
-        if key not in inverses:
-            inverses[key] = bws[station] / np.maximum(low_loads[station] + load, 1)
-        return inverses[key]
+    def by_bound():
+        """The best-bounded class, then the others in descending bound,
+        sorted once the first class's rows have set the cut."""
+        yield first
+        rest = np.flatnonzero(feasible & (bounds >= best_val * (1 - 1e-9))
+                              if prunes else feasible)
+        yield from (c for c in rest[np.argsort(-bounds[rest], kind="stable")].tolist()
+                    if c != first)
 
-    tmp = np.empty(3 ** c)
-
-    def partial_sums(load_m, load_s):
-        vals = np.zeros(3 ** c)
-        for k, i in enumerate(low_assoc):
-            vals += np.multiply(share(num_sbs, load_m), macro_log[k], out=tmp)
-            vals += np.multiply(share(i, load_s[i]), small_log[k], out=tmp)
-        return vals
-
-    high_assoc = assoc[c:].tolist()
-    prefixes = {}
-    block_vals = np.empty(3 ** c)
     best_val, best_idx = -1.0, -1
     # per UE, the best value read so far of a row where the MBS (its SBS) serves it
     macro_vals = np.full(k_ues, -1.0)
     small_vals = np.full(k_ues, -1.0)
-    # high digits in enumeration order: UE c varies fastest
-    for block, rev in enumerate(itertools.product(range(3), repeat=k_ues - c)):
-        high = rev[::-1]
-        load_m = 0
-        load_s = [0] * num_sbs
-        for d, i in zip(high, high_assoc):
-            load_m += d != 2
-            load_s[i] += d != 1
-        key = (load_m, *(load_s[i] for i in low_sbs))
-        if key not in prefixes:
-            prefixes[key] = partial_sums(load_m, load_s)
-        vals = prefixes[key]
-        for k, d, i in zip(range(c, k_ues), high, high_assoc):
-            # every UE takes a term, so the first write moves vals off the cache
-            if d != 2:
-                vals = np.add(vals, np.multiply(share(num_sbs, load_m), log_m[k], out=tmp),
-                              out=block_vals)
-            if d != 1:
-                vals = np.add(vals, np.multiply(share(i, load_s[i]), log_s[k], out=tmp),
-                              out=block_vals)
-        j = int(np.argmax(vals))
-        top = float(vals[j])
-        if top > best_val:
-            best_val, best_idx = top, block * 3 ** c + j
-        # a maximizer ends within tol of the final maximum, whose tol is at
-        # most twice the running maximum's; rows below 2*tol of it can go
-        floor = best_val - 4 * k_ues * math.ulp(best_val)
-        if top < floor:
-            continue
-        near = vals >= floor
-        rows, near_vals = low[:, near], vals[near]
-        np.maximum(macro_vals[:c], np.where(rows != 2, near_vals, -1.0).max(axis=1),
-                   out=macro_vals[:c])
-        np.maximum(small_vals[:c], np.where(rows != 1, near_vals, -1.0).max(axis=1),
-                   out=small_vals[:c])
-        for k, d in enumerate(high, c):
-            if d != 2:
-                macro_vals[k] = max(macro_vals[k], top)
-            if d != 1:
-                small_vals[k] = max(small_vals[k], top)
+    macro_logs = log_m[:, None, None]
+    # per combination of SBS loads: which UEs the SBSs serve, one column per
+    # pattern; each UE's rank among the small-served ones (the others rank
+    # past the last); how many they serve; each UE's small term, or 0.0
+    patterns = {}
+    for c in by_bound():
+        if prunes and bounds[c] < best_val * (1 - 1e-9):
+            break
+        n_m, s = divmod(c, len(f_s))
+        if s not in patterns:
+            loads = np.unravel_index(s, [len(members) + 1 for members in groups])
+            served = _small_served(groups, loads, k_ues)
+            ranks = np.cumsum(served, axis=0) - 1
+            ranks[~served] = sum(loads)
+            load_s = np.zeros(num_sbs, dtype=np.int64)
+            load_s[used] = loads
+            share_s = bw_s / np.maximum(load_s, 1)[assoc]
+            patterns[s] = (served, ranks, int(sum(loads)),
+                           share_s[:, None] * (served * log_s[:, None]))
+        served, ranks, n_small, small_terms = patterns[s]
+        both = _choices(n_small, n_m - k_ues + n_small)
+        # read by rank: row j says whether the MBS serves the j-th
+        # small-served UE, and the last row stands for the UEs no SBS serves
+        pick = np.concatenate((both, np.ones((1, both.shape[1]), dtype=bool)))
+        share_m = bw_m / max(n_m, 1)
+        n_q = min(pick.shape[1], _CHUNK_ROWS)
+        n_p = max(1, _CHUNK_ROWS // n_q)
+        for p0 in range(0, served.shape[1], n_p):
+            for q0 in range(0, pick.shape[1], n_q):
+                # macro[k, p, q]: does the MBS serve UE k in the piece's row
+                # (p, q), flat row p * n_cols + q
+                macro = pick[:, q0:q0 + n_q][ranks[:, p0:p0 + n_p]]
+                n_cols = macro.shape[2]
+                terms = np.empty((k_ues, 2) + macro.shape[1:])
+                np.multiply(macro, macro_logs, out=terms[:, 0])
+                terms[:, 0] *= share_m
+                terms[:, 1] = small_terms[:, p0:p0 + n_p, None]
+                terms = terms.reshape(2 * k_ues, -1)
+                vals = terms[0].copy()
+                for term in terms[1:]:
+                    vals += term
+                macro = macro.reshape(k_ues, -1)
+                top = float(vals.max())
+                if top >= best_val:
+                    ties = np.flatnonzero(vals == top)
+                    digits = np.where(served[:, p0 + ties // n_cols],
+                                      np.where(macro[:, ties], 0, 2), 1)
+                    # the least index has the least digits read from UE K-1 down
+                    least = digits[:, np.lexsort(digits)[0]].tolist()
+                    idx = sum(d * 3 ** k for k, d in enumerate(least))
+                    best_idx = idx if top > best_val else min(best_idx, idx)
+                    best_val = top
+                # a maximizer ends within tol of the final maximum, whose tol
+                # is at most twice the running maximum's; rows below 2*tol of
+                # it can go, and a UE's value only rises through a row above it
+                floor = best_val - 4 * k_ues * math.ulp(best_val)
+                low = min(macro_vals.min(), small_vals.min())
+                if top >= floor and top > low:
+                    near = np.flatnonzero(vals >= floor if low < floor else vals > low)
+                    near_vals = vals[near]
+                    np.maximum(macro_vals, np.where(macro[:, near], near_vals, -1.0).max(axis=1),
+                               out=macro_vals)
+                    np.maximum(small_vals, np.where(served[:, p0 + near // n_cols], near_vals,
+                                                    -1.0).max(axis=1), out=small_vals)
     floor = best_val - 2 * k_ues * math.ulp(best_val)
     return (best_val, best_idx, tuple((macro_vals >= floor).tolist()),
             tuple((small_vals >= floor).tolist()))
@@ -225,13 +290,13 @@ _last_scan = (None, None)
 def _table_scan(table):
     """_block_scan of the table, memoized on the last table scanned.
 
-    The key is the content of every input the scan reads, the block size
+    The key is the content of every input the scan reads, the chunk size
     included, so an equal table built anew, or the same table after its
     arrays changed, is recognised by value.
     """
     global _last_scan
     args = _scan_args(table)
-    key = (*((a.dtype.str, a.tobytes()) for a in args[:3]), *args[3:], _BLOCK_UES)
+    key = (*((a.dtype.str, a.tobytes()) for a in args[:3]), *args[3:], _CHUNK_ROWS)
     last_key, result = _last_scan
     if key != last_key:
         result = _block_scan(*args)

@@ -37,9 +37,11 @@ __all__ = [
     "check_proposition1",
 ]
 
-# 14 * 3**14 is about 6.7e7 rate calculations; the numpy block scan covers
-# them in about 45 ms on a shared 2-vCPU host, check_proposition1 reuses that
-# scan, and each further UE triples it
+# 14 * 3**14 is about 6.7e7 rate calculations. The scan sums only the load
+# classes whose bound can reach the maximum: about 1 ms for a seeded K=14
+# table on a shared 2-vCPU host, but about 0.4 s for one whose log terms are
+# all equal, where the bound prunes almost nothing; that worst case triples
+# with each further UE. check_proposition1 reuses the scan
 DEFAULT_BRUTE_CAP = 14
 
 
@@ -162,7 +164,8 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     s rows degrade the station's rate total no more than any other s of its
     rows (see subset_degradations), and only the w prefixes are priced.
     Ties between prefixes go to the lexicographically smallest sorted UE
-    tuple.
+    tuple; the tied prefixes' UE tuples are compared only when the least
+    degradation repeats, which is rare.
 
     Every adoption is thus a prefix of the rows just below the committed
     ones, so a station's committed UEs are always the first depth[bs] rows
@@ -232,10 +235,14 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
             cnt.tick(lo * (1 << w) + w * (1 << (w - 1)))
             memo = priced[bs]
             if memo is None or memo[:2] != (lo, w):
-                degs = subset_degradations(logs[bs][lo:r + 1], running[bs][lo - 1], lo, bws[bs])
-                ties = np.flatnonzero(degs == degs.min())
-                j = int(min(ties, key=lambda t: sorted(col[lo:lo + t + 1])))
-                memo = priced[bs] = (lo, w, float(degs[j]), j + 1)
+                degs = subset_degradations(logs[bs][lo:r + 1], running[bs][lo - 1], lo,
+                                           bws[bs]).tolist()
+                least = min(degs)
+                j = degs.index(least)
+                if degs.count(least) > 1:
+                    j = min((t for t, deg in enumerate(degs) if deg == least),
+                            key=lambda t: sorted(col[lo:lo + t + 1]))
+                memo = priced[bs] = (lo, w, degs[j], j + 1)
             if best is None or memo[2] < best[0]:
                 best = (memo[2], bs, memo[3])
 
@@ -267,11 +274,12 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     does not attain the enumerated maximum, and BruteForceCapError above
     DEFAULT_BRUTE_CAP UEs.
 
-    The maximum and the per-UE served flags come from the block scan behind
-    brute_force_scan, read from its memo: after solve_brute_force on the
-    same table, the check scans nothing. The scan's maximizers are the rows
-    within 2*K ulps of the maximum, so that the swapped optima of identical
-    UEs, which sum the same terms in another order, count as maximizers too.
+    The maximum and the per-UE served flags come from the exhaustive scan
+    behind brute_force_scan, read from its memo: after solve_brute_force on
+    the same table, the check scans nothing. The scan's maximizers are the
+    rows within 2*K ulps of the maximum, so that the swapped optima of
+    identical UEs, which sum the same terms in another order, count as
+    maximizers too.
     The supplied allocation's own digit row is scored by objective_chunk, in
     the scan's summation order, and must equal the maximum exactly.
     """

@@ -2,8 +2,8 @@
 
 The oracles here are deliberately plain Python (math module, lists, no
 vectorization) so they cannot share a bug with the package's numpy paths.
-The one exception is chunked_scan, the row-at-a-time enumeration the block
-scan replaced, kept as its bit-exact reference. Tolerances: oracle
+The one exception is chunked_scan, a row-at-a-time enumeration of every
+combination, kept as the exhaustive scan's bit-exact reference. Tolerances: oracle
 comparisons allow 1e-12 relative error for the different summation orders;
 identities that must hold exactly (counters, serialization round-trips,
 scan value bits against the reference) are compared with ==.
@@ -92,14 +92,14 @@ def chunked_scan(table: ChannelTable):
 
 @pytest.fixture
 def scan_calls(monkeypatch):
-    """Block size of every _block_scan call the test makes, in order. The
+    """Chunk size of every _block_scan call the test makes, in order. The
     scan memo starts empty, so a table an earlier test scanned is not
     skipped."""
     calls = []
     scan = kernels._block_scan
 
     def counted(*args):
-        calls.append(kernels._BLOCK_UES)
+        calls.append(kernels._CHUNK_ROWS)
         return scan(*args)
 
     monkeypatch.setattr(kernels, "_block_scan", counted)

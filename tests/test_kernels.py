@@ -1,7 +1,8 @@
-"""Bit-identity of the block scan with the row-at-a-time reference and the
-Python oracle, the scan memo's key, the numba-free import, and prefix
-window pricing against full subset enumeration."""
+"""Bit-identity of the load-class scan with the row-at-a-time reference and
+the Python oracle, its pruning, the scan memo's key, the numba-free import,
+and prefix window pricing against full subset enumeration."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -92,16 +93,20 @@ def _reference_tables():
                            sinr_small=base.sinr_small, params=base.params)
 
 
+# chunk sizes the scan must be indifferent to: the default, a few rows (pieces
+# cut across a load class) and one row at a time
+CHUNK_SIZES = (kernels._CHUNK_ROWS, 7, 1)
+
+
 def test_block_scan_matches_chunked_reference(monkeypatch):
     """Value bits, first maximizer and served flags equal the row-at-a-time
-    enumeration, at the default block size and at blocks of 3 rows (many
-    blocks, so partial sums are shared across blocks). Against a unique
-    maximizer, a UE's flag for the tier its digit excludes is False."""
+    enumeration at every chunk size. Against a unique maximizer, a UE's flag
+    for the tier its digit excludes is False."""
     false_flags = 0
     for table in _reference_tables():
         ref_val, ref_idx, *ref_flags = chunked_scan(table)
-        for block_ues in (kernels._BLOCK_UES, 1):
-            monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
+        for chunk_rows in CHUNK_SIZES:
+            monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
             val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
             assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
             assert brute_force_scan(table) == (ref_val, ref_idx)
@@ -110,12 +115,12 @@ def test_block_scan_matches_chunked_reference(monkeypatch):
     assert false_flags > 0
 
 
-def test_block_scan_keys_partial_sums_on_sbs_loads(monkeypatch):
-    """With blocks over UE 0 alone, the blocks where UE 1 takes digit 0 and
-    digit 1 add the same macro load but different loads to SBS 0, which UE 0
-    shares. Reusing one block's partial sums for the other would price UE 0's
-    small term at the wrong load and miss the optimum: UE 0 small-only and
-    UE 1 macro-only, index 2 + 3 * 1."""
+def test_block_scan_keys_classes_on_sbs_loads(monkeypatch):
+    """Two UEs on one SBS. The optimum serves UE 0 small-only and UE 1
+    macro-only, index 2 + 3 * 1, in the class of MBS load 1 and SBS load 1;
+    the rows where UE 1 takes digit 0 instead have the same MBS load but SBS
+    load 2. Scoring a class's rows with another's shares would price UE 0's
+    small term at the wrong load and miss the optimum, at any chunk size."""
     snr = np.array([0.5, 60.0])
     sinr = np.array([80.0, 0.2])
     params = seeded_table(2, num_sbs=1).params
@@ -123,24 +128,142 @@ def test_block_scan_keys_partial_sums_on_sbs_loads(monkeypatch):
                          params=params)
     ref = chunked_scan(table)
     assert ref[1] == 5
-    for block_ues in (0, 1, 2):
-        monkeypatch.setattr(kernels, "_BLOCK_UES", block_ues)
+    for chunk_rows in CHUNK_SIZES + (2,):
+        monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
         assert kernels._block_scan(*kernels._scan_args(table)) == ref
 
 
 def test_numpy_blocking_is_invisible(monkeypatch, scan_calls):
-    """Every block size gives the same value bits and first maximizer, and
-    each one really scans: the memo is keyed on the block size too."""
+    """Every chunk size gives the reference's value bits and first
+    maximizer, and each one really scans: the memo is keyed on the chunk
+    size too."""
     for seed in (9, 10):
         table = seeded_table(6, num_sbs=4, seed=seed)
+        ref_val, ref_idx, *_ = chunked_scan(table)
         whole = brute_force_scan(table)
+        assert (whole[0].hex(), whole[1]) == (ref_val.hex(), ref_idx)
         with monkeypatch.context() as m:
-            for block_ues in (0, 1, 5, 6, kernels._BLOCK_UES):
-                m.setattr(kernels, "_BLOCK_UES", block_ues)
-                blocked = brute_force_scan(table)
-                assert (blocked[0].hex(), blocked[1]) == (whole[0].hex(), whole[1])
+            for chunk_rows in (1, 2, 5, 7, kernels._CHUNK_ROWS):
+                m.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
+                chunked = brute_force_scan(table)
+                assert (chunked[0].hex(), chunked[1]) == (whole[0].hex(), whole[1])
                 # consecutive sizes differ, so this is the scan just made
-                assert scan_calls[-1] == block_ues
+                assert scan_calls[-1] == chunk_rows
+
+
+def _all_equal_table(k_ues, num_sbs, seed=0):
+    """A seeded table's SBS association with every SNR and SINR 3.0: every
+    log term is 2.0, so whole load classes tie and the bound prunes only
+    classes that leave a station idle."""
+    base = seeded_table(k_ues, num_sbs=num_sbs, seed=seed)
+    return ChannelTable(snr_macro=np.full(k_ues, 3.0), assoc_sbs=base.assoc_sbs,
+                        sinr_small=np.full(k_ues, 3.0), params=base.params)
+
+
+def _class_of(digits, assoc, num_sbs):
+    """(MBS load, SBS loads) of one digit row."""
+    loads = [0] * num_sbs
+    for d, i in zip(digits, assoc):
+        loads[i] += d != 1
+    return sum(d != 2 for d in digits), tuple(loads)
+
+
+def _best_bounded_class(table):
+    """The load class with the highest bound, by plain enumeration: per
+    station, bw / n times the sum of the n largest log terms it may serve."""
+    def bound(logs, bw, n):
+        return bw / n * sum(sorted(logs, reverse=True)[:n]) if n else 0.0
+    k_ues, assoc = table.num_ue, table.assoc_sbs.tolist()
+    groups = [[table.log_small[k] for k in range(k_ues) if assoc[k] == i]
+              for i in range(table.num_sbs)]
+    best = None
+    for loads in itertools.product(*(range(len(g) + 1) for g in groups)):
+        for n_m in range(k_ues - sum(loads), k_ues + 1):
+            value = bound(table.log_macro.tolist(), table.params.bw_macro_hz, n_m) + sum(
+                bound(g, table.params.bw_small_hz, n) for g, n in zip(groups, loads))
+            if best is None or value > best[0]:
+                best = (value, (n_m, loads))
+    return best[1]
+
+
+def test_block_scan_on_all_equal_logs():
+    """With every log term equal, rows of different classes tie in exact
+    arithmetic and differ only by rounding, so the bound's margin is all
+    that keeps their maximizers: K=1..10 on 1, 2 and 4 SBSs."""
+    for k_ues in range(1, 11):
+        for num_sbs in (1, 2, 4):
+            table = _all_equal_table(k_ues, num_sbs, seed=40 + k_ues)
+            ref_val, ref_idx, *ref_flags = chunked_scan(table)
+            val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
+            assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags), \
+                (k_ues, num_sbs)
+
+
+def test_block_scan_on_single_sbs_tables(monkeypatch):
+    """One SBS: a single group holds every UE, so a class's rows come from
+    one choice table; K=1..10, two seeds each, at every chunk size."""
+    for k_ues in range(1, 11):
+        for seed in (60, 61):
+            table = seeded_table(k_ues, num_sbs=1, seed=100 * k_ues + seed)
+            ref_val, ref_idx, *ref_flags = chunked_scan(table)
+            for chunk_rows in CHUNK_SIZES:
+                monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
+                val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
+                assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
+
+
+def test_block_scan_finds_optimum_outside_best_bounded_class():
+    """On this seeded table the class with the highest bound does not hold
+    the optimum, so the scan must go on past it."""
+    table = seeded_table(10, num_sbs=16, seed=902)
+    ref_val, ref_idx, *ref_flags = chunked_scan(table)
+    optimum = _class_of(decode_combo(ref_idx, 10).tolist(), table.assoc_sbs.tolist(), 16)
+    assert optimum != _best_bounded_class(table)
+    val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
+    assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
+
+
+def test_block_scan_sums_every_class_when_terms_are_subnormal():
+    """At a bandwidth of 1e-300 Hz the smallest terms are subnormal, where
+    rounding is no longer relative, so the scan sums every class; it still
+    matches the reference."""
+    base = seeded_table(7, num_sbs=2, seed=71)
+    params = replace(base.params, bw_macro_hz=1e-300, bw_small_hz=1e-300)
+    table = ChannelTable(snr_macro=base.snr_macro, assoc_sbs=base.assoc_sbs,
+                         sinr_small=base.sinr_small, params=params)
+    assert table.log_macro.min() * 1e-300 / 7 < 2.0 ** -1000
+    ref_val, ref_idx, *ref_flags = chunked_scan(table)
+    val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
+    assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
+
+
+_WORST_CASE_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from dcalloc import ChannelTable, kernels
+from conftest import chunked_scan, seeded_table
+
+base = seeded_table(12, num_sbs=1, seed=0)
+table = ChannelTable(snr_macro=np.full(12, 3.0), assoc_sbs=base.assoc_sbs,
+                     sinr_small=np.full(12, 3.0), params=base.params)
+val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
+ref_val, ref_idx, *ref_flags = chunked_scan(table)
+assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
+print(val.hex(), idx)
+"""
+
+
+def test_block_scan_worst_case_under_memory_limit():
+    """An all-equal K=12 table on one SBS leaves the bound almost nothing to
+    prune. In a child process capped at 2 GiB of address space, the scan
+    still sums it in pieces of bounded size and matches the reference."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    proc = subprocess.run([sys.executable, "-c", _WORST_CASE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.split()) == 2
 
 
 def test_scan_memo_recognises_equal_tables(scan_calls):
@@ -156,11 +279,11 @@ def test_scan_memo_recognises_equal_tables(scan_calls):
 
 
 @pytest.mark.parametrize("change", ["log_macro", "log_small", "assoc_sbs",
-                                    "bw_macro_hz", "bw_small_hz", "block_ues"])
+                                    "bw_macro_hz", "bw_small_hz", "chunk_rows"])
 def test_scan_memo_rescans_on_changed_input(monkeypatch, scan_calls, change):
     """Each input the scan reads is part of the memo key: a one-ulp change
     of a log term in the scanned table's own array, another SBS for one UE,
-    another bandwidth or another block size scans again, and the rescan
+    another bandwidth or another chunk size scans again, and the rescan
     matches a fresh reference."""
     table = seeded_table(6, num_sbs=4, seed=33)
     brute_force_scan(table)
@@ -172,8 +295,8 @@ def test_scan_memo_rescans_on_changed_input(monkeypatch, scan_calls, change):
     elif change == "assoc_sbs":
         changed.assoc_sbs = table.assoc_sbs.copy()
         changed.assoc_sbs[1] = (changed.assoc_sbs[1] + 1) % table.num_sbs
-    elif change == "block_ues":
-        monkeypatch.setattr(kernels, "_BLOCK_UES", 3)
+    elif change == "chunk_rows":
+        monkeypatch.setattr(kernels, "_CHUNK_ROWS", 3)
     else:
         changed.params = replace(table.params, **{change: getattr(table.params, change) * 2})
     val, idx = brute_force_scan(changed)
@@ -183,13 +306,15 @@ def test_scan_memo_rescans_on_changed_input(monkeypatch, scan_calls, change):
 
 
 def test_scan_result_and_layout_are_read_only(scan_calls):
-    """The memoized result is a tuple of tuples and the cached block layout
-    is read-only, so no caller can corrupt a later scan."""
+    """The memoized result is a tuple of tuples and the cached choice tables
+    the scan builds its rows from are read-only, so no caller can corrupt a
+    later scan."""
     table = seeded_table(9, num_sbs=4, seed=34)
     scan = kernels._table_scan(table)
     assert type(scan) is tuple
     assert all(type(flags) is tuple for flags in scan[2:])
-    for arr in kernels._low_layout(kernels._BLOCK_UES):
+    for n, r in ((4, 2), (9, 0), (9, 9)):
+        arr = kernels._choices(n, r)
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1

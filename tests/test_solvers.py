@@ -391,27 +391,29 @@ def test_check_proposition1_on_seeded_instances():
 
 
 def test_check_proposition1_blocking_is_invisible(monkeypatch, scan_calls):
-    """The running maximum and the head flags must carry across block
-    boundaries. The last table twins UE 2 onto UE 0: the two swapped optima
-    tie in exact arithmetic but not in summation order, and the swap that
-    sums one ulp lower must still count as a maximizer at every block size.
-    Each block size scans exactly once, in solve_brute_force; the checks
-    read that scan."""
+    """The running maximum and the head flags must carry across chunks and
+    load classes. The last table twins UE 2 onto UE 0: the two swapped
+    optima tie in exact arithmetic but not in summation order, and the swap
+    that sums one ulp lower must still count as a maximizer at every chunk
+    size. Each chunk size scans exactly once, in solve_brute_force; the
+    checks read that scan."""
     tables = [seeded_table(num_ue=5, num_sbs=4, seed=300 + seed) for seed in range(5)]
     tables.append(twin_table(seeded_table(num_ue=3, num_sbs=2, seed=5321), [(0, 2)]))
     for table in tables:
+        ref_val, ref_idx, *_ = chunked_scan(table)
         opt = solve_brute_force(table)
+        assert (opt.sum_rate.hex(), opt.wall_notes["best_index"]) == (ref_val.hex(), ref_idx)
         with monkeypatch.context() as m:
-            for block_ues in (0, 1, table.num_ue - 1, table.num_ue, kernels._BLOCK_UES):
-                m.setattr(kernels, "_BLOCK_UES", block_ues)
+            for chunk_rows in (1, 2, 7, kernels._CHUNK_ROWS):
+                m.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
                 before = len(scan_calls)
-                blocked = solve_brute_force(table)
-                assert (repr(blocked.sum_rate), blocked.wall_notes["best_index"]) == \
+                chunked = solve_brute_force(table)
+                assert (repr(chunked.sum_rate), chunked.wall_notes["best_index"]) == \
                     (repr(opt.sum_rate), opt.wall_notes["best_index"])
                 assert check_proposition1(table, opt.alloc) == (True, None)
                 with pytest.raises(ValueError):
                     check_proposition1(table, solve_1a_only(table).alloc)
-                assert scan_calls[before:] == [block_ues]
+                assert scan_calls[before:] == [chunk_rows]
     assert opt.alloc.to_digits().tolist() == [1, 1, 0]
 
 
