@@ -5,15 +5,14 @@ profiles chosen to maximize the network sum-rate."""
 
 from .topology import (ScenarioParams, Topology, ChannelTable, channel_gain,
                        dbm_to_watts, generate_topology, build_channel_table,
-                       make_instance, format_channel_table, write_channel_table,
-                       parse_channel_table)
+                       make_instance)
 from .allocation import (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY,
                          Allocation, EvalReport, RateCalcCounter, evaluate,
-                         serving_sets, share_rate)
+                         share_rate)
 from .kernels import (ENV_BACKEND, available_backends, get_backend,
                       brute_force_scan, subset_degradations, decode_combo)
-from .solvers import (DEFAULT_BRUTE_CAP, BruteForceCapError, SortedMatrix,
-                      SolverResult, build_sorted_matrix, check_proposition1,
+from .solvers import (DEFAULT_BRUTE_CAP, BruteForceCapError, SolverResult,
+                      build_sorted_matrix, check_proposition1,
                       solve_brute_force, solve_proposed, solve_3c_only,
                       solve_1a_only, solve_stronger)
 from .harness import (ALGORITHM_ORDER, DEFAULT_MASTER_SEED, ExperimentConfig,
@@ -26,13 +25,12 @@ __version__ = "0.1.0"
 __all__ = [
     "ScenarioParams", "Topology", "ChannelTable", "channel_gain", "dbm_to_watts",
     "generate_topology", "build_channel_table", "make_instance",
-    "format_channel_table", "write_channel_table", "parse_channel_table",
     "DIGIT_BOTH", "DIGIT_MACRO_ONLY", "DIGIT_SMALL_ONLY",
     "Allocation", "EvalReport", "RateCalcCounter", "evaluate",
-    "serving_sets", "share_rate",
+    "share_rate",
     "ENV_BACKEND", "available_backends", "get_backend",
     "brute_force_scan", "subset_degradations", "decode_combo",
-    "DEFAULT_BRUTE_CAP", "BruteForceCapError", "SortedMatrix", "SolverResult",
+    "DEFAULT_BRUTE_CAP", "BruteForceCapError", "SolverResult",
     "build_sorted_matrix", "check_proposition1", "solve_brute_force",
     "solve_proposed", "solve_3c_only", "solve_1a_only", "solve_stronger",
     "ALGORITHM_ORDER", "DEFAULT_MASTER_SEED", "ExperimentConfig", "TrialRecord",

@@ -26,7 +26,6 @@ __all__ = [
     "Allocation",
     "EvalReport",
     "share_rate",
-    "serving_sets",
     "evaluate",
 ]
 
@@ -101,10 +100,6 @@ class Allocation:
         return cls(np.ones(num_ue, np.uint8), np.ones(num_ue, np.uint8))
 
     @classmethod
-    def all_macro_only(cls, num_ue: int) -> "Allocation":
-        return cls(np.ones(num_ue, np.uint8), np.zeros(num_ue, np.uint8))
-
-    @classmethod
     def all_small_only(cls, num_ue: int) -> "Allocation":
         return cls(np.zeros(num_ue, np.uint8), np.ones(num_ue, np.uint8))
 
@@ -124,16 +119,6 @@ def share_rate(bw_hz: float, n_served: int, log_term: float) -> float:
     if n_served < 1:
         raise ValueError("a serving station must serve at least one UE")
     return bw_hz / n_served * log_term
-
-
-def serving_sets(alloc: Allocation, table: ChannelTable):
-    """Split an allocation into the MBS served set and per-SBS served sets."""
-    if alloc.num_ue != table.num_ue:
-        raise ValueError("allocation size does not match table")
-    macro_ues = np.flatnonzero(alloc.d_macro == 1)
-    small_mask = alloc.d_small == 1
-    sbs_ues = [np.flatnonzero(small_mask & (table.assoc_sbs == i)) for i in range(table.num_sbs)]
-    return macro_ues, sbs_ues
 
 
 def evaluate(alloc: Allocation, table: ChannelTable, counter: RateCalcCounter | None = None) -> EvalReport:

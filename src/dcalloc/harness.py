@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -41,10 +41,6 @@ __all__ = [
 ALGORITHM_ORDER = ("optimal", "proposed", "3c_only", "1a_only", "stronger")
 
 DEFAULT_MASTER_SEED = 20240816
-
-_SCENARIO_FLOAT_KEYS = ("area_side_m", "p_macro_dbm", "p_small_dbm", "alpha_macro",
-                        "alpha_small", "bw_macro_hz", "bw_small_hz",
-                        "n_macro_dbm_hz", "n_small_dbm_hz")
 
 
 @dataclass
@@ -256,9 +252,32 @@ _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
                "false": False, "0": False, "no": False, "off": False}
 
 
+def _bool_word(value: str) -> bool:
+    if value.lower() not in _BOOL_WORDS:
+        raise ValueError(f"must be true/false, got {value!r}")
+    return _BOOL_WORDS[value.lower()]
+
+
+# key -> converter from the value text. The scenario keys are ScenarioParams'
+# fields, typed by their defaults, except num_ue and seed, which a sweep sets
+# per trial
+_SCENARIO_KEYS = {f.name: type(f.default) for f in fields(ScenarioParams)
+                  if f.name not in ("num_ue", "seed")}
+_CONFIG_KEYS = {
+    **_SCENARIO_KEYS,
+    "ue_sweep": lambda value: tuple(int(tok) for tok in value.split(",") if tok.strip()),
+    "algorithms": lambda value: tuple(tok.strip() for tok in value.split(",") if tok.strip()),
+    "trials": int,
+    "master_seed": int,
+    "output_path": str,
+    "override_cap": _bool_word,
+}
+
+
 def load_config(path: str) -> ExperimentConfig:
     """Flat `key = value` config file; '#' starts a comment. Scenario keys
-    mirror ScenarioParams fields; sweep keys mirror ExperimentConfig."""
+    are ScenarioParams fields other than num_ue and seed; sweep keys mirror
+    ExperimentConfig. A value that does not convert names its line and key."""
     raw = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -272,36 +291,21 @@ def load_config(path: str) -> ExperimentConfig:
             value = value.strip()
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                raw[key] = _CONFIG_KEYS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
 
     for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ValueError(f"{path}: missing required key {key!r}")
 
-    scenario_kwargs = {}
     cfg_kwargs = dict(_CONFIG_DEFAULTS)
-    for key, value in raw.items():
-        if key in _SCENARIO_FLOAT_KEYS:
-            scenario_kwargs[key] = float(value)
-        elif key == "num_sbs":
-            scenario_kwargs[key] = int(value)
-        elif key == "ue_sweep":
-            cfg_kwargs[key] = tuple(int(tok) for tok in value.split(",") if tok.strip())
-        elif key == "algorithms":
-            cfg_kwargs[key] = tuple(tok.strip() for tok in value.split(",") if tok.strip())
-        elif key in ("trials", "master_seed"):
-            cfg_kwargs[key] = int(value)
-        elif key == "output_path":
-            cfg_kwargs[key] = value
-        elif key == "override_cap":
-            low = value.lower()
-            if low not in _BOOL_WORDS:
-                raise ValueError(f"{path}: override_cap must be true/false, got {value!r}")
-            cfg_kwargs[key] = _BOOL_WORDS[low]
-        else:
-            raise ValueError(f"{path}: unknown key {key!r}")
-
-    scenario = ScenarioParams(**scenario_kwargs)
+    cfg_kwargs.update((key, value) for key, value in raw.items() if key not in _SCENARIO_KEYS)
+    scenario = ScenarioParams(**{key: value for key, value in raw.items()
+                                 if key in _SCENARIO_KEYS})
     cfg = ExperimentConfig(scenario=scenario, **cfg_kwargs)
     cfg.validate()
     return cfg

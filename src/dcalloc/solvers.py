@@ -26,7 +26,6 @@ from .topology import ChannelTable
 __all__ = [
     "DEFAULT_BRUTE_CAP",
     "BruteForceCapError",
-    "SortedMatrix",
     "SolverResult",
     "build_sorted_matrix",
     "solve_brute_force",
@@ -50,27 +49,6 @@ class BruteForceCapError(ValueError):
 
 
 @dataclass
-class SortedMatrix:
-    """Per-station UE orderings: one column per SBS holding its associated
-    UEs by descending SINR, then the MBS column holding every UE by
-    descending SNR. Equal values keep ascending UE index."""
-
-    columns: list
-
-    @property
-    def num_sbs(self) -> int:
-        return len(self.columns) - 1
-
-    @property
-    def mbs_column(self) -> np.ndarray:
-        return self.columns[-1]
-
-    def head(self, bs: int):
-        col = self.columns[bs]
-        return int(col[0]) if len(col) else None
-
-
-@dataclass
 class SolverResult:
     alloc: Allocation
     report: EvalReport
@@ -85,14 +63,17 @@ class SolverResult:
         return self.report.rate_calc_count
 
 
-def build_sorted_matrix(table: ChannelTable) -> SortedMatrix:
+def build_sorted_matrix(table: ChannelTable) -> list:
+    """Per-station UE orderings: one column per SBS holding its associated
+    UEs by descending SINR, then the MBS column holding every UE by
+    descending SNR. Equal values keep ascending UE index."""
     cols = []
     for i in range(table.num_sbs):
         members = np.flatnonzero(table.assoc_sbs == i)
         order = np.argsort(-table.sinr_small[members], kind="stable")
         cols.append(members[order])
     cols.append(np.argsort(-table.snr_macro, kind="stable"))
-    return SortedMatrix(columns=cols)
+    return cols
 
 
 def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = None,
@@ -195,7 +176,7 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     tick per served (UE, tier) pair.
     """
     cnt = counter if counter is not None else RateCalcCounter()
-    columns = build_sorted_matrix(table).columns
+    columns = build_sorted_matrix(table)
     mbs = table.num_sbs
     logs = [table.log_small[col] for col in columns[:mbs]] + [table.log_macro[columns[mbs]]]
     bws = [table.params.bw_small_hz] * mbs + [table.params.bw_macro_hz]
@@ -294,10 +275,8 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
 
     if value != best:
         raise ValueError("supplied allocation is not an exhaustive-search maximizer")
-    mat = build_sorted_matrix(table)
     mbs = table.num_sbs
-    for bs in range(mbs + 1):
-        head = mat.head(bs)
-        if head is not None and not (macro_served if bs == mbs else small_served)[head]:
-            return False, {"bs": bs, "head_ue": head, "max_sum_rate": best}
+    for bs, col in enumerate(build_sorted_matrix(table)):
+        if len(col) and not (macro_served if bs == mbs else small_served)[col[0]]:
+            return False, {"bs": bs, "head_ue": int(col[0]), "max_sum_rate": best}
     return True, None

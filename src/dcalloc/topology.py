@@ -28,9 +28,6 @@ __all__ = [
     "generate_topology",
     "build_channel_table",
     "make_instance",
-    "format_channel_table",
-    "write_channel_table",
-    "parse_channel_table",
 ]
 
 # Gains are clamped below this distance so a UE sitting on top of a
@@ -66,17 +63,19 @@ class ScenarioParams:
     seed: int = 0                   # drop seed, 64-bit unsigned
 
     def validate(self) -> None:
-        if not (self.area_side_m > 0.0 and math.isfinite(self.area_side_m)):
-            raise ValueError(f"area_side_m must be positive and finite, got {self.area_side_m}")
+        for name in ("area_side_m", "bw_macro_hz", "bw_small_hz"):
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.num_sbs < 1:
             raise ValueError(f"num_sbs must be >= 1, got {self.num_sbs}")
         if self.num_ue < 1:
             raise ValueError(f"num_ue must be >= 1, got {self.num_ue}")
-        # exponents <= 2 break the far-field decay assumptions baked into the tests
-        if not (self.alpha_macro > 2.0 and self.alpha_small > 2.0):
-            raise ValueError("pathloss exponents must exceed 2")
-        if not (self.bw_macro_hz > 0.0 and self.bw_small_hz > 0.0):
-            raise ValueError("bandwidths must be positive")
+        for name in ("alpha_macro", "alpha_small"):
+            value = getattr(self, name)
+            # exponents <= 2 break the far-field decay assumptions baked into the tests
+            if not (value > 2.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and exceed 2, got {value}")
         for name in ("p_macro_dbm", "p_small_dbm", "n_macro_dbm_hz", "n_small_dbm_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -246,59 +245,3 @@ def make_instance(params: ScenarioParams, rng: np.random.Generator | None = None
     topo = generate_topology(params, rng)
     return topo, build_channel_table(topo, params)
 
-
-_TABLE_HEADER = "index,x,y,snr_macro,assoc_sbs,sinr_small"
-
-
-def format_channel_table(topo: Topology, table: ChannelTable) -> str:
-    """Render a table as plain text, one row per UE.
-
-    Columns: index, x, y, snr_macro, assoc_sbs, sinr_small. Floats carry 17
-    significant digits so a parse round-trips bit-exactly.
-    """
-    if topo.ue_pos.shape[0] != table.num_ue:
-        raise ValueError("topology UE count does not match table")
-    lines = [_TABLE_HEADER]
-    for k in range(table.num_ue):
-        lines.append(
-            "%d,%s,%s,%s,%d,%s"
-            % (
-                k,
-                format(topo.ue_pos[k, 0], ".17g"),
-                format(topo.ue_pos[k, 1], ".17g"),
-                format(table.snr_macro[k], ".17g"),
-                table.assoc_sbs[k],
-                format(table.sinr_small[k], ".17g"),
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def write_channel_table(path, topo: Topology, table: ChannelTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_channel_table(topo, table))
-
-
-def parse_channel_table(text: str) -> dict:
-    """Parse format_channel_table output back into arrays."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != _TABLE_HEADER:
-        raise ValueError("unrecognized channel table header")
-    idx, xs, ys, snr, assoc, sinr = [], [], [], [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 6:
-            raise ValueError(f"malformed row: {ln!r}")
-        idx.append(int(parts[0]))
-        xs.append(float(parts[1]))
-        ys.append(float(parts[2]))
-        snr.append(float(parts[3]))
-        assoc.append(int(parts[4]))
-        sinr.append(float(parts[5]))
-    return {
-        "index": np.array(idx, dtype=np.int64),
-        "ue_pos": np.column_stack([xs, ys]).astype(np.float64),
-        "snr_macro": np.array(snr, dtype=np.float64),
-        "assoc_sbs": np.array(assoc, dtype=np.int64),
-        "sinr_small": np.array(sinr, dtype=np.float64),
-    }

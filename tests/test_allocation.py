@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dcalloc import (Allocation, RateCalcCounter, evaluate, serving_sets,
-                     share_rate, DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY)
+from dcalloc import (Allocation, RateCalcCounter, evaluate, share_rate,
+                     DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY)
 
 from conftest import python_rates, seeded_table
 
@@ -40,7 +40,10 @@ def test_flags_must_be_binary():
 
 def test_constructors():
     assert Allocation.all_both(3).to_digits().tolist() == [0, 0, 0]
-    assert Allocation.all_macro_only(3).to_digits().tolist() == [1, 1, 1]
+    macro_only = Allocation.from_digits([1] * 3)
+    assert macro_only.d_macro.tolist() == [1, 1, 1]
+    assert macro_only.d_small.tolist() == [0, 0, 0]
+    assert macro_only.to_digits().tolist() == [1, 1, 1]
     assert Allocation.all_small_only(3).to_digits().tolist() == [2, 2, 2]
 
 
@@ -89,7 +92,7 @@ def test_evaluate_tick_counts_per_tier():
     table = seeded_table(5, seed=2)
     assert evaluate(Allocation.all_both(5), table).rate_calc_count == 10
     assert evaluate(Allocation.all_small_only(5), table).rate_calc_count == 5
-    assert evaluate(Allocation.all_macro_only(5), table).rate_calc_count == 5
+    assert evaluate(Allocation.from_digits([1] * 5), table).rate_calc_count == 5
 
 
 def test_evaluate_rejects_mismatch_and_invalid():
@@ -110,17 +113,6 @@ def test_evaluate_accumulates_counter():
     report = evaluate(Allocation.all_both(3), table, counter)
     assert counter.count == 3 + 6
     assert report.rate_calc_count == 9
-
-
-def test_serving_sets_partition():
-    table = seeded_table(8, seed=5)
-    alloc = Allocation.from_digits([0, 1, 2, 0, 2, 1, 2, 0])
-    macro_ues, sbs_ues = serving_sets(alloc, table)
-    assert macro_ues.tolist() == [0, 1, 3, 5, 7]
-    small_served = sorted(int(u) for ues in sbs_ues for u in ues)
-    assert small_served == [0, 2, 3, 4, 6, 7]
-    for i, ues in enumerate(sbs_ues):
-        assert all(table.assoc_sbs[u] == i for u in ues)
 
 
 def test_zero_rate_entries_for_unserved_tier():

@@ -2,6 +2,8 @@
 
 import math
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ import dcalloc.harness as harness
 from dcalloc import (ALGORITHM_ORDER, DEFAULT_MASTER_SEED, ExperimentConfig,
                      ScenarioParams, TrialRecord, analytic_brute_count,
                      capacity_config, emit_csv, load_config, load_records,
-                     ratio_config, run_experiment, summarize, trial_seed)
+                     make_instance, ratio_config, run_experiment, summarize,
+                     trial_seed)
 
 
 def _tiny_config(**overrides):
@@ -123,15 +126,16 @@ def test_run_experiment_without_optimal_has_no_ratio():
 def test_solver_error_names_its_trial(monkeypatch):
     """A solver that raises inside a sweep is re-raised as RuntimeError with
     the (K, trial, seed) that replays it and the algorithm, chained to the
-    original error."""
+    original error. The seed in the message alone rebuilds the failing
+    table bit for bit through make_instance."""
     cfg = _tiny_config(ue_sweep=(2, 3), trials=2)
     solve = harness.solve_proposed
-    calls = []
+    tables = []
 
     def broken(table, counter=None):
         # threads=1 runs the cells in order, so the fourth is K=3, trial 1
-        calls.append(table.num_ue)
-        if len(calls) == 4:
+        tables.append(table)
+        if len(tables) == 4:
             raise ZeroDivisionError("injected")
         return solve(table, counter)
 
@@ -140,6 +144,13 @@ def test_solver_error_names_its_trial(monkeypatch):
     with pytest.raises(RuntimeError, match=witness) as info:
         run_experiment(cfg, threads=1)
     assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    seed = int(re.search(r"seed=(\d+)", str(info.value)).group(1))
+    _, replayed = make_instance(replace(cfg.scenario, num_ue=3, seed=seed))
+    failed = tables[-1]
+    for name in ("snr_macro", "sinr_small", "assoc_sbs", "log_macro", "log_small"):
+        got, want = getattr(replayed, name), getattr(failed, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 # --- summarize arithmetic --------------------------------------------------
@@ -275,6 +286,9 @@ algorithms = proposed
     ("ue_sweep = 2\nue_sweep = 3\nalgorithms = proposed\n", "duplicate"),
     ("ue_sweep = 2\nalgorithms = proposed\noverride_cap = maybe\n", "true/false"),
     ("ue_sweep = 2\nalgorithms = proposed\njust a line\n", "key = value"),
+    ("ue_sweep = 2\nalgorithms = proposed\ntrials = abc\n", r"exp\.cfg:3: trials: "),
+    ("ue_sweep = 4,x\nalgorithms = proposed\n", r"exp\.cfg:1: ue_sweep: "),
+    ("ue_sweep = 2\nalgorithms = proposed\nbw_macro_hz = inf\n", "bw_macro_hz"),
 ])
 def test_load_config_rejects(tmp_path, body, msg):
     path = _write_cfg(tmp_path, body)

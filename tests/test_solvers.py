@@ -12,7 +12,7 @@ import dcalloc.kernels as kernels
 import dcalloc.solvers as solvers
 from dcalloc import (Allocation, BruteForceCapError, ChannelTable, RateCalcCounter,
                      ScenarioParams, build_sorted_matrix, check_proposition1,
-                     evaluate, serving_sets, solve_1a_only, solve_3c_only,
+                     evaluate, solve_1a_only, solve_3c_only,
                      solve_brute_force, solve_proposed, solve_stronger)
 from dcalloc.cli import cli_main
 
@@ -33,27 +33,27 @@ def _synthetic(snr, sinr, assoc, num_sbs, rx_macro=None, rx_small=None, **scenar
 
 def test_sorted_matrix_single_sbs_order():
     table = _synthetic(snr=[1.0, 1.0, 1.0], sinr=[5.0, 9.0, 1.0], assoc=[0, 0, 0], num_sbs=1)
-    mat = build_sorted_matrix(table)
-    assert mat.columns[0].tolist() == [1, 0, 2]
+    cols = build_sorted_matrix(table)
+    assert cols[0].tolist() == [1, 0, 2]
 
 
 def test_sorted_matrix_tie_goes_to_lower_index():
     table = _synthetic(snr=[2.0, 3.0, 2.0], sinr=[4.0, 4.0, 4.0], assoc=[0, 0, 0], num_sbs=1)
-    mat = build_sorted_matrix(table)
-    assert mat.columns[0].tolist() == [0, 1, 2]
-    assert mat.mbs_column.tolist() == [1, 0, 2]
+    cols = build_sorted_matrix(table)
+    assert cols[0].tolist() == [0, 1, 2]
+    assert cols[-1].tolist() == [1, 0, 2]
 
 
 def test_sorted_matrix_invariants_on_seeded_instances():
     for seed in range(10):
         table = seeded_table(num_ue=12, num_sbs=4, seed=seed)
-        mat = build_sorted_matrix(table)
-        assert mat.num_sbs == 4
-        seen = np.concatenate([mat.columns[i] for i in range(4)])
+        cols = build_sorted_matrix(table)
+        assert len(cols) == 4 + 1
+        seen = np.concatenate(cols[:4])
         assert sorted(seen.tolist()) == list(range(12))
-        assert sorted(mat.mbs_column.tolist()) == list(range(12))
+        assert sorted(cols[-1].tolist()) == list(range(12))
         for i in range(4):
-            col = mat.columns[i]
+            col = cols[i]
             assert all(table.assoc_sbs[u] == i for u in col)
             vals = table.sinr_small[col]
             assert np.all(np.diff(vals) <= 0)
@@ -61,16 +61,16 @@ def test_sorted_matrix_invariants_on_seeded_instances():
                 # head is the argmax by an independent scan, ties to lowest index
                 members = np.flatnonzero(table.assoc_sbs == i)
                 best = members[np.argmax(table.sinr_small[members])]
-                assert mat.head(i) == best
-        assert np.all(np.diff(table.snr_macro[mat.mbs_column]) <= 0)
-        assert mat.head(4) == int(np.argmax(table.snr_macro))
+                assert cols[i][0] == best
+        assert np.all(np.diff(table.snr_macro[cols[-1]]) <= 0)
+        assert cols[4][0] == int(np.argmax(table.snr_macro))
 
 
 def test_sorted_matrix_empty_column():
     table = _synthetic(snr=[1.0], sinr=[2.0], assoc=[1], num_sbs=2)
-    mat = build_sorted_matrix(table)
-    assert mat.columns[0].size == 0
-    assert mat.head(0) is None
+    cols = build_sorted_matrix(table)
+    assert cols[0].size == 0
+    assert cols[1].tolist() == [0]
 
 
 # --- brute force -----------------------------------------------------------
@@ -129,8 +129,7 @@ def test_1a_only_leaves_macro_empty():
     counter = RateCalcCounter()
     res = solve_1a_only(table, counter)
     assert res.alloc.to_digits().tolist() == [2] * 5
-    macro_ues, _ = serving_sets(res.alloc, table)
-    assert macro_ues.size == 0
+    assert np.flatnonzero(res.alloc.d_macro).size == 0
     assert counter.count == 5
 
 
@@ -180,8 +179,7 @@ def test_proposed_invariants_on_random_instances():
         assert notes["passes"] <= 2 * k_ues + 1
         assert res.op_count == counter.count
         # each station serves exactly a nonempty prefix of its sorted column
-        mat = build_sorted_matrix(table)
-        for bs, col in enumerate(mat.columns):
+        for bs, col in enumerate(build_sorted_matrix(table)):
             flags = (res.alloc.d_macro if bs == num_sbs else res.alloc.d_small)[col].tolist()
             depth = sum(flags)
             assert flags == [1] * depth + [0] * (len(col) - depth)
@@ -359,8 +357,7 @@ def test_proposed_handles_empty_sbs_columns():
                        assoc=[1, 1, 1], num_sbs=2)
     res = solve_proposed(table)
     res.alloc.validate()
-    _, sbs_ues = serving_sets(res.alloc, table)
-    assert sbs_ues[0].size == 0
+    assert np.flatnonzero(res.alloc.d_small & (table.assoc_sbs == 0)).size == 0
 
 
 # --- optimality condition --------------------------------------------------
@@ -420,20 +417,22 @@ def test_check_proposition1_blocking_is_invisible(monkeypatch, scan_calls):
 def test_check_proposition1_witness_names_first_failing_station(monkeypatch):
     table = seeded_table(num_ue=5, num_sbs=4, seed=300)
     opt = solve_brute_force(table)
-    mat = build_sorted_matrix(table)
-    stations = [bs for bs in range(table.num_sbs + 1) if mat.head(bs) is not None]
+    heads = {bs: int(col[0]) for bs, col in enumerate(build_sorted_matrix(table)) if col.size}
+    stations = sorted(heads)
     scan = solvers._table_scan
 
     def first_head_only(tbl):
         """Only the first station's head is served by some maximizer."""
         best, idx, _, _ = scan(tbl)
-        first = tuple(ue == mat.head(stations[0]) for ue in range(tbl.num_ue))
+        first = tuple(ue == heads[stations[0]] for ue in range(tbl.num_ue))
         none = (False,) * tbl.num_ue
         return (best, idx) + ((first, none) if stations[0] == tbl.num_sbs else (none, first))
 
     monkeypatch.setattr(solvers, "_table_scan", first_head_only)
-    assert check_proposition1(table, opt.alloc) == (False, {
-        "bs": stations[1], "head_ue": mat.head(stations[1]), "max_sum_rate": opt.sum_rate})
+    ok, witness = check_proposition1(table, opt.alloc)
+    assert (ok, witness) == (False, {
+        "bs": stations[1], "head_ue": heads[stations[1]], "max_sum_rate": opt.sum_rate})
+    assert type(witness["head_ue"]) is int
 
 
 def test_check_proposition1_passes_on_twin_tables():

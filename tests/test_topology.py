@@ -1,4 +1,4 @@
-"""Geometry, unit conversion, channel table construction, serialization."""
+"""Geometry, unit conversion, channel table construction."""
 
 import math
 
@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from dcalloc import (ChannelTable, ScenarioParams, Topology, build_channel_table,
-                     channel_gain, dbm_to_watts, format_channel_table,
-                     generate_topology, make_instance, parse_channel_table,
-                     write_channel_table)
+                     channel_gain, dbm_to_watts, generate_topology, make_instance)
 
 from conftest import seeded_table
 
@@ -39,12 +37,16 @@ def test_default_noise_floors_in_watts():
     ("alpha_small", 1.5),
     ("bw_macro_hz", 0.0),
     ("bw_small_hz", -1.0),
+    ("bw_macro_hz", math.inf),
+    ("bw_small_hz", math.inf),
+    ("alpha_macro", math.inf),
+    ("alpha_small", math.inf),
     ("p_macro_dbm", float("nan")),
     ("seed", -1),
 ])
 def test_params_validation_rejects(field, value):
     kwargs = {field: value}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=field):
         ScenarioParams(**kwargs).validate()
 
 
@@ -179,28 +181,6 @@ def test_synthetic_received_powers_default():
                          sinr_small=np.array([0.5, 0.25]), params=params)
     assert np.array_equal(table.rx_macro_w, table.snr_macro * params.noise_macro_w)
     assert np.array_equal(table.rx_small_w, table.sinr_small * params.noise_small_w)
-
-
-def test_table_serialization_roundtrip(tmp_path):
-    params = ScenarioParams(num_sbs=4, num_ue=9, seed=21)
-    topo, table = make_instance(params)
-    path = tmp_path / "table.csv"
-    write_channel_table(path, topo, table)
-    parsed = parse_channel_table(path.read_text())
-    assert np.array_equal(parsed["index"], np.arange(9))
-    assert np.array_equal(parsed["ue_pos"], topo.ue_pos)
-    assert np.array_equal(parsed["snr_macro"], table.snr_macro)
-    assert np.array_equal(parsed["assoc_sbs"], table.assoc_sbs)
-    assert np.array_equal(parsed["sinr_small"], table.sinr_small)
-
-
-def test_parse_channel_table_rejects_garbage():
-    good = format_channel_table(*make_instance(ScenarioParams(num_ue=2, seed=1)))
-    with pytest.raises(ValueError):
-        parse_channel_table("nonsense\n1,2,3")
-    truncated = "\n".join(line.rsplit(",", 1)[0] for line in good.splitlines())
-    with pytest.raises(ValueError):
-        parse_channel_table(truncated)
 
 
 def test_make_instance_matches_pipeline():
