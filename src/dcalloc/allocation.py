@@ -66,7 +66,7 @@ class Allocation:
         self.d_small = np.ascontiguousarray(self.d_small, dtype=np.uint8)
         if self.d_macro.shape != self.d_small.shape or self.d_macro.ndim != 1:
             raise ValueError("d_macro and d_small must be 1-d arrays of equal length")
-        if np.any(self.d_macro > 1) or np.any(self.d_small > 1):
+        if (self.d_macro > 1).any() or (self.d_small > 1).any():
             raise ValueError("serving flags must be 0 or 1")
 
     @property
@@ -90,7 +90,7 @@ class Allocation:
     @classmethod
     def from_digits(cls, digits) -> "Allocation":
         digits = np.asarray(digits, dtype=np.uint8)
-        if np.any(digits > 2):
+        if (digits > 2).any():
             raise ValueError("profile digits must be 0, 1 or 2")
         return cls(d_macro=(digits != DIGIT_SMALL_ONLY).astype(np.uint8),
                    d_small=(digits != DIGIT_MACRO_ONLY).astype(np.uint8))
@@ -143,5 +143,8 @@ def evaluate(alloc: Allocation, table: ChannelTable, counter: RateCalcCounter | 
     loads = np.maximum(n_small[table.assoc_sbs], 1)
     rate_s = alloc.d_small * (table.params.bw_small_hz / loads * table.log_small)
     cnt.tick(n_macro + int(alloc.d_small.sum()))
-    total = np.column_stack((rate_m, rate_s)).ravel().cumsum()[-1]
+    terms = np.empty(2 * table.num_ue)
+    terms[0::2] = rate_m
+    terms[1::2] = rate_s
+    total = terms.cumsum()[-1]
     return EvalReport(sum_rate=total, rate_macro=rate_m, rate_small=rate_s, rate_calc_count=cnt.count)

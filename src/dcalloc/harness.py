@@ -277,7 +277,8 @@ _CONFIG_KEYS = {
 def load_config(path: str) -> ExperimentConfig:
     """Flat `key = value` config file; '#' starts a comment. Scenario keys
     are ScenarioParams fields other than num_ue and seed; sweep keys mirror
-    ExperimentConfig. A value that does not convert names its line and key."""
+    ExperimentConfig. A value that does not convert names its line and key;
+    a config that fails validation names the file."""
     raw = {}
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -304,10 +305,13 @@ def load_config(path: str) -> ExperimentConfig:
 
     cfg_kwargs = dict(_CONFIG_DEFAULTS)
     cfg_kwargs.update((key, value) for key, value in raw.items() if key not in _SCENARIO_KEYS)
-    scenario = ScenarioParams(**{key: value for key, value in raw.items()
-                                 if key in _SCENARIO_KEYS})
-    cfg = ExperimentConfig(scenario=scenario, **cfg_kwargs)
-    cfg.validate()
+    try:
+        scenario = ScenarioParams(**{key: value for key, value in raw.items()
+                                     if key in _SCENARIO_KEYS})
+        cfg = ExperimentConfig(scenario=scenario, **cfg_kwargs)
+        cfg.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return cfg
 
 

@@ -15,7 +15,8 @@ optimality checker share one scan of a table.
 
 The greedy's window pricing is a closed form: the least-degrading subset of
 a descending window is always a prefix, so subset_degradations() prices the
-w prefixes with one cumulative sum instead of enumerating 2^w subsets.
+w prefixes from a slice of the column's running log sums, on Python floats,
+instead of enumerating 2^w subsets.
 """
 
 from __future__ import annotations
@@ -313,23 +314,21 @@ def brute_force_scan(table):
     return _table_scan(table)[:2]
 
 
-def subset_degradations(pool_logs, cs_logsum, cs_size, bw):
+def subset_degradations(csum, cs_logsum, cs_size, bw):
     """Degradations of adopting each prefix of a candidate window.
 
-    The window lists a station's candidates by descending SINR/SNR, so
-    pool_logs is descending. For every size s the left-to-right sum of the
-    first s terms is then at least the sum of any other s of them (IEEE
-    addition is monotone), so the least-degrading subset is always a
-    prefix. Entry s-1 prices the first s rows:
+    The window lists a station's candidates by descending SINR/SNR. For
+    every size s the left-to-right sum of its first s log terms is then at
+    least the sum of any other s of them (IEEE addition is monotone), so the
+    least-degrading subset is always a prefix. csum holds the column's
+    running log sums over the window's rows, csum[s-1] = cs_logsum + the
+    first s window terms accumulated in that order, and cs_logsum is the
+    running sum over the cs_size committed rows. Entry s-1 of the returned
+    list of w floats prices the first s rows:
 
-        degs[s-1] = bw/cs_size*cs_logsum - bw/(cs_size+s)*csum[s-1]
+        bw/cs_size*cs_logsum - bw/(cs_size+s)*csum[s-1]
 
-    where csum[s-1] = cs_logsum + pool_logs[0] + ... + pool_logs[s-1],
-    accumulated in that order; an empty committed set contributes 0 before.
-    Returns degs, a float64 array of w entries.
+    where an empty committed set contributes 0 before.
     """
-    pool_logs = np.asarray(pool_logs, dtype=np.float64)
-    csum = np.cumsum(np.concatenate(([float(cs_logsum)], pool_logs)))[1:]
     bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
-    sizes = cs_size + np.arange(1, pool_logs.shape[0] + 1, dtype=np.int64)
-    return bef - bw / sizes * csum
+    return [bef - bw / (cs_size + s) * total for s, total in enumerate(csum, 1)]

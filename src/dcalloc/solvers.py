@@ -66,12 +66,11 @@ class SolverResult:
 def build_sorted_matrix(table: ChannelTable) -> list:
     """Per-station UE orderings: one column per SBS holding its associated
     UEs by descending SINR, then the MBS column holding every UE by
-    descending SNR. Equal values keep ascending UE index."""
-    cols = []
-    for i in range(table.num_sbs):
-        members = np.flatnonzero(table.assoc_sbs == i)
-        order = np.argsort(-table.sinr_small[members], kind="stable")
-        cols.append(members[order])
+    descending SNR. Equal values keep ascending UE index: one stable sort
+    by SBS, then descending SINR, split at the SBS group sizes."""
+    by_sbs = np.lexsort((-table.sinr_small, table.assoc_sbs))
+    ends = np.bincount(table.assoc_sbs, minlength=table.num_sbs).cumsum().tolist()
+    cols = [by_sbs[start:end] for start, end in zip([0] + ends, ends)]
     cols.append(np.argsort(-table.snr_macro, kind="stable"))
     return cols
 
@@ -151,14 +150,17 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     Every adoption is thus a prefix of the rows just below the committed
     ones, so a station's committed UEs are always the first depth[bs] rows
     of its column, and its committed log sum is the running sum of the
-    column's log terms at row depth[bs]-1. There is no fallback: the MBS
-    column holds every UE and committed UEs are served, so while a UE is
-    unserved the MBS has a window; each pass then adds at least one row to
-    the sum of the depths, which is at most 2K, so at most 2K passes run.
+    column's log terms at row depth[bs]-1. The running sums are kept as
+    Python floats, and their slice over a window's rows holds the prefixes'
+    post-adoption log sums, so a window is priced from that slice. There is
+    no fallback: the MBS column holds every UE and committed UEs are served,
+    so while a UE is unserved the MBS has a window; each pass then adds at
+    least one row to the sum of the depths, which is at most 2K, so at most
+    2K passes run.
 
     A pass commits rows to one station only, so most windows are the same
     as in the last pass. A window's prices depend only on its station,
-    depth and width (the logs, running sums and bandwidth are fixed for the
+    depth and width (the running sums and bandwidth are fixed for the
     solve), so each station keeps the (depth, width) it last priced with
     the chosen degradation and row count, and calls subset_degradations and
     the tie rule only when the window has changed. Depths and widths only
@@ -170,7 +172,8 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     Counter accounting still charges the paper's enumeration of every
     subset: per examined window of w rows at a station already serving cs
     UEs, priced afresh or not, each subset costs one rate evaluation per UE
-    the station would then serve, summing to cs*2^w + w*2^(w-1) ticks.
+    the station would then serve, summing to cs*2^w + w*2^(w-1) ticks,
+    charged to the counter in one tick before the final evaluate().
     wall_notes likewise reports 2^w subset evaluations per examined window,
     plus pass and commit tallies. The final counted evaluate() adds one
     tick per served (UE, tier) pair.
@@ -178,10 +181,10 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     cnt = counter if counter is not None else RateCalcCounter()
     columns = build_sorted_matrix(table)
     mbs = table.num_sbs
-    logs = [table.log_small[col] for col in columns[:mbs]] + [table.log_macro[columns[mbs]]]
     bws = [table.params.bw_small_hz] * mbs + [table.params.bw_macro_hz]
     # running[bs][r] adds the log terms of rows 0..r left to right
-    running = [np.cumsum(col_logs) for col_logs in logs]
+    running = [np.cumsum(table.log_small[col]).tolist() for col in columns[:mbs]]
+    running.append(np.cumsum(table.log_macro[columns[mbs]]).tolist())
     cols = [col.tolist() for col in columns]
 
     depth = [min(len(col), 1) for col in cols]
@@ -198,6 +201,7 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     passes = 0
     commits = 0
     subset_evals = 0
+    ticks = 0
     while 0 in served:
         passes += 1
         # (degradation, bs, rows adopted)
@@ -213,11 +217,11 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
             lo = depth[bs]
             w = r - lo + 1
             subset_evals += 1 << w
-            cnt.tick(lo * (1 << w) + w * (1 << (w - 1)))
+            ticks += lo * (1 << w) + w * (1 << (w - 1))
             memo = priced[bs]
             if memo is None or memo[:2] != (lo, w):
-                degs = subset_degradations(logs[bs][lo:r + 1], running[bs][lo - 1], lo,
-                                           bws[bs]).tolist()
+                degs = subset_degradations(running[bs][lo:r + 1], running[bs][lo - 1], lo,
+                                           bws[bs])
                 least = min(degs)
                 j = degs.index(least)
                 if degs.count(least) > 1:
@@ -238,6 +242,7 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     for bs, col in enumerate(columns):
         (d_macro if bs == mbs else d_small)[col[:depth[bs]]] = 1
     alloc = Allocation(d_macro=d_macro, d_small=d_small)
+    cnt.tick(ticks)
     report = evaluate(alloc, table, cnt)
     notes = {"passes": passes, "commits": commits, "initial_commits": initial_commits,
              "subset_evaluations": subset_evals}

@@ -127,7 +127,7 @@ def channel_gain(distance_m, alpha: float):
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     d = np.asarray(distance_m, dtype=np.float64)
-    if np.any(d < 0.0):
+    if (d < 0.0).any():
         raise ValueError("distances must be non-negative")
     out = np.maximum(d, MIN_GAIN_DISTANCE_M) ** (-alpha)
     if out.ndim == 0:
@@ -181,10 +181,10 @@ class ChannelTable:
         k = self.params.num_ue
         if not (self.snr_macro.shape == self.sinr_small.shape == self.assoc_sbs.shape == (k,)):
             raise ValueError("table arrays must all have shape (num_ue,)")
-        if np.any(self.assoc_sbs < 0) or np.any(self.assoc_sbs >= self.params.num_sbs):
+        if (self.assoc_sbs < 0).any() or (self.assoc_sbs >= self.params.num_sbs).any():
             raise ValueError("assoc_sbs entries must index a valid SBS")
         for name, arr in (("snr_macro", self.snr_macro), ("sinr_small", self.sinr_small)):
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+            if not np.isfinite(arr).all() or (arr <= 0.0).any():
                 raise ValueError(f"{name} must be finite and strictly positive")
         if self.rx_macro_w is None:
             # synthetic tables: back out a consistent received power from the SNR

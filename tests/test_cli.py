@@ -47,6 +47,19 @@ def test_run_missing_config_path(tmp_path, capsys):
     assert "error:" in captured.err
 
 
+def test_run_config_validation_error_names_file(tmp_path, capsys):
+    """Values that convert but fail validation still name the config file."""
+    for extra, msg in (("algorithms = proposed\nbw_macro_hz = inf\n", "bw_macro_hz"),
+                       ("algorithms = bogus\n", "bogus")):
+        cfg = _write_cfg(tmp_path, "ue_sweep = 2\n" + extra)
+        code = cli_main(["run", "--config", cfg, "--out", str(tmp_path / "z.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {cfg}: ")
+        assert msg in err
+    assert not os.path.exists(tmp_path / "z.csv")
+
+
 def test_oracle_check(capsys):
     code = cli_main(["oracle-check", "--k", "4", "--i", "2", "--trials", "3",
                      "--seed", "7"])

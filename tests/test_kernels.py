@@ -330,39 +330,51 @@ def _lexicographic_winner(candidates, degs, ues_of):
                key=lambda c: tuple(sorted(ues_of(c))))
 
 
+def _numpy_prefix_degradations(pool_logs, cs_logsum, cs_size, bw):
+    """The prefix pricing formula in numpy, as the kernel computed it when it
+    rebuilt the window's cumulative sum itself."""
+    csum = np.cumsum(np.concatenate(([cs_logsum], pool_logs)))[1:]
+    bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
+    sizes = cs_size + np.arange(1, len(pool_logs) + 1, dtype=np.int64)
+    return (bef - bw / sizes * csum).tolist()
+
+
 def test_subset_degradations_match_python_oracle():
-    """Prefix pricing picks the subset full enumeration picks, with the same
-    degradation bits, and the running sum the greedy keeps per column has
-    the enumeration's log-sum bits. Windows are descending, as in a station
-    column, with equal terms in ascending UE order; every other window draws
-    its terms from four values so that they repeat exactly."""
+    """Prefix pricing from a slice of a column's running sums picks the
+    subset full enumeration picks, with the same degradation bits as the
+    enumeration and as the numpy formula, and the slice holds the
+    enumeration's log-sum bits. Columns are descending, as a station's, with
+    equal terms in ascending UE order: cs_size committed rows, then the
+    window. Every other column draws its terms from four values so that they
+    repeat exactly."""
     rng = np.random.default_rng(17)
     for trial in range(300):
         w = int(rng.integers(1, 13))
-        if trial % 2:
-            pool = rng.choice([0.25, 1.0, 2.5, 6.0], size=w)
-        else:
-            pool = rng.uniform(0.01, 8.0, size=w)
-        ids = rng.permutation(100)[:w]
-        order = np.lexsort((ids, -pool))
-        pool, ids = pool[order], ids[order]
         cs_size = int(rng.integers(0, 4))
-        cs_logsum = float(rng.uniform(0.0, 10.0)) if cs_size else 0.0
+        if trial % 2:
+            terms = rng.choice([0.25, 1.0, 2.5, 6.0], size=cs_size + w)
+        else:
+            terms = rng.uniform(0.01, 8.0, size=cs_size + w)
+        ids = rng.permutation(100)[:cs_size + w]
+        order = np.lexsort((ids, -terms))
+        pool, ids = terms[order][cs_size:], ids[order][cs_size:]
+        # the greedy's running sums over the column, committed rows first
+        running = np.cumsum(terms[order]).tolist()
+        cs_logsum = running[cs_size - 1] if cs_size else 0.0
+        csum = running[cs_size:cs_size + w]
         bw = 10e6
         ref_degs, ref_csums, ref_pcnts = python_subset_table(
             pool.tolist(), cs_logsum, cs_size, bw)
-        degs = subset_degradations(pool, cs_logsum, cs_size, bw)
-        # the greedy's running sum over the committed rows, then the window
-        csum = np.cumsum(np.concatenate(([cs_logsum], pool)))[1:]
+        degs = subset_degradations(csum, cs_logsum, cs_size, bw)
+        assert degs == _numpy_prefix_degradations(pool, cs_logsum, cs_size, bw)
         prefix_masks = [(1 << s) - 1 for s in range(1, w + 1)]
-        assert degs.tolist() == [ref_degs[m] for m in prefix_masks]
-        assert csum.tolist() == [ref_csums[m] for m in prefix_masks]
+        assert degs == [ref_degs[m] for m in prefix_masks]
+        assert csum == [ref_csums[m] for m in prefix_masks]
 
         def window_ues(mask):
             return [int(ids[b]) for b in range(w) if (mask >> b) & 1]
         best_mask = _lexicographic_winner(range(1, 1 << w), ref_degs, window_ues)
-        j = _lexicographic_winner(range(w), degs.tolist(),
-                                  lambda t: ids[:t + 1].tolist())
+        j = _lexicographic_winner(range(w), degs, lambda t: ids[:t + 1].tolist())
         assert prefix_masks[j] == best_mask
         assert csum[j] == ref_csums[best_mask]
         assert ref_pcnts[best_mask] == j + 1
@@ -371,13 +383,14 @@ def test_subset_degradations_match_python_oracle():
 def test_subset_degradations_signs():
     """Adopting a stronger-than-average UE must register as an improvement
     (negative degradation), a weaker one as a loss."""
-    degs = subset_degradations(np.array([9.0, 0.001]), 1.0, 1, 1.0)
+    # committed log sum 1, then a window of logs 9 and 0.001
+    degs = subset_degradations(np.cumsum([1.0, 9.0, 0.001]).tolist()[1:], 1.0, 1, 1.0)
     assert degs[0] < 0.0        # newcomer log 9 vs committed average 1
     assert degs[1] > degs[0]    # the weak second row drags the average down
     # 1 - (1 + 9) / 2 and 1 - (1 + 9 + 0.001) / 3, in the kernel's order
-    assert degs.tolist() == [1.0 - 1.0 / 2 * 10.0, 1.0 - 1.0 / 3 * 10.001]
-    weak = subset_degradations(np.array([0.001]), 1.0, 1, 1.0)
+    assert degs == [1.0 - 1.0 / 2 * 10.0, 1.0 - 1.0 / 3 * 10.001]
+    weak = subset_degradations([1.0 + 0.001], 1.0, 1, 1.0)
     assert weak[0] > 0.0
     # empty committed set: any adoption is pure gain
-    degs0 = subset_degradations(np.array([0.5]), 0.0, 0, 1.0)
-    assert degs0[0] == pytest.approx(-0.5, rel=1e-15)
+    degs0 = subset_degradations([0.5], 0.0, 0, 1.0)
+    assert degs0 == [-0.5]

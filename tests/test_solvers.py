@@ -73,6 +73,31 @@ def test_sorted_matrix_empty_column():
     assert cols[1].tolist() == [0]
 
 
+def test_sorted_matrix_equals_per_sbs_sorts():
+    """The one-sort construction gives the columns of a stable descending
+    sort of each SBS group on its own, with repeated SINRs and SNRs and
+    SBSs that serve nobody."""
+    rng = np.random.default_rng(23)
+    empty_groups = 0
+    for trial in range(60):
+        num_sbs = int(rng.integers(1, 17))
+        k_ues = int(rng.integers(1, 25))
+        # few SBSs in use, so that some groups are empty
+        assoc = rng.integers(0, max(1, num_sbs // 2), size=k_ues)
+        levels = [0.5, 2.0, 7.0] if trial % 2 else rng.uniform(0.1, 9.0, size=k_ues)
+        table = _synthetic(snr=rng.choice(levels, size=k_ues),
+                           sinr=rng.choice(levels, size=k_ues), assoc=assoc, num_sbs=num_sbs)
+        expected = []
+        for i in range(num_sbs):
+            members = np.flatnonzero(table.assoc_sbs == i)
+            expected.append(members[np.argsort(-table.sinr_small[members], kind="stable")])
+        expected.append(np.argsort(-table.snr_macro, kind="stable"))
+        cols = build_sorted_matrix(table)
+        assert [col.tolist() for col in cols] == [col.tolist() for col in expected]
+        empty_groups += sum(col.size == 0 for col in expected[:num_sbs])
+    assert empty_groups > 0
+
+
 # --- brute force -----------------------------------------------------------
 
 def test_brute_force_k1_checks_three_profiles():
