@@ -159,17 +159,22 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
 def summarize(algorithms, ue_sweep, records) -> dict:
     """Per-K aggregates: mean sum-rates, geometric-mean op counts, mean and
     sample-std of the proposed/optimal ratio, and the analytic exhaustive
-    count for comparison at any K."""
+    count for comparison at any K. Per K, the sum-rates and the logs of the
+    op counts are averaged with one row mean each over an (algorithm x
+    trial) array, which sums each row as np.mean sums a 1-D list."""
     rows = []
     for k in ue_sweep:
         recs = [r for r in records if r.k_ues == k]
         row = {"k_ues": k, "trials": len(recs)}
-        for algo in algorithms:
-            rates = [r.sum_rates[algo] for r in recs]
-            counts = [r.op_counts[algo] for r in recs]
-            row[f"mean_sumrate_{algo}"] = float(np.mean(rates)) if rates else None
-            row[f"geomean_opcount_{algo}"] = (
-                float(math.exp(np.mean([math.log(c) for c in counts]))) if counts else None)
+        mean_rates = mean_logs = [None] * len(algorithms)
+        if recs:
+            mean_rates = np.array([[r.sum_rates[algo] for r in recs]
+                                   for algo in algorithms]).mean(axis=1).tolist()
+            mean_logs = np.array([[math.log(r.op_counts[algo]) for r in recs]
+                                  for algo in algorithms]).mean(axis=1).tolist()
+        for algo, rate, log in zip(algorithms, mean_rates, mean_logs):
+            row[f"mean_sumrate_{algo}"] = rate
+            row[f"geomean_opcount_{algo}"] = None if log is None else math.exp(log)
         ratios = [r.ratio for r in recs if r.ratio is not None]
         row["mean_ratio_proposed_optimal"] = float(np.mean(ratios)) if ratios else None
         row["std_ratio_proposed_optimal"] = (

@@ -70,24 +70,24 @@ def decode_combo(index: int, num_ue: int) -> np.ndarray:
 
 
 def objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> np.ndarray:
-    """Sum-rate of each digit row. Accumulates per UE in ascending order,
-    macro term then small term, matching evaluate() and the exhaustive scan."""
+    """Sum-rate of each digit row, as evaluate() scores one allocation.
+
+    Each term is flag * (bw / max(load, 1) * log): bw / load * log where
+    the tier serves the UE and +0.0 where it does not. A row adds UE 0..K-1
+    in order, macro term then small term, left to right (cumsum along the
+    contiguous axis, not the pairwise sum), which matches evaluate() and the
+    exhaustive scan bit for bit.
+    """
     n_rows, k_ues = digits.shape
-    macro_served = digits != 2
-    small_served = digits != 1
-    n_macro = macro_served.sum(axis=1)
-    n_small = np.empty((n_rows, num_sbs), dtype=np.int64)
-    for i in range(num_sbs):
-        n_small[:, i] = (small_served & (assoc == i)[None, :]).sum(axis=1)
-    obj = np.zeros(n_rows)
-    for k in range(k_ues):
-        mm = macro_served[:, k]
-        if mm.any():
-            obj[mm] += bw_m / n_macro[mm] * log_m[k]
-        sm = small_served[:, k]
-        if sm.any():
-            obj[sm] += bw_s / n_small[sm, assoc[k]] * log_s[k]
-    return obj
+    macro = digits != 2
+    small = digits != 1
+    n_macro = macro.sum(axis=1)
+    # an integer product counts each SBS's small-served UEs; bool @ bool is an OR
+    n_small = small @ (assoc[:, None] == np.arange(num_sbs)).astype(np.int64)
+    terms = np.empty((n_rows, k_ues, 2))
+    terms[:, :, 0] = macro * (bw_m / np.maximum(n_macro, 1)[:, None] * log_m)
+    terms[:, :, 1] = small * (bw_s / np.maximum(n_small[:, assoc], 1) * log_s)
+    return terms.reshape(n_rows, 2 * k_ues).cumsum(axis=1)[:, -1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,11 +168,19 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
     times every way for the MBS to serve n_m - (K - sum n_i) of the
     small-served UEs besides the UEs no SBS serves (_choices). Each
     row adds UE 0..K-1 in order, macro term then small term, each
-    bw / load * log, as objective_chunk does, which skips the term of a
-    tier that does not serve the UE. The scan adds bw / load * (log * 0.0)
-    instead; both give objective_chunk's bits, because every partial sum is
-    >= +0.0, a finite share times 0.0 is +0.0, and x + 0.0 == x for such x.
-    At most _CHUNK_ROWS rows are summed at once.
+    bw / load * log, as objective_chunk does. The term of a tier that does
+    not serve the UE is +0.0 in both: objective_chunk multiplies the term by
+    its False flag, the scan computes bw / load * (log * 0.0), and a finite
+    share times 0.0 is +0.0. At most _CHUNK_ROWS rows are summed at once.
+
+    A piece holds its terms as a (2K, rows) array, one column per row, and
+    adds the 2K term arrays by an in-place loop, vals += term, which sums
+    every column left to right. cumsum(axis=0) gives the same bits but
+    accumulates along the strided axis: it made the all-equal K=13 one-SBS
+    scan take 0.5-0.6 s instead of 0.35 s. np.add.reduce(axis=0) sums
+    pairwise when a piece holds one row, whose single column is contiguous,
+    and so changes bits: it differed from the loop in 1,040 of 2,000 random
+    28-term columns.
     """
     k_ues = log_m.shape[0]
     groups = [[] for _ in range(num_sbs)]

@@ -55,6 +55,24 @@ def python_objective(digits, table: ChannelTable) -> float:
     return sum(rates_m) + sum(rates_s)
 
 
+def python_row_sum(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> float:
+    """Sum-rate of one digit row in objective_chunk's documented order: UE
+    0..K-1, macro term then small term, each bw / load * log, added left to
+    right from 0.0, with the terms of unserved tiers skipped."""
+    n_macro = sum(1 for d in digits if d != 2)
+    n_small = [0] * num_sbs
+    for d, i in zip(digits, assoc):
+        if d != 1:
+            n_small[i] += 1
+    total = 0.0
+    for d, i, x_m, x_s in zip(digits, assoc, log_m, log_s):
+        if d != 2:
+            total += bw_m / n_macro * x_m
+        if d != 1:
+            total += bw_s / n_small[i] * x_s
+    return total
+
+
 def python_brute(table: ChannelTable):
     """Exhaustive optimum with the canonical enumeration: UE 0 is the least
     significant base-3 digit, first maximizer kept."""

@@ -68,6 +68,15 @@ def test_oracle_check(capsys):
     assert "3/3 pass" in captured.out
 
 
+def test_oracle_check_at_benchmark_shape(capsys):
+    """K=10 on 16 SBSs, the shape the benchmark's oracle workload runs:
+    some SBSs serve nobody."""
+    code = cli_main(["oracle-check", "--k", "10", "--i", "16", "--trials", "5",
+                     "--seed", "7"])
+    assert code == 0
+    assert "5/5 pass" in capsys.readouterr().out
+
+
 def test_oracle_check_rejects_k_outside_cap(capsys):
     for k in (15, -3):
         code = cli_main(["oracle-check", "--k", str(k), "--trials", "2"])

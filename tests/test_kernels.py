@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import dcalloc.kernels as kernels
-from dcalloc import (ChannelTable, brute_force_scan, check_proposition1, decode_combo,
-                     solve_brute_force, subset_degradations)
+from dcalloc import (DEFAULT_BRUTE_CAP, ChannelTable, brute_force_scan, check_proposition1,
+                     decode_combo, evaluate, solve_1a_only, solve_3c_only, solve_brute_force,
+                     solve_proposed, solve_stronger, subset_degradations)
 
 from conftest import (adversarial_table, chunked_scan, python_brute, python_objective,
-                      python_subset_table, seeded_table, twin_table)
+                      python_row_sum, python_subset_table, seeded_table, twin_table)
 
 
 def test_import_ignores_backend_variable():
@@ -46,15 +47,39 @@ def test_decode_combo_known_values():
 
 
 def test_objective_chunk_matches_python_oracle():
+    """Bit for bit the plain-Python left-to-right row sum, on 0, 1 and 4096
+    random rows of: a seeded table, K=1 on one SBS, K=10 on 16 SBSs (some
+    serve nobody), all-equal log terms, and twin UEs."""
+    tables = [seeded_table(6, num_sbs=3, seed=8), seeded_table(1, num_sbs=1, seed=9),
+              seeded_table(10, num_sbs=16, seed=10), _all_equal_table(8, 2, seed=11),
+              twin_table(seeded_table(7, num_sbs=2, seed=12), [(0, 1), (2, 6)])]
+    assert len(set(tables[2].assoc_sbs.tolist())) < 16
     rng = np.random.default_rng(5)
-    table = seeded_table(6, num_sbs=3, seed=8)
-    digits = rng.integers(0, 3, size=(40, 6))
-    vals = kernels.objective_chunk(
-        digits, table.log_macro, table.log_small,
-        table.assoc_sbs.astype(np.int64), table.num_sbs,
-        table.params.bw_macro_hz, table.params.bw_small_hz)
-    expected = [python_objective(row, table) for row in digits]
-    assert vals == pytest.approx(expected, rel=1e-12)
+    for table in tables:
+        args = kernels._scan_args(table)
+        plain = [a.tolist() if isinstance(a, np.ndarray) else a for a in args]
+        for n_rows in (0, 1, 4096):
+            digits = rng.integers(0, 3, size=(n_rows, table.num_ue), dtype=np.uint8)
+            vals = kernels.objective_chunk(digits, *args)
+            assert vals.dtype == np.float64 and vals.shape == (n_rows,)
+            expected = [python_row_sum(row, *plain) for row in digits.tolist()]
+            assert [v.hex() for v in vals.tolist()] == [v.hex() for v in expected]
+
+
+def test_objective_chunk_scores_solver_allocations_as_evaluate():
+    """Every solver's allocation scores the same bits in objective_chunk as
+    in evaluate(), on seeded tables K=1..20 (the exhaustive solver to its
+    cap)."""
+    solvers = [solve_proposed, solve_3c_only, solve_1a_only, solve_stronger]
+    for k_ues in range(1, 21):
+        for num_sbs in (1, 4, 16):
+            table = seeded_table(k_ues, num_sbs=num_sbs, seed=7000 + 100 * k_ues + num_sbs)
+            picked = solvers + [solve_brute_force] * (k_ues <= DEFAULT_BRUTE_CAP)
+            for solve in picked:
+                alloc = solve(table).alloc
+                score = kernels.objective_chunk(alloc.to_digits()[None], *kernels._scan_args(table))
+                assert score[0].hex() == evaluate(alloc, table).sum_rate.hex(), \
+                    (k_ues, num_sbs, solve.__name__)
 
 
 def test_brute_scan_matches_python_oracle():

@@ -481,6 +481,34 @@ def test_check_proposition1_passes_on_twin_tables():
                         (k_ues, num_sbs, s, pairs)
 
 
+def test_check_proposition1_accepts_every_swapped_twin_optimum():
+    """Swapping the digits of two exact twins gives another maximizer whose
+    sum may be an ulp below the least-index optimum's. The checker accepts
+    it with the same (ok, witness) as that optimum and still refuses the
+    all-small-only allocation, which leaves the MBS idle."""
+    lower = 0
+    for k_ues in range(2, 10):
+        for num_sbs in (1, 2, 4):
+            for s in range(12):
+                base = seeded_table(k_ues, num_sbs=num_sbs,
+                                    seed=5000 + 100 * k_ues + 10 * num_sbs + s)
+                for a, b in {(0, 1), (0, k_ues - 1)}:
+                    table = twin_table(base, [(a, b)])
+                    opt = solve_brute_force(table)
+                    digits = opt.alloc.to_digits()
+                    digits[[a, b]] = digits[[b, a]]
+                    swapped = Allocation.from_digits(digits)
+                    lower += evaluate(swapped, table).sum_rate < opt.sum_rate
+                    assert check_proposition1(table, swapped) == \
+                        check_proposition1(table, opt.alloc), (k_ues, num_sbs, s, a, b)
+                    with pytest.raises(ValueError, match="not an exhaustive-search"):
+                        check_proposition1(table, solve_1a_only(table).alloc)
+    assert lower > 0
+    table = twin_table(seeded_table(2, num_sbs=1, seed=5210), [(0, 1)])
+    assert solve_brute_force(table).alloc.to_digits().tolist() == [0, 1]
+    assert check_proposition1(table, Allocation.from_digits([1, 0])) == (True, None)
+
+
 def test_check_proposition1_rejects_non_optimal_input():
     table = seeded_table(num_ue=5, num_sbs=4, seed=71)
     opt = solve_brute_force(table)
