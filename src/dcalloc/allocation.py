@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import ChannelTable
+from .topology import ChannelTable, _small_ints
 
 __all__ = [
     "DIGIT_BOTH",
@@ -62,12 +62,10 @@ class Allocation:
     d_small: np.ndarray
 
     def __post_init__(self):
-        self.d_macro = np.ascontiguousarray(self.d_macro, dtype=np.uint8)
-        self.d_small = np.ascontiguousarray(self.d_small, dtype=np.uint8)
+        self.d_macro = _small_ints(self.d_macro, np.uint8, 2, "serving flags must be 0 or 1")
+        self.d_small = _small_ints(self.d_small, np.uint8, 2, "serving flags must be 0 or 1")
         if self.d_macro.shape != self.d_small.shape or self.d_macro.ndim != 1:
             raise ValueError("d_macro and d_small must be 1-d arrays of equal length")
-        if (self.d_macro > 1).any() or (self.d_small > 1).any():
-            raise ValueError("serving flags must be 0 or 1")
 
     @property
     def num_ue(self) -> int:
@@ -89,9 +87,7 @@ class Allocation:
 
     @classmethod
     def from_digits(cls, digits) -> "Allocation":
-        digits = np.asarray(digits, dtype=np.uint8)
-        if (digits > 2).any():
-            raise ValueError("profile digits must be 0, 1 or 2")
+        digits = _small_ints(digits, np.uint8, 3, "profile digits must be 0, 1 or 2")
         return cls(d_macro=(digits != DIGIT_SMALL_ONLY).astype(np.uint8),
                    d_small=(digits != DIGIT_MACRO_ONLY).astype(np.uint8))
 

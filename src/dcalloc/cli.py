@@ -22,8 +22,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run the experiment described by a config file")
     run_p.add_argument("--config", required=True, help="flat key=value config file")
     run_p.add_argument("--out", help="override the configured output CSV path")
-    run_p.add_argument("--override-cap", action="store_true",
-                       help="allow exhaustive search above the K cap")
     run_p.add_argument("--threads", type=int, default=1,
                        help="worker processes for trials (default 1)")
     run_p.set_defaults(func=_cmd_run)
@@ -49,8 +47,6 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     if args.out:
         cfg = replace(cfg, output_path=args.out)
-    if args.override_cap:
-        cfg = replace(cfg, override_cap=True)
     records, summary = run_experiment(cfg, threads=args.threads)
     emit_csv(records, summary, cfg.output_path)
     for row in summary["rows"]:

@@ -48,9 +48,9 @@ class ExperimentConfig:
     scenario: ScenarioParams
     ue_sweep: tuple
     algorithms: tuple
-    trials: int
-    master_seed: int
-    output_path: str
+    trials: int = 200
+    master_seed: int = DEFAULT_MASTER_SEED
+    output_path: str = "dcpa_results.csv"
     override_cap: bool = False
 
     def __post_init__(self):
@@ -62,7 +62,6 @@ class ExperimentConfig:
         self.algorithms = tuple(a for a in ALGORITHM_ORDER if a in picked)
 
     def validate(self) -> None:
-        self.scenario.validate()
         if not self.ue_sweep:
             raise ValueError("ue_sweep must not be empty")
         if any(k < 1 for k in self.ue_sweep):
@@ -244,13 +243,6 @@ def load_records(path: str):
     return records, algorithms
 
 
-_CONFIG_DEFAULTS = {
-    "trials": 200,
-    "master_seed": DEFAULT_MASTER_SEED,
-    "output_path": "dcpa_results.csv",
-    "override_cap": False,
-}
-
 _REQUIRED_KEYS = ("ue_sweep", "algorithms")
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
@@ -308,12 +300,11 @@ def load_config(path: str) -> ExperimentConfig:
         if key not in raw:
             raise ValueError(f"{path}: missing required key {key!r}")
 
-    cfg_kwargs = dict(_CONFIG_DEFAULTS)
-    cfg_kwargs.update((key, value) for key, value in raw.items() if key not in _SCENARIO_KEYS)
     try:
         scenario = ScenarioParams(**{key: value for key, value in raw.items()
                                      if key in _SCENARIO_KEYS})
-        cfg = ExperimentConfig(scenario=scenario, **cfg_kwargs)
+        cfg = ExperimentConfig(scenario=scenario, **{key: value for key, value in raw.items()
+                                                     if key not in _SCENARIO_KEYS})
         cfg.validate()
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -105,9 +105,7 @@ def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = Non
 
 
 def _one_shot(alloc: Allocation, table: ChannelTable, counter) -> SolverResult:
-    cnt = counter if counter is not None else RateCalcCounter()
-    report = evaluate(alloc, table, cnt)
-    return SolverResult(alloc=alloc, report=report)
+    return SolverResult(alloc=alloc, report=evaluate(alloc, table, counter))
 
 
 def solve_3c_only(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
@@ -200,7 +198,6 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     priced = [None] * len(cols)
 
     passes = 0
-    commits = 0
     subset_evals = 0
     ticks = 0
     while 0 in served:
@@ -236,7 +233,6 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
         for ue in cols[bs][depth[bs]:depth[bs] + rows]:
             served[ue] = 1
         depth[bs] += rows
-        commits += 1
 
     d_macro = np.zeros(table.num_ue, dtype=np.uint8)
     d_small = np.zeros(table.num_ue, dtype=np.uint8)
@@ -245,7 +241,8 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     alloc = Allocation(d_macro=d_macro, d_small=d_small)
     cnt.tick(ticks)
     report = evaluate(alloc, table, cnt)
-    notes = {"passes": passes, "commits": commits, "initial_commits": initial_commits,
+    # each pass commits exactly once
+    notes = {"passes": passes, "commits": passes, "initial_commits": initial_commits,
              "subset_evaluations": subset_evals}
     return SolverResult(alloc=alloc, report=report, wall_notes=notes)
 

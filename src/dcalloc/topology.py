@@ -46,7 +46,8 @@ class ScenarioParams:
 
     Defaults are the reference parameter set used across the experiment
     harness. Power/noise fields carry dBm units; the *_w properties expose
-    the linear-watt view used by all rate math.
+    the linear-watt view used by all rate math. An instance checks itself
+    when built and is frozen, so every instance in hand is valid.
     """
 
     area_side_m: float = 500.0      # square side, meters
@@ -61,6 +62,9 @@ class ScenarioParams:
     n_macro_dbm_hz: float = -90.0   # macro noise PSD, dBm/Hz
     n_small_dbm_hz: float = -140.0  # small-cell noise PSD, dBm/Hz
     seed: int = 0                   # drop seed, 64-bit unsigned
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self) -> None:
         for name in ("area_side_m", "bw_macro_hz", "bw_small_hz"):
@@ -122,6 +126,17 @@ class Topology:
             raise ValueError("ue_pos must have shape (K, 2) with K >= 1")
 
 
+def _small_ints(values, dtype, stop: int, message: str) -> np.ndarray:
+    """values as a contiguous `dtype` array, refused with ValueError(message)
+    unless every entry is an integer in [0, stop). The check reads the values
+    before the cast, which would truncate fractions and wrap negatives."""
+    arr = np.asarray(values)
+    if ((arr.dtype.kind not in "bu" and not ((arr == np.trunc(arr)) & (arr >= 0)).all())
+            or (arr >= stop).any()):
+        raise ValueError(message)
+    return np.ascontiguousarray(arr, dtype=dtype)
+
+
 def channel_gain(distance_m, alpha: float):
     """Log-distance gain max(d, 1 m) ** -alpha. Accepts scalars or arrays."""
     if alpha <= 0.0:
@@ -135,15 +150,13 @@ def channel_gain(distance_m, alpha: float):
     return out
 
 
-def generate_topology(params: ScenarioParams, rng: np.random.Generator | None = None) -> Topology:
+def generate_topology(params: ScenarioParams) -> Topology:
     """Draw SBS then UE positions uniformly over the square.
 
-    Draw order is fixed (SBS block first, row-major, then the UE block) so a
-    given (params, seed) pair always yields the same drop.
+    Seeded from params.seed, with a fixed draw order (SBS block first,
+    row-major, then the UE block), so the drop is a pure function of params.
     """
-    params.validate()
-    if rng is None:
-        rng = np.random.default_rng(params.seed)
+    rng = np.random.default_rng(params.seed)
     side = params.area_side_m
     mbs = np.array([side / 2.0, side / 2.0])
     sbs = rng.uniform(0.0, side, size=(params.num_sbs, 2))
@@ -175,25 +188,28 @@ class ChannelTable:
     log_small: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.snr_macro = np.ascontiguousarray(self.snr_macro, dtype=np.float64)
-        self.sinr_small = np.ascontiguousarray(self.sinr_small, dtype=np.float64)
-        self.assoc_sbs = np.ascontiguousarray(self.assoc_sbs, dtype=np.int64)
-        k = self.params.num_ue
-        if not (self.snr_macro.shape == self.sinr_small.shape == self.assoc_sbs.shape == (k,)):
-            raise ValueError("table arrays must all have shape (num_ue,)")
-        if (self.assoc_sbs < 0).any() or (self.assoc_sbs >= self.params.num_sbs).any():
-            raise ValueError("assoc_sbs entries must index a valid SBS")
-        for name, arr in (("snr_macro", self.snr_macro), ("sinr_small", self.sinr_small)):
-            if not np.isfinite(arr).all() or (arr <= 0.0).any():
-                raise ValueError(f"{name} must be finite and strictly positive")
+        self.assoc_sbs = _small_ints(self.assoc_sbs, np.int64, self.params.num_sbs,
+                                     "assoc_sbs entries must index a valid SBS")
+        if self.assoc_sbs.shape != (self.params.num_ue,):
+            raise ValueError("assoc_sbs must have shape (num_ue,)")
         if self.rx_macro_w is None:
             # synthetic tables: back out a consistent received power from the SNR
-            self.rx_macro_w = self.snr_macro * self.params.noise_macro_w
+            self.rx_macro_w = np.multiply(self.snr_macro, self.params.noise_macro_w)
         if self.rx_small_w is None:
             # zero-interference stand-in, only the ordering matters downstream
-            self.rx_small_w = self.sinr_small * self.params.noise_small_w
-        self.rx_macro_w = np.ascontiguousarray(self.rx_macro_w, dtype=np.float64)
-        self.rx_small_w = np.ascontiguousarray(self.rx_small_w, dtype=np.float64)
+            self.rx_small_w = np.multiply(self.sinr_small, self.params.noise_small_w)
+        names = ("snr_macro", "sinr_small", "rx_macro_w", "rx_small_w")
+        for name in names:
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if arr.shape != self.assoc_sbs.shape:
+                raise ValueError(f"{name} must have shape (num_ue,)")
+            setattr(self, name, arr)
+        # one pass over the four arrays end to end; NaN fails both comparisons
+        values = np.concatenate([getattr(self, name) for name in names])
+        ok = (values > 0.0) & (values < math.inf)
+        if not ok.all():
+            raise ValueError(f"{names[int(ok.argmin()) // self.params.num_ue]} "
+                             f"must be finite and strictly positive")
         self.log_macro = np.log2(1.0 + self.snr_macro)
         self.log_small = np.log2(1.0 + self.sinr_small)
 
@@ -208,7 +224,6 @@ class ChannelTable:
 
 def build_channel_table(topo: Topology, params: ScenarioParams) -> ChannelTable:
     """Compute SNR, association, and SINR for every UE of a drop."""
-    params.validate()
     if topo.ue_pos.shape[0] != params.num_ue or topo.sbs_pos.shape[0] != params.num_sbs:
         raise ValueError("topology does not match params (num_ue / num_sbs)")
 
@@ -240,8 +255,8 @@ def build_channel_table(topo: Topology, params: ScenarioParams) -> ChannelTable:
     )
 
 
-def make_instance(params: ScenarioParams, rng: np.random.Generator | None = None):
-    """Convenience: draw a topology and build its table in one call."""
-    topo = generate_topology(params, rng)
+def make_instance(params: ScenarioParams):
+    """Draw the topology of params' seed and build its table in one call."""
+    topo = generate_topology(params)
     return topo, build_channel_table(topo, params)
 

@@ -23,8 +23,9 @@ def test_digits_roundtrip_exhaustive():
 
 
 def test_from_digits_rejects_bad_digit():
-    with pytest.raises(ValueError):
-        Allocation.from_digits([0, 3])
+    for digits in ([0, 3], [0.5, 1, 2], [-1, 0, 0], [np.nan, 0, 0]):
+        with pytest.raises(ValueError, match="digits"):
+            Allocation.from_digits(digits)
 
 
 def test_validate_rejects_unserved_ue():
@@ -34,8 +35,9 @@ def test_validate_rejects_unserved_ue():
 
 
 def test_flags_must_be_binary():
-    with pytest.raises(ValueError):
-        Allocation(d_macro=np.array([2, 0]), d_small=np.array([1, 1]))
+    for flags in (np.array([2, 0, 1]), [0.5, 1, 1], [-1, 1, 1]):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Allocation(d_macro=flags, d_small=np.array([1, 1, 1]))
 
 
 def test_constructors():

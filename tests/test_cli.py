@@ -32,12 +32,22 @@ def test_run_rejects_cap_violation(tmp_path, capsys):
     assert "cap" in captured.err
 
 
-def test_run_override_cap_flag_parses(tmp_path):
-    # keep K tiny so the run stays fast; the flag just has to thread through
+def test_run_override_cap_config_key(tmp_path):
+    """The config key is the one way past the exhaustive-search cap."""
+    cfg = _write_cfg(tmp_path, "ue_sweep = 15\nalgorithms = proposed,optimal\ntrials = 1\n"
+                               "override_cap = true\n")
+    out = tmp_path / "y.csv"
+    assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2  # header and one trial
+
+
+def test_run_has_no_override_cap_flag(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, "ue_sweep = 2\nalgorithms = optimal\ntrials = 1\n")
     code = cli_main(["run", "--config", cfg, "--out", str(tmp_path / "y.csv"),
                      "--override-cap"])
-    assert code == 0
+    assert code == 2
+    assert "--override-cap" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "y.csv")
 
 
 def test_run_missing_config_path(tmp_path, capsys):

@@ -2,7 +2,10 @@
 __all__ resolves. The benchmark's tracer looks up each layer module's
 __all__ entries with getattr, so a stale export would crash a traced run."""
 
+import ast
 import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
@@ -24,3 +27,34 @@ def test_solvers_bind_the_kernels_by_name():
     solvers = importlib.import_module("dcalloc.solvers")
     for name in ("subset_degradations", "objective_chunk"):
         assert getattr(solvers, name) is getattr(kernels, name)
+
+
+def _layer_figures() -> dict:
+    """LAYER_FIGURES of the benchmark runner, read from its source."""
+    tree = ast.parse((Path(__file__).parents[1] / "dcbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["LAYER_FIGURES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("dcbench/run.py defines no LAYER_FIGURES")
+
+
+def test_benchmark_lookups_resolve():
+    """The names the benchmark times, reports and expects to find patched:
+    every timed layer is a function its module exports, the backend probes
+    resolve on the package, and the call sites bind the originals."""
+    package = importlib.import_module("dcalloc")
+    for layer in _layer_figures():
+        short, name = layer.split(".")
+        mod = importlib.import_module(f"dcalloc.{short}")
+        assert name in mod.__all__, layer
+        assert inspect.isfunction(getattr(mod, name)), layer
+    for name in ("get_backend", "available_backends", "ENV_BACKEND"):
+        assert hasattr(package, name), name
+    bindings = {("solvers", "subset_degradations"): "kernels",
+                ("solvers", "objective_chunk"): "kernels",
+                ("harness", "make_instance"): "topology",
+                ("cli", "check_proposition1"): "solvers"}
+    for (user, name), owner in bindings.items():
+        user_mod = importlib.import_module(f"dcalloc.{user}")
+        owner_mod = importlib.import_module(f"dcalloc.{owner}")
+        assert getattr(user_mod, name) is getattr(owner_mod, name), f"{user}.{name}"

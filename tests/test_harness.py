@@ -47,6 +47,19 @@ def test_analytic_brute_count():
     assert analytic_brute_count(17) == 17 * 3 ** 17
 
 
+def test_one_drop_validates_its_params_once(monkeypatch):
+    """run_trial's replace() builds and checks the drop's params; nothing
+    downstream checks them again."""
+    scenario = ScenarioParams()
+    calls = []
+    original = ScenarioParams.validate
+    monkeypatch.setattr(ScenarioParams, "validate",
+                        lambda self: calls.append(self) or original(self))
+    harness.run_trial((3, 0, trial_seed(1, 3, 0), scenario, ("stronger",), False))
+    assert len(calls) == 1
+    assert (calls[0].num_ue, calls[0].seed) == (3, trial_seed(1, 3, 0))
+
+
 # --- config object ---------------------------------------------------------
 
 def test_config_normalizes_algorithm_order():
@@ -277,6 +290,8 @@ algorithms = proposed
     assert cfg.ue_sweep == (2, 3)
     assert cfg.algorithms == ("proposed",)
     assert cfg.trials == 200          # default
+    assert cfg.master_seed == DEFAULT_MASTER_SEED
+    assert cfg.output_path == "dcpa_results.csv"
     assert cfg.override_cap is False  # default
 
 

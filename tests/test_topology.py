@@ -1,6 +1,7 @@
 """Geometry, unit conversion, channel table construction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,13 @@ def test_params_validation_rejects(field, value):
     kwargs = {field: value}
     with pytest.raises(ValueError, match=field):
         ScenarioParams(**kwargs).validate()
+
+
+def test_params_check_themselves_at_construction():
+    with pytest.raises(ValueError, match="num_ue"):
+        ScenarioParams(num_ue=0)
+    with pytest.raises(ValueError, match="seed"):
+        replace(ScenarioParams(), seed=2 ** 64)
 
 
 def test_channel_gain_distance_clamp():
@@ -173,6 +181,12 @@ def test_channel_table_validation():
         ChannelTable(**{**good, "sinr_small": np.array([0.5, np.inf])})
     with pytest.raises(ValueError):
         ChannelTable(**{**good, "snr_macro": np.array([1.0])})
+    with pytest.raises(ValueError, match="assoc_sbs"):
+        ChannelTable(**{**good, "assoc_sbs": np.array([0.7, 1.0])})
+    for name in ("rx_macro_w", "rx_small_w"):
+        for bad in (np.array([1.0]), np.array([np.nan, 1.0]), np.array([-1.0, 1.0])):
+            with pytest.raises(ValueError, match=name):
+                ChannelTable(**good, **{name: bad})
 
 
 def test_synthetic_received_powers_default():
