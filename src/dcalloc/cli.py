@@ -67,6 +67,8 @@ def _cmd_oracle_check(args) -> int:
                          f"{DEFAULT_BRUTE_CAP} UEs, got {args.k}")
     if not 0 <= args.seed < 2 ** 64:
         raise ValueError(f"--seed must be between 0 and 2**64 - 1, got {args.seed}")
+    if args.i < 1:
+        raise ValueError(f"--i must be >= 1, got {args.i}")
     npass = 0
     for t in range(args.trials):
         seed = trial_seed(args.seed, args.k, t)

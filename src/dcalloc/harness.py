@@ -16,10 +16,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .solvers import (DEFAULT_BRUTE_CAP, solve_1a_only, solve_3c_only,
-                      solve_brute_force, solve_proposed, solve_stronger)
-from .allocation import RateCalcCounter
-from .topology import ScenarioParams, make_instance
+from . import solvers
+from .topology import ScenarioParams, _integer, make_instance
 
 __all__ = [
     "ALGORITHM_ORDER",
@@ -38,13 +36,21 @@ __all__ = [
     "capacity_config",
 ]
 
-ALGORITHM_ORDER = ("optimal", "proposed", "3c_only", "1a_only", "stronger")
+# algorithm -> its solver's name in dcalloc.solvers, looked up at each call
+_SOLVERS = {"optimal": "solve_brute_force", "proposed": "solve_proposed",
+            "3c_only": "solve_3c_only", "1a_only": "solve_1a_only",
+            "stronger": "solve_stronger"}
+ALGORITHM_ORDER = tuple(_SOLVERS)
 
 DEFAULT_MASTER_SEED = 20240816
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """`trials` drops of `scenario` per K in `ue_sweep`, each solved by every
+    algorithm in `algorithms` (put in ALGORITHM_ORDER). An instance checks
+    itself when built and is frozen, so every instance in hand is valid."""
+
     scenario: ScenarioParams
     ue_sweep: tuple
     algorithms: tuple
@@ -54,12 +60,14 @@ class ExperimentConfig:
     override_cap: bool = False
 
     def __post_init__(self):
-        self.ue_sweep = tuple(int(k) for k in self.ue_sweep)
         unknown = [a for a in self.algorithms if a not in ALGORITHM_ORDER]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
-        picked = set(self.algorithms)
-        self.algorithms = tuple(a for a in ALGORITHM_ORDER if a in picked)
+        object.__setattr__(self, "algorithms",
+                           tuple(a for a in ALGORITHM_ORDER if a in self.algorithms))
+        object.__setattr__(self, "ue_sweep",
+                           tuple(_integer("ue_sweep entry", k) for k in self.ue_sweep))
+        self.validate()
 
     def validate(self) -> None:
         if not self.ue_sweep:
@@ -70,16 +78,16 @@ class ExperimentConfig:
             raise ValueError("ue_sweep entries must be unique")
         if not self.algorithms:
             raise ValueError("algorithms must not be empty")
-        if self.trials < 1:
+        if _integer("trials", self.trials) < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 <= self.master_seed < 2 ** 64:
+        if not 0 <= _integer("master_seed", self.master_seed) < 2 ** 64:
             raise ValueError("master_seed must fit in 64 bits")
         if "optimal" in self.algorithms and not self.override_cap:
             worst = max(self.ue_sweep)
-            if worst > DEFAULT_BRUTE_CAP:
+            if worst > solvers.DEFAULT_BRUTE_CAP:
                 raise ValueError(
                     f"ue_sweep reaches K={worst} with the exhaustive solver enabled; "
-                    f"the cap is {DEFAULT_BRUTE_CAP} (set override_cap to force)")
+                    f"the cap is {solvers.DEFAULT_BRUTE_CAP} (set override_cap to force)")
 
 
 @dataclass
@@ -103,33 +111,26 @@ def analytic_brute_count(k_ues: int) -> int:
     return k_ues * 3 ** k_ues
 
 
-def run_trial(args) -> TrialRecord:
-    """One (K, trial) cell. Module-level and tuple-argumented so process
-    pools can ship it around. A solver error is re-raised as RuntimeError
-    naming the cell's (K, trial, seed) and the algorithm, which replays it
-    through make_instance."""
-    k_ues, trial, seed, scenario, algorithms, override_cap = args
-    params = replace(scenario, num_ue=k_ues, seed=seed)
-    _, table = make_instance(params)
+def run_trial(task) -> TrialRecord:
+    """One (K, trial) cell from the task (cfg, K, trial); module-level and
+    tuple-argumented so process pools can ship it around. Each solver is
+    looked up in dcalloc.solvers at call time, so a function patched onto
+    that module is the one that runs. A solver error is re-raised as
+    RuntimeError naming the cell's (K, trial, seed) and the algorithm,
+    which replays it through make_instance."""
+    cfg, k_ues, trial = task
+    seed = trial_seed(cfg.master_seed, k_ues, trial)
+    _, table = make_instance(replace(cfg.scenario, num_ue=k_ues, seed=seed))
     rec = TrialRecord(k_ues=k_ues, trial=trial, seed=seed)
-    for algo in algorithms:
-        counter = RateCalcCounter()
+    for algo in cfg.algorithms:
+        options = {"override_cap": cfg.override_cap} if algo == "optimal" else {}
         try:
-            if algo == "optimal":
-                res = solve_brute_force(table, counter, override_cap=override_cap)
-            elif algo == "proposed":
-                res = solve_proposed(table, counter)
-            elif algo == "3c_only":
-                res = solve_3c_only(table, counter)
-            elif algo == "1a_only":
-                res = solve_1a_only(table, counter)
-            else:
-                res = solve_stronger(table, counter)
+            res = getattr(solvers, _SOLVERS[algo])(table, **options)
         except Exception as exc:
             raise RuntimeError(f"{algo} failed at K={k_ues}, trial={trial}, "
                                f"seed={seed}: {exc}") from exc
         rec.sum_rates[algo] = float(res.sum_rate)
-        rec.op_counts[algo] = int(res.op_count)
+        rec.op_counts[algo] = res.op_count
     if "optimal" in rec.sum_rates and "proposed" in rec.sum_rates:
         rec.ratio = rec.sum_rates["proposed"] / rec.sum_rates["optimal"]
     return rec
@@ -141,12 +142,9 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
     Records are ordered by (K position in the sweep, trial) no matter how
     many workers run them.
     """
-    cfg.validate()
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    tasks = [(k, t, trial_seed(cfg.master_seed, k, t), cfg.scenario,
-              cfg.algorithms, cfg.override_cap)
-             for k in cfg.ue_sweep for t in range(cfg.trials)]
+    tasks = [(cfg, k, t) for k in cfg.ue_sweep for t in range(cfg.trials)]
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(run_trial, tasks))
@@ -303,26 +301,20 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         scenario = ScenarioParams(**{key: value for key, value in raw.items()
                                      if key in _SCENARIO_KEYS})
-        cfg = ExperimentConfig(scenario=scenario, **{key: value for key, value in raw.items()
-                                                     if key not in _SCENARIO_KEYS})
-        cfg.validate()
+        return ExperimentConfig(scenario=scenario, **{key: value for key, value in raw.items()
+                                                      if key not in _SCENARIO_KEYS})
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return cfg
 
 
-def ratio_config(output_path: str, trials: int = 200,
-                 master_seed: int = DEFAULT_MASTER_SEED) -> ExperimentConfig:
+def ratio_config(output_path: str, **sweep) -> ExperimentConfig:
     """Optimality-gap sweep: every algorithm, K small enough for the oracle."""
     return ExperimentConfig(scenario=ScenarioParams(), ue_sweep=tuple(range(4, 13)),
-                            algorithms=ALGORITHM_ORDER, trials=trials,
-                            master_seed=master_seed, output_path=output_path)
+                            algorithms=ALGORITHM_ORDER, output_path=output_path, **sweep)
 
 
-def capacity_config(output_path: str, trials: int = 200,
-                    master_seed: int = DEFAULT_MASTER_SEED) -> ExperimentConfig:
+def capacity_config(output_path: str, **sweep) -> ExperimentConfig:
     """Capacity/complexity sweep: larger K, exhaustive search left out."""
     return ExperimentConfig(scenario=ScenarioParams(), ue_sweep=tuple(range(10, 21)),
                             algorithms=("proposed", "3c_only", "1a_only", "stronger"),
-                            trials=trials, master_seed=master_seed,
-                            output_path=output_path)
+                            output_path=output_path, **sweep)

@@ -9,7 +9,7 @@ Five strategies over one ChannelTable:
 * solve_3c_only / solve_1a_only / solve_stronger: one-shot baselines
 
 All solvers charge per-UE rate evaluations to a RateCalcCounter and return a
-SolverResult whose report carries the final counter reading.
+SolverResult holding the final counter reading.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import Allocation, EvalReport, RateCalcCounter, evaluate
+from .allocation import Allocation, RateCalcCounter, evaluate
 from .kernels import (_scan_args, _table_scan, brute_force_scan, decode_combo,
                       objective_chunk, subset_degradations)
 from .topology import ChannelTable
@@ -51,17 +51,13 @@ class BruteForceCapError(ValueError):
 
 @dataclass
 class SolverResult:
+    """sum_rate is evaluate()'s np.float64 for alloc, op_count the counter
+    reading after the solve, wall_notes the solver's own tallies."""
+
     alloc: Allocation
-    report: EvalReport
+    sum_rate: np.float64
+    op_count: int
     wall_notes: dict = field(default_factory=dict)
-
-    @property
-    def sum_rate(self) -> float:
-        return self.report.sum_rate
-
-    @property
-    def op_count(self) -> int:
-        return self.report.rate_calc_count
 
 
 def build_sorted_matrix(table: ChannelTable) -> list:
@@ -94,18 +90,18 @@ def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = Non
     best_val, best_idx = brute_force_scan(table)
     cnt.tick(k_ues * 3 ** k_ues)
     alloc = Allocation.from_digits(decode_combo(best_idx, k_ues))
-    report = evaluate(alloc, table)
+    sum_rate = evaluate(alloc, table).sum_rate
     # the replay must agree with the scan kernel bit for bit
-    if report.sum_rate != best_val:
+    if sum_rate != best_val:
         raise RuntimeError(f"exhaustive scan maximum {best_val!r} and the evaluate() "
-                           f"replay {float(report.sum_rate)!r} of index {best_idx} disagree")
-    report.rate_calc_count = cnt.count
-    return SolverResult(alloc=alloc, report=report,
+                           f"replay {float(sum_rate)!r} of index {best_idx} disagree")
+    return SolverResult(alloc, sum_rate, cnt.count,
                         wall_notes={"best_index": best_idx, "combinations": 3 ** k_ues})
 
 
 def _one_shot(alloc: Allocation, table: ChannelTable, counter) -> SolverResult:
-    return SolverResult(alloc=alloc, report=evaluate(alloc, table, counter))
+    report = evaluate(alloc, table, counter)
+    return SolverResult(alloc, report.sum_rate, report.rate_calc_count)
 
 
 def solve_3c_only(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
@@ -240,11 +236,11 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
         (d_macro if bs == mbs else d_small)[col[:depth[bs]]] = 1
     alloc = Allocation(d_macro=d_macro, d_small=d_small)
     cnt.tick(ticks)
-    report = evaluate(alloc, table, cnt)
+    sum_rate = evaluate(alloc, table, cnt).sum_rate
     # each pass commits exactly once
     notes = {"passes": passes, "commits": passes, "initial_commits": initial_commits,
              "subset_evaluations": subset_evals}
-    return SolverResult(alloc=alloc, report=report, wall_notes=notes)
+    return SolverResult(alloc, sum_rate, cnt.count, notes)
 
 
 def check_proposition1(table: ChannelTable, optimum: Allocation):

@@ -40,6 +40,14 @@ def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** ((value_dbm - 30.0) / 10.0)
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, refused with a ValueError naming `name` unless it is
+    an integer (numpy integers included) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ScenarioParams:
     """Scenario knobs for one simulated drop.
@@ -71,9 +79,9 @@ class ScenarioParams:
             value = getattr(self, name)
             if not (value > 0.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if self.num_sbs < 1:
+        if _integer("num_sbs", self.num_sbs) < 1:
             raise ValueError(f"num_sbs must be >= 1, got {self.num_sbs}")
-        if self.num_ue < 1:
+        if _integer("num_ue", self.num_ue) < 1:
             raise ValueError(f"num_ue must be >= 1, got {self.num_ue}")
         for name in ("alpha_macro", "alpha_small"):
             value = getattr(self, name)
@@ -83,7 +91,7 @@ class ScenarioParams:
         for name in ("p_macro_dbm", "p_small_dbm", "n_macro_dbm_hz", "n_small_dbm_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if not (0 <= int(self.seed) < 2 ** 64):
+        if not (0 <= _integer("seed", self.seed) < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 
     # linear-unit views; conversion from dBm happens here and nowhere else

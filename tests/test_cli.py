@@ -97,6 +97,16 @@ def test_oracle_check_rejects_k_outside_cap(capsys):
                                 f"cap of 14 UEs, got {k}\n")
 
 
+def test_oracle_check_rejects_i_below_one(capsys):
+    """--i is checked as the flag the user typed, not as ScenarioParams.num_sbs."""
+    for i in (0, -2):
+        code = cli_main(["oracle-check", "--k", "3", "--i", str(i)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --i must be >= 1, got {i}\n"
+
+
 def test_oracle_check_rejects_seed_outside_64_bits(capsys):
     for seed in ("-1", str(2 ** 64)):
         code = cli_main(["oracle-check", "--k", "3", "--seed", seed])

@@ -1,5 +1,6 @@
 """Monte Carlo harness: seeding, configs, experiment runs, CSV round-trips."""
 
+import inspect
 import math
 import os
 import re
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import dcalloc.harness as harness
+import dcalloc.solvers as solvers
 from dcalloc import (ALGORITHM_ORDER, DEFAULT_MASTER_SEED, ExperimentConfig,
                      ScenarioParams, TrialRecord, analytic_brute_count,
                      capacity_config, emit_csv, load_config, load_records,
@@ -50,12 +52,12 @@ def test_analytic_brute_count():
 def test_one_drop_validates_its_params_once(monkeypatch):
     """run_trial's replace() builds and checks the drop's params; nothing
     downstream checks them again."""
-    scenario = ScenarioParams()
+    cfg = _tiny_config(algorithms=("stronger",), master_seed=1)
     calls = []
     original = ScenarioParams.validate
     monkeypatch.setattr(ScenarioParams, "validate",
                         lambda self: calls.append(self) or original(self))
-    harness.run_trial((3, 0, trial_seed(1, 3, 0), scenario, ("stronger",), False))
+    harness.run_trial((cfg, 3, 0))
     assert len(calls) == 1
     assert (calls[0].num_ue, calls[0].seed) == (3, trial_seed(1, 3, 0))
 
@@ -79,11 +81,14 @@ def test_config_rejects_unknown_algorithm():
     (dict(trials=0), "trials"),
     (dict(master_seed=-1), "64 bits"),
     (dict(ue_sweep=(4, 15)), "cap"),
+    (dict(ue_sweep=(4.7,)), "ue_sweep"),
+    (dict(trials=2.5), "trials"),
+    (dict(trials=True), "trials"),
+    (dict(master_seed=1.5), "master_seed"),
 ])
 def test_config_validate_rejects(overrides, msg):
-    cfg = _tiny_config(**overrides)
     with pytest.raises(ValueError, match=msg):
-        cfg.validate()
+        _tiny_config(**overrides)
 
 
 def test_config_override_cap_allows_large_k():
@@ -142,7 +147,7 @@ def test_solver_error_names_its_trial(monkeypatch):
     original error. The seed in the message alone rebuilds the failing
     table bit for bit through make_instance."""
     cfg = _tiny_config(ue_sweep=(2, 3), trials=2)
-    solve = harness.solve_proposed
+    solve = solvers.solve_proposed
     tables = []
 
     def broken(table, counter=None):
@@ -152,7 +157,7 @@ def test_solver_error_names_its_trial(monkeypatch):
             raise ZeroDivisionError("injected")
         return solve(table, counter)
 
-    monkeypatch.setattr(harness, "solve_proposed", broken)
+    monkeypatch.setattr(solvers, "solve_proposed", broken)
     witness = f"proposed failed at K=3, trial=1, seed={trial_seed(99, 3, 1)}"
     with pytest.raises(RuntimeError, match=witness) as info:
         run_experiment(cfg, threads=1)
@@ -164,6 +169,22 @@ def test_solver_error_names_its_trial(monkeypatch):
     for name in ("snr_macro", "sinr_small", "assoc_sbs", "log_macro", "log_small"):
         got, want = getattr(replayed, name), getattr(failed, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_solver_dispatch_is_traceable(monkeypatch):
+    """run_trial looks each solver up in dcalloc.solvers at call time, so a
+    wrapper patched onto that module, as the benchmark's tracer patches its
+    timing and counting wrappers, sees every call."""
+    assert ALGORITHM_ORDER == tuple(harness._SOLVERS)
+    for name in harness._SOLVERS.values():
+        assert name in solvers.__all__
+        assert inspect.isfunction(getattr(solvers, name)), name
+    solve = solvers.solve_stronger
+    calls = []
+    monkeypatch.setattr(solvers, "solve_stronger",
+                        lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
+    run_experiment(_tiny_config(ue_sweep=(3,), trials=2))
+    assert len(calls) == 2
 
 
 # --- summarize arithmetic --------------------------------------------------

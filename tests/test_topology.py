@@ -44,6 +44,10 @@ def test_default_noise_floors_in_watts():
     ("alpha_small", math.inf),
     ("p_macro_dbm", float("nan")),
     ("seed", -1),
+    ("num_sbs", 2.5),
+    ("num_ue", 3.5),
+    ("seed", 0.5),
+    ("seed", True),
 ])
 def test_params_validation_rejects(field, value):
     kwargs = {field: value}
@@ -56,6 +60,11 @@ def test_params_check_themselves_at_construction():
         ScenarioParams(num_ue=0)
     with pytest.raises(ValueError, match="seed"):
         replace(ScenarioParams(), seed=2 ** 64)
+
+
+def test_params_accept_numpy_integers():
+    params = ScenarioParams(num_sbs=np.int64(2), num_ue=np.int32(3), seed=np.uint64(2 ** 63))
+    assert make_instance(params)[1].num_ue == 3
 
 
 def test_channel_gain_distance_clamp():
