@@ -7,8 +7,7 @@ from .topology import (ScenarioParams, Topology, ChannelTable, channel_gain,
                        dbm_to_watts, generate_topology, build_channel_table,
                        make_instance)
 from .allocation import (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY,
-                         Allocation, EvalReport, RateCalcCounter, evaluate,
-                         share_rate)
+                         Allocation, RateCalcCounter, evaluate, share_rate)
 from .kernels import (ENV_BACKEND, available_backends, get_backend,
                       brute_force_scan, subset_degradations, decode_combo)
 from .solvers import (DEFAULT_BRUTE_CAP, BruteForceCapError, SolverResult,
@@ -26,8 +25,7 @@ __all__ = [
     "ScenarioParams", "Topology", "ChannelTable", "channel_gain", "dbm_to_watts",
     "generate_topology", "build_channel_table", "make_instance",
     "DIGIT_BOTH", "DIGIT_MACRO_ONLY", "DIGIT_SMALL_ONLY",
-    "Allocation", "EvalReport", "RateCalcCounter", "evaluate",
-    "share_rate",
+    "Allocation", "RateCalcCounter", "evaluate", "share_rate",
     "ENV_BACKEND", "available_backends", "get_backend",
     "brute_force_scan", "subset_degradations", "decode_combo",
     "DEFAULT_BRUTE_CAP", "BruteForceCapError", "SolverResult",

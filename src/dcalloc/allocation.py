@@ -1,9 +1,10 @@
 """Connectivity profiles and the instrumented objective evaluation.
 
-Each UE gets a flag pair (d_macro, d_small); at least one flag must be set,
-and the small flag always points at the UE's associated SBS. Base stations
-split bandwidth evenly across the UEs they serve, so a station serving n UEs
-gives each of them bw/n at that UE's spectral efficiency.
+An allocation holds one profile digit per UE, naming the tiers that serve
+it: both, the macro tier only, or its associated SBS only. Every profile
+serves its UE, so every allocation is valid. Base stations split bandwidth
+evenly across the UEs they serve, so a station serving n UEs gives each of
+them bw/n at that UE's spectral efficiency.
 
 RateCalcCounter is the complexity currency: one tick per application of the
 per-UE rate formula. Solvers charge their own accounting to it; comparing
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import ChannelTable, _small_ints
+from .topology import ChannelTable, _integer, _small_ints
 
 __all__ = [
     "DIGIT_BOTH",
@@ -24,7 +25,6 @@ __all__ = [
     "DIGIT_SMALL_ONLY",
     "RateCalcCounter",
     "Allocation",
-    "EvalReport",
     "share_rate",
     "evaluate",
 ]
@@ -38,7 +38,7 @@ DIGIT_SMALL_ONLY = 2   # (0, 1)
 
 
 class RateCalcCounter:
-    """Monotone tally of per-UE rate evaluations."""
+    """Monotone tally of per-UE rate evaluations, kept as a Python int."""
 
     __slots__ = ("count",)
 
@@ -46,6 +46,7 @@ class RateCalcCounter:
         self.count = 0
 
     def tick(self, n: int = 1) -> None:
+        n = _integer("tick count", n)  # a numpy integer would wrap past 2**63
         if n < 0:
             raise ValueError("counter can only move forward")
         self.count += n
@@ -54,60 +55,60 @@ class RateCalcCounter:
         return f"RateCalcCounter(count={self.count})"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Allocation:
-    """Per-UE serving flags. d_small refers to the UE's associated SBS."""
+    """Per-UE profile digits, held as a read-only uint8 copy; an instance
+    checks itself when built and is frozen. d_small refers to the UE's
+    associated SBS."""
 
-    d_macro: np.ndarray
-    d_small: np.ndarray
+    digits: np.ndarray
 
     def __post_init__(self):
-        self.d_macro = _small_ints(self.d_macro, np.uint8, 2, "serving flags must be 0 or 1")
-        self.d_small = _small_ints(self.d_small, np.uint8, 2, "serving flags must be 0 or 1")
-        if self.d_macro.shape != self.d_small.shape or self.d_macro.ndim != 1:
-            raise ValueError("d_macro and d_small must be 1-d arrays of equal length")
+        digits = _small_ints(self.digits, np.uint8, 3, "profile digits must be 0, 1 or 2").copy()
+        if digits.ndim != 1:
+            raise ValueError("profile digits must be a 1-d array")
+        digits.flags.writeable = False
+        object.__setattr__(self, "digits", digits)
 
-    @property
-    def num_ue(self) -> int:
-        return int(self.d_macro.shape[0])
-
-    def validate(self) -> None:
-        uncovered = np.flatnonzero((self.d_macro | self.d_small) == 0)
-        if uncovered.size:
-            raise ValueError(f"UEs without any serving tier: {uncovered.tolist()}")
-
-    def to_digits(self) -> np.ndarray:
-        self.validate()
-        digits = np.empty(self.num_ue, dtype=np.uint8)
-        both = (self.d_macro == 1) & (self.d_small == 1)
-        digits[both] = DIGIT_BOTH
-        digits[(self.d_macro == 1) & (self.d_small == 0)] = DIGIT_MACRO_ONLY
-        digits[(self.d_macro == 0) & (self.d_small == 1)] = DIGIT_SMALL_ONLY
-        return digits
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the check, and the copy stays read-only
+        return (type(self), (self.digits,))
 
     @classmethod
-    def from_digits(cls, digits) -> "Allocation":
-        digits = _small_ints(digits, np.uint8, 3, "profile digits must be 0, 1 or 2")
-        return cls(d_macro=(digits != DIGIT_SMALL_ONLY).astype(np.uint8),
-                   d_small=(digits != DIGIT_MACRO_ONLY).astype(np.uint8))
+    def from_flags(cls, d_macro, d_small) -> "Allocation":
+        """The allocation serving UE k at the macro tier where d_macro[k] is 1
+        and at its SBS where d_small[k] is 1; refuses a UE served by neither."""
+        d_macro = _small_ints(d_macro, np.uint8, 2, "serving flags must be 0 or 1")
+        d_small = _small_ints(d_small, np.uint8, 2, "serving flags must be 0 or 1")
+        if d_macro.shape != d_small.shape or d_macro.ndim != 1:
+            raise ValueError("d_macro and d_small must be 1-d arrays of equal length")
+        uncovered = np.flatnonzero((d_macro | d_small) == 0)
+        if uncovered.size:
+            raise ValueError(f"UEs without any serving tier: {uncovered.tolist()}")
+        # DIGIT_BOTH is 0, and each tier a UE lacks adds the code of the profile lacking it
+        return cls(DIGIT_MACRO_ONLY * (1 - d_small) + DIGIT_SMALL_ONLY * (1 - d_macro))
 
     @classmethod
     def all_both(cls, num_ue: int) -> "Allocation":
-        return cls(np.ones(num_ue, np.uint8), np.ones(num_ue, np.uint8))
+        return cls(np.full(num_ue, DIGIT_BOTH, np.uint8))
 
     @classmethod
     def all_small_only(cls, num_ue: int) -> "Allocation":
-        return cls(np.zeros(num_ue, np.uint8), np.ones(num_ue, np.uint8))
+        return cls(np.full(num_ue, DIGIT_SMALL_ONLY, np.uint8))
 
+    @property
+    def num_ue(self) -> int:
+        return len(self.digits)
 
-@dataclass
-class EvalReport:
-    """Outcome of evaluating one allocation."""
+    @property
+    def d_macro(self) -> np.ndarray:
+        """A new uint8 array, 1 where the macro tier serves the UE."""
+        return (self.digits != DIGIT_SMALL_ONLY).astype(np.uint8)
 
-    sum_rate: float                 # bits/s over both tiers
-    rate_macro: np.ndarray          # macro-tier rate per UE, 0 where unserved
-    rate_small: np.ndarray          # small-tier rate per UE, 0 where unserved
-    rate_calc_count: int            # counter reading attached to this report
+    @property
+    def d_small(self) -> np.ndarray:
+        """A new uint8 array, 1 where the UE's SBS serves it."""
+        return (self.digits != DIGIT_MACRO_ONLY).astype(np.uint8)
 
 
 def share_rate(bw_hz: float, n_served: int, log_term: float) -> float:
@@ -117,7 +118,7 @@ def share_rate(bw_hz: float, n_served: int, log_term: float) -> float:
     return bw_hz / n_served * log_term
 
 
-def evaluate(alloc: Allocation, table: ChannelTable, counter: RateCalcCounter | None = None) -> EvalReport:
+def evaluate(alloc: Allocation, table: ChannelTable, counter: RateCalcCounter | None = None) -> np.float64:
     """Total sum-rate of an allocation, ticking the counter once per served
     (UE, tier) pair when a counter is supplied.
 
@@ -129,18 +130,17 @@ def evaluate(alloc: Allocation, table: ChannelTable, counter: RateCalcCounter | 
     """
     if alloc.num_ue != table.num_ue:
         raise ValueError("allocation size does not match table")
-    alloc.validate()
-    cnt = counter if counter is not None else RateCalcCounter()
-
-    n_macro = int(alloc.d_macro.sum())
-    n_small = np.bincount(table.assoc_sbs[alloc.d_small == 1], minlength=table.num_sbs)
+    macro = alloc.digits != DIGIT_SMALL_ONLY
+    small = alloc.digits != DIGIT_MACRO_ONLY
+    n_macro = int(np.count_nonzero(macro))
+    n_small = np.bincount(table.assoc_sbs[small], minlength=table.num_sbs)
     # a station that serves nobody has every flag 0; max(., 1) only avoids 0/0
-    rate_m = alloc.d_macro * (table.params.bw_macro_hz / max(n_macro, 1) * table.log_macro)
+    rate_m = macro * (table.params.bw_macro_hz / max(n_macro, 1) * table.log_macro)
     loads = np.maximum(n_small[table.assoc_sbs], 1)
-    rate_s = alloc.d_small * (table.params.bw_small_hz / loads * table.log_small)
-    cnt.tick(n_macro + int(alloc.d_small.sum()))
+    rate_s = small * (table.params.bw_small_hz / loads * table.log_small)
+    if counter is not None:
+        counter.tick(n_macro + int(np.count_nonzero(small)))
     terms = np.empty(2 * table.num_ue)
     terms[0::2] = rate_m
     terms[1::2] = rate_s
-    total = terms.cumsum()[-1]
-    return EvalReport(sum_rate=total, rate_macro=rate_m, rate_small=rate_s, rate_calc_count=cnt.count)
+    return terms.cumsum()[-1]

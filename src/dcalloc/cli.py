@@ -44,6 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     cfg = load_config(args.config)
     if args.out:
         cfg = replace(cfg, output_path=args.out)
@@ -85,6 +87,11 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    for flag, value in (("--trials", args.trials), ("--threads", args.threads)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    if not 0 <= args.master_seed < 2 ** 64:
+        raise ValueError(f"--master-seed must be between 0 and 2**64 - 1, got {args.master_seed}")
     configs = (ratio_config(f"{args.out}_ratio.csv", trials=args.trials,
                             master_seed=args.master_seed),
                capacity_config(f"{args.out}_capacity.csv", trials=args.trials,

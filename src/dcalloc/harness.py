@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0 <= _integer("master_seed", self.master_seed) < 2 ** 64:
             raise ValueError("master_seed must fit in 64 bits")
+        if not isinstance(self.override_cap, (bool, np.bool_)):
+            raise ValueError(f"override_cap must be a bool, got {self.override_cap!r}")
         if "optimal" in self.algorithms and not self.override_cap:
             worst = max(self.ue_sweep)
             if worst > solvers.DEFAULT_BRUTE_CAP:

@@ -27,6 +27,8 @@ import math
 
 import numpy as np
 
+from .topology import _integer
+
 __all__ = [
     "ENV_BACKEND",
     "available_backends",
@@ -60,7 +62,7 @@ def get_backend() -> str:
 def decode_combo(index: int, num_ue: int) -> np.ndarray:
     """Profile digits of one enumeration index; UE 0 is the least
     significant base-3 digit."""
-    if not 0 <= index < 3 ** num_ue:
+    if not 0 <= _integer("combination index", index) < 3 ** num_ue:
         raise ValueError("combination index out of range")
     digits = np.empty(num_ue, dtype=np.uint8)
     for k in range(num_ue):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import Allocation, RateCalcCounter, evaluate
+from .allocation import DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY, Allocation, RateCalcCounter, evaluate
 from .kernels import (_scan_args, _table_scan, brute_force_scan, decode_combo,
                       objective_chunk, subset_degradations)
 from .topology import ChannelTable
@@ -89,8 +89,8 @@ def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = Non
     cnt = counter if counter is not None else RateCalcCounter()
     best_val, best_idx = brute_force_scan(table)
     cnt.tick(k_ues * 3 ** k_ues)
-    alloc = Allocation.from_digits(decode_combo(best_idx, k_ues))
-    sum_rate = evaluate(alloc, table).sum_rate
+    alloc = Allocation(decode_combo(best_idx, k_ues))
+    sum_rate = evaluate(alloc, table)
     # the replay must agree with the scan kernel bit for bit
     if sum_rate != best_val:
         raise RuntimeError(f"exhaustive scan maximum {best_val!r} and the evaluate() "
@@ -100,8 +100,8 @@ def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = Non
 
 
 def _one_shot(alloc: Allocation, table: ChannelTable, counter) -> SolverResult:
-    report = evaluate(alloc, table, counter)
-    return SolverResult(alloc, report.sum_rate, report.rate_calc_count)
+    cnt = counter if counter is not None else RateCalcCounter()
+    return SolverResult(alloc, evaluate(alloc, table, cnt), cnt.count)
 
 
 def solve_3c_only(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
@@ -117,10 +117,9 @@ def solve_1a_only(table: ChannelTable, counter: RateCalcCounter | None = None) -
 def solve_stronger(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
     """Each UE served solely by the tier with the higher received power;
     equal powers go to the MBS."""
-    macro_wins = table.rx_macro_w >= table.rx_small_w
-    alloc = Allocation(d_macro=macro_wins.astype(np.uint8),
-                       d_small=(~macro_wins).astype(np.uint8))
-    return _one_shot(alloc, table, counter)
+    digits = np.where(table.rx_macro_w >= table.rx_small_w,
+                      np.uint8(DIGIT_MACRO_ONLY), np.uint8(DIGIT_SMALL_ONLY))
+    return _one_shot(Allocation(digits), table, counter)
 
 
 def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
@@ -234,9 +233,9 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     d_small = np.zeros(table.num_ue, dtype=np.uint8)
     for bs, col in enumerate(columns):
         (d_macro if bs == mbs else d_small)[col[:depth[bs]]] = 1
-    alloc = Allocation(d_macro=d_macro, d_small=d_small)
+    alloc = Allocation.from_flags(d_macro, d_small)
     cnt.tick(ticks)
-    sum_rate = evaluate(alloc, table, cnt).sum_rate
+    sum_rate = evaluate(alloc, table, cnt)
     # each pass commits exactly once
     notes = {"passes": passes, "commits": passes, "initial_commits": initial_commits,
              "subset_evaluations": subset_evals}
@@ -269,7 +268,7 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
             f"K={k_ues} exceeds the exhaustive-search cap of {DEFAULT_BRUTE_CAP} UEs")
     if optimum.num_ue != k_ues:
         raise ValueError("allocation size does not match table")
-    value = objective_chunk(optimum.to_digits()[None, :], *_scan_args(table))[0]
+    value = objective_chunk(optimum.digits[None], *_scan_args(table))[0]
     best, _, macro_served, small_served = _table_scan(table)
 
     if value < best - 2 * k_ues * math.ulp(best):

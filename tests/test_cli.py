@@ -107,6 +107,29 @@ def test_oracle_check_rejects_i_below_one(capsys):
         assert captured.err == f"error: --i must be >= 1, got {i}\n"
 
 
+def test_run_and_sweep_reject_flags_by_name(tmp_path, capsys):
+    """run and sweep check their flags before building a config, so the
+    error names the flag the user typed, not the config field."""
+    cfg = _write_cfg(tmp_path, "ue_sweep = 2\nalgorithms = proposed\ntrials = 1\n")
+    out = str(tmp_path / "r.csv")
+    prefix = str(tmp_path / "dc")
+    cases = [(["run", "--config", cfg, "--out", out, "--threads", "0"],
+              "--threads must be >= 1, got 0"),
+             (["sweep", "--out", prefix, "--threads", "0"], "--threads must be >= 1, got 0"),
+             (["sweep", "--out", prefix, "--trials", "0"], "--trials must be >= 1, got 0"),
+             (["sweep", "--out", prefix, "--master-seed", "-1"],
+              "--master-seed must be between 0 and 2**64 - 1, got -1"),
+             (["sweep", "--out", prefix, "--master-seed", str(2 ** 64)],
+              f"--master-seed must be between 0 and 2**64 - 1, got {2 ** 64}")]
+    for argv, msg in cases:
+        code = cli_main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, argv
+        assert captured.out == ""
+        assert captured.err == f"error: {msg}\n"
+    assert os.listdir(tmp_path) == ["exp.cfg"]
+
+
 def test_oracle_check_rejects_seed_outside_64_bits(capsys):
     for seed in ("-1", str(2 ** 64)):
         code = cli_main(["oracle-check", "--k", "3", "--seed", seed])

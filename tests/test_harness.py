@@ -85,6 +85,8 @@ def test_config_rejects_unknown_algorithm():
     (dict(trials=2.5), "trials"),
     (dict(trials=True), "trials"),
     (dict(master_seed=1.5), "master_seed"),
+    (dict(override_cap="no"), "override_cap"),
+    (dict(override_cap=1), "override_cap"),
 ])
 def test_config_validate_rejects(overrides, msg):
     with pytest.raises(ValueError, match=msg):

@@ -44,6 +44,10 @@ def test_decode_combo_known_values():
         decode_combo(9, 2)
     with pytest.raises(ValueError):
         decode_combo(-1, 2)
+    for index in (1.5, 4.9, 4.0, True, np.float64(3.0)):
+        with pytest.raises(ValueError, match="combination index"):
+            decode_combo(index, 2)
+    assert decode_combo(np.int64(5), 2).tolist() == [2, 1]
 
 
 def test_objective_chunk_matches_python_oracle():
@@ -77,8 +81,8 @@ def test_objective_chunk_scores_solver_allocations_as_evaluate():
             picked = solvers + [solve_brute_force] * (k_ues <= DEFAULT_BRUTE_CAP)
             for solve in picked:
                 alloc = solve(table).alloc
-                score = kernels.objective_chunk(alloc.to_digits()[None], *kernels._scan_args(table))
-                assert score[0].hex() == evaluate(alloc, table).sum_rate.hex(), \
+                score = kernels.objective_chunk(alloc.digits[None], *kernels._scan_args(table))
+                assert score[0].hex() == evaluate(alloc, table).hex(), \
                     (k_ues, num_sbs, solve.__name__)
 
 

@@ -1,6 +1,9 @@
 """Solver behaviour: exact search, greedy, baselines, optimality checker."""
 
+import copy
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -105,7 +108,7 @@ def test_brute_force_k1_checks_three_profiles():
     counter = RateCalcCounter()
     res = solve_brute_force(table, counter)
     assert counter.count == 3
-    candidates = [evaluate(Allocation.from_digits([d]), table).sum_rate for d in range(3)]
+    candidates = [evaluate(Allocation([d]), table) for d in range(3)]
     assert res.sum_rate == max(candidates)
 
 
@@ -124,7 +127,7 @@ def test_brute_force_matches_python_oracle():
         ref_val, _, ref_digits = python_brute(table)
         res = solve_brute_force(table)
         assert res.sum_rate == pytest.approx(ref_val, rel=1e-12)
-        assert res.alloc.to_digits().tolist() == ref_digits
+        assert res.alloc.digits.tolist() == ref_digits
 
 
 def test_brute_force_cap():
@@ -145,7 +148,7 @@ def test_3c_only_serves_everyone_twice():
     table = seeded_table(num_ue=5, seed=50)
     counter = RateCalcCounter()
     res = solve_3c_only(table, counter)
-    assert res.alloc.to_digits().tolist() == [0] * 5
+    assert res.alloc.digits.tolist() == [0] * 5
     assert counter.count == 10
 
 
@@ -153,7 +156,7 @@ def test_1a_only_leaves_macro_empty():
     table = seeded_table(num_ue=5, seed=51)
     counter = RateCalcCounter()
     res = solve_1a_only(table, counter)
-    assert res.alloc.to_digits().tolist() == [2] * 5
+    assert res.alloc.digits.tolist() == [2] * 5
     assert np.flatnonzero(res.alloc.d_macro).size == 0
     assert counter.count == 5
 
@@ -162,7 +165,7 @@ def test_stronger_picks_higher_received_power_tie_to_macro():
     table = _synthetic(snr=[1.0, 1.0, 1.0], sinr=[1.0, 1.0, 1.0], assoc=[0, 0, 0],
                        num_sbs=1, rx_macro=[2.0, 1.0, 1.0], rx_small=[1.0, 2.0, 1.0])
     res = solve_stronger(table)
-    assert res.alloc.to_digits().tolist() == [1, 2, 1]
+    assert res.alloc.digits.tolist() == [1, 2, 1]
 
 
 # --- greedy ----------------------------------------------------------------
@@ -171,8 +174,8 @@ def test_proposed_k1_gets_both_tiers():
     table = seeded_table(num_ue=1, num_sbs=1, seed=60)
     counter = RateCalcCounter()
     res = solve_proposed(table, counter)
-    assert res.alloc.to_digits().tolist() == [0]
-    assert res.sum_rate == evaluate(Allocation.all_both(1), table).sum_rate
+    assert res.alloc.digits.tolist() == [0]
+    assert res.sum_rate == evaluate(Allocation.all_both(1), table)
     assert res.wall_notes["passes"] == 0
     assert counter.count == 2   # only the final evaluate
 
@@ -186,7 +189,7 @@ def test_proposed_terminates_at_initialization_when_heads_cover_everyone():
     assert res.wall_notes["commits"] == 0
     assert res.wall_notes["initial_commits"] == 3
     assert res.wall_notes["subset_evaluations"] == 0
-    assert res.alloc.to_digits().tolist() == [1, 2, 2]
+    assert res.alloc.digits.tolist() == [1, 2, 2]
 
 
 def test_proposed_invariants_on_random_instances():
@@ -197,7 +200,6 @@ def test_proposed_invariants_on_random_instances():
         table = seeded_table(k_ues, num_sbs=num_sbs, seed=int(rng.integers(2 ** 31)))
         counter = RateCalcCounter()
         res = solve_proposed(table, counter)
-        res.alloc.validate()
         notes = res.wall_notes
         # every commit consumes at least one row of the 2K total rows
         assert notes["commits"] <= 2 * k_ues
@@ -227,8 +229,34 @@ def test_dominance_across_all_solvers():
         opt = solve_brute_force(table)
         for solver in (solve_proposed, solve_3c_only, solve_1a_only, solve_stronger):
             res = solver(table)
-            res.alloc.validate()
             assert res.sum_rate <= opt.sum_rate
+
+
+def test_solver_results_keep_the_types_the_benchmark_hashes():
+    """The benchmark hashes repr(sum_rate) and compares op counts exactly:
+    every solver returns evaluate()'s np.float64, an int op count and a
+    frozen allocation holding a read-only copy of its digits."""
+    for k_ues in (1, 12, 20):
+        table = seeded_table(k_ues, num_sbs=4, seed=900 + k_ues)
+        picked = [solve_proposed, solve_3c_only, solve_1a_only, solve_stronger]
+        picked += [solve_brute_force] * (k_ues <= solvers.DEFAULT_BRUTE_CAP)
+        for solve in picked:
+            res = solve(table)
+            where = (k_ues, solve.__name__)
+            assert type(res.sum_rate) is np.float64, where
+            assert type(res.op_count) is int, where
+            assert res.sum_rate.hex() == evaluate(res.alloc, table).hex(), where
+            assert not res.alloc.digits.flags.writeable, where
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                res.alloc.digits = np.zeros(k_ues, np.uint8)
+            arr = res.alloc.digits.copy()
+            alloc = Allocation(arr)
+            assert arr.flags.writeable and not np.shares_memory(arr, alloc.digits), where
+            arr[0] = (arr[0] + 1) % 3
+            assert alloc.digits.tolist() == res.alloc.digits.tolist(), where
+            for twin in (pickle.loads(pickle.dumps(alloc)), copy.deepcopy(alloc)):
+                assert twin.digits.tolist() == alloc.digits.tolist(), where
+                assert not twin.digits.flags.writeable, where
 
 
 def test_adversarial_family_subset_eval_count_exact():
@@ -239,7 +267,7 @@ def test_adversarial_family_subset_eval_count_exact():
         expected = 2 ** (k_ues - 1) - 2 ** 2 + (k_ues - 3) * 2
         assert res.wall_notes["subset_evaluations"] == expected
         assert res.wall_notes["commits"] == k_ues - 3
-        digits = res.alloc.to_digits().tolist()
+        digits = res.alloc.digits.tolist()
         assert digits[0] == 1          # macro head stays macro-only
         assert digits[1:] == [2] * (k_ues - 1)
 
@@ -258,12 +286,12 @@ def test_proposed_matches_plain_python_greedy():
     tables += [_synthetic(snr=[1.0, 1e3, 0.5], sinr=[1.0, 1.0, 1.0], assoc=[0, 0, 0],
                           num_sbs=1, bw_small_hz=3e6),
                _synthetic(snr=[3.0, 1.0], sinr=[3.0, 1.0], assoc=[0, 0], num_sbs=1)]
-    assert [solve_proposed(t).alloc.to_digits().tolist() for t in tables[-2:]] == \
+    assert [solve_proposed(t).alloc.digits.tolist() for t in tables[-2:]] == \
         [[2, 0, 2], [0, 2]]
     for table in tables:
         res = solve_proposed(table)
         digits, ticks, notes = python_greedy(table)
-        assert res.alloc.to_digits().tolist() == digits
+        assert res.alloc.digits.tolist() == digits
         assert res.op_count == ticks
         assert res.wall_notes == notes
 
@@ -281,7 +309,7 @@ def test_proposed_prefix_tie_goes_to_lexicographically_smallest_ues():
     assert len(set(table.log_small.tolist())) == 1
     res = solve_proposed(table)
     assert res.wall_notes["commits"] == 1
-    assert res.alloc.to_digits().tolist() == [2, 2, 0]
+    assert res.alloc.digits.tolist() == [2, 2, 0]
 
 
 _LARGE_K_SCRIPT = """
@@ -297,8 +325,7 @@ for k_ues in (30, 60, 100, 200):
         digits, ticks, notes = python_prefix_greedy(table, windows)
         counter = RateCalcCounter()
         res = solve_proposed(table, counter)
-        res.alloc.validate()
-        assert res.alloc.to_digits().tolist() == digits, (k_ues, seed)
+        assert res.alloc.digits.tolist() == digits, (k_ues, seed)
         assert res.op_count == counter.count == ticks, (k_ues, seed)
         assert res.wall_notes == notes, (k_ues, seed)
         print(k_ues, seed, max(w for _, _, w in windows))
@@ -340,9 +367,9 @@ def test_proposed_reprices_a_window_widened_at_fixed_depth():
     python_prefix_greedy(table, windows)
     assert windows == [(0, 1, 1), (1, 1, 1), (0, 2, 1), (1, 1, 2)]
     res = solve_proposed(table)
-    assert (res.alloc.to_digits().tolist(), res.op_count, res.wall_notes) == \
+    assert (res.alloc.digits.tolist(), res.op_count, res.wall_notes) == \
         python_greedy(table)
-    assert res.alloc.to_digits().tolist() == [1, 0, 0]
+    assert res.alloc.digits.tolist() == [1, 0, 0]
     assert res.wall_notes["passes"] == 2
 
 
@@ -367,7 +394,7 @@ def test_proposed_prices_each_distinct_window_once(monkeypatch):
         digits, ticks, notes = python_prefix_greedy(table, windows)
         calls.clear()
         res = solve_proposed(table)
-        assert (res.alloc.to_digits().tolist(), res.op_count, res.wall_notes) == \
+        assert (res.alloc.digits.tolist(), res.op_count, res.wall_notes) == \
             (digits, ticks, notes)
         bws = [table.params.bw_small_hz] * table.num_sbs + [table.params.bw_macro_hz]
         assert sorted(calls) == sorted((cs, w, bws[bs]) for bs, cs, w in set(windows))
@@ -381,7 +408,6 @@ def test_proposed_handles_empty_sbs_columns():
     table = _synthetic(snr=[3.0, 2.0, 1.0], sinr=[5.0, 4.0, 3.0],
                        assoc=[1, 1, 1], num_sbs=2)
     res = solve_proposed(table)
-    res.alloc.validate()
     assert np.flatnonzero(res.alloc.d_small & (table.assoc_sbs == 0)).size == 0
 
 
@@ -436,7 +462,7 @@ def test_check_proposition1_blocking_is_invisible(monkeypatch, scan_calls):
                 with pytest.raises(ValueError):
                     check_proposition1(table, solve_1a_only(table).alloc)
                 assert scan_calls[before:] == [chunk_rows]
-    assert opt.alloc.to_digits().tolist() == [1, 1, 0]
+    assert opt.alloc.digits.tolist() == [1, 1, 0]
 
 
 def test_check_proposition1_witness_names_first_failing_station(monkeypatch):
@@ -495,18 +521,18 @@ def test_check_proposition1_accepts_every_swapped_twin_optimum():
                 for a, b in {(0, 1), (0, k_ues - 1)}:
                     table = twin_table(base, [(a, b)])
                     opt = solve_brute_force(table)
-                    digits = opt.alloc.to_digits()
+                    digits = opt.alloc.digits.copy()
                     digits[[a, b]] = digits[[b, a]]
-                    swapped = Allocation.from_digits(digits)
-                    lower += evaluate(swapped, table).sum_rate < opt.sum_rate
+                    swapped = Allocation(digits)
+                    lower += evaluate(swapped, table) < opt.sum_rate
                     assert check_proposition1(table, swapped) == \
                         check_proposition1(table, opt.alloc), (k_ues, num_sbs, s, a, b)
                     with pytest.raises(ValueError, match="not an exhaustive-search"):
                         check_proposition1(table, solve_1a_only(table).alloc)
     assert lower > 0
     table = twin_table(seeded_table(2, num_sbs=1, seed=5210), [(0, 1)])
-    assert solve_brute_force(table).alloc.to_digits().tolist() == [0, 1]
-    assert check_proposition1(table, Allocation.from_digits([1, 0])) == (True, None)
+    assert solve_brute_force(table).alloc.digits.tolist() == [0, 1]
+    assert check_proposition1(table, Allocation([1, 0])) == (True, None)
 
 
 def test_check_proposition1_rejects_non_optimal_input():
@@ -522,10 +548,11 @@ def test_check_proposition1_rejects_malformed_allocations():
     table = seeded_table(num_ue=5, num_sbs=4, seed=71)
     with pytest.raises(ValueError, match="size"):
         check_proposition1(table, Allocation.all_both(4))
-    unserved = Allocation.all_both(5)
-    unserved.d_macro[2] = unserved.d_small[2] = 0
-    with pytest.raises(ValueError, match="without any serving tier"):
-        check_proposition1(table, unserved)
+    # an allocation that leaves a UE unserved cannot be built, so none reaches the check
+    flags = np.ones(5, np.uint8)
+    flags[2] = 0
+    with pytest.raises(ValueError, match=r"without any serving tier: \[2\]"):
+        check_proposition1(table, Allocation.from_flags(flags, flags))
 
 
 def test_oracle_loop_scans_once_per_trial(scan_calls, capsys):
