@@ -8,10 +8,10 @@ from .topology import (ScenarioParams, Topology, ChannelTable, channel_gain,
                        make_instance)
 from .allocation import (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY,
                          Allocation, RateCalcCounter, evaluate, share_rate)
-from .kernels import (ENV_BACKEND, available_backends, get_backend,
-                      brute_force_scan, subset_degradations, decode_combo)
-from .solvers import (DEFAULT_BRUTE_CAP, BruteForceCapError, SolverResult,
-                      build_sorted_matrix, check_proposition1,
+from .kernels import (DEFAULT_BRUTE_CAP, BruteForceCapError, ENV_BACKEND,
+                      available_backends, get_backend, brute_force_scan,
+                      subset_degradations, decode_combo)
+from .solvers import (SolverResult, build_sorted_matrix, check_proposition1,
                       solve_brute_force, solve_proposed, solve_3c_only,
                       solve_1a_only, solve_stronger)
 from .harness import (ALGORITHM_ORDER, DEFAULT_MASTER_SEED, ExperimentConfig,

@@ -55,11 +55,12 @@ class RateCalcCounter:
         return f"RateCalcCounter(count={self.count})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Allocation:
     """Per-UE profile digits, held as a read-only uint8 copy; an instance
-    checks itself when built and is frozen. d_small refers to the UE's
-    associated SBS."""
+    checks itself when built and is frozen. Two allocations are equal when
+    their digits are, and hash alike. d_small refers to the UE's associated
+    SBS."""
 
     digits: np.ndarray
 
@@ -69,6 +70,14 @@ class Allocation:
             raise ValueError("profile digits must be a 1-d array")
         digits.flags.writeable = False
         object.__setattr__(self, "digits", digits)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.digits.tobytes() == other.digits.tobytes()
+
+    def __hash__(self):
+        return hash(self.digits.tobytes())
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the check, and the copy stays read-only

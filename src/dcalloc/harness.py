@@ -57,7 +57,6 @@ class ExperimentConfig:
     trials: int = 200
     master_seed: int = DEFAULT_MASTER_SEED
     output_path: str = "dcpa_results.csv"
-    override_cap: bool = False
 
     def __post_init__(self):
         unknown = [a for a in self.algorithms if a not in ALGORITHM_ORDER]
@@ -82,14 +81,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not 0 <= _integer("master_seed", self.master_seed) < 2 ** 64:
             raise ValueError("master_seed must fit in 64 bits")
-        if not isinstance(self.override_cap, (bool, np.bool_)):
-            raise ValueError(f"override_cap must be a bool, got {self.override_cap!r}")
-        if "optimal" in self.algorithms and not self.override_cap:
-            worst = max(self.ue_sweep)
-            if worst > solvers.DEFAULT_BRUTE_CAP:
-                raise ValueError(
-                    f"ue_sweep reaches K={worst} with the exhaustive solver enabled; "
-                    f"the cap is {solvers.DEFAULT_BRUTE_CAP} (set override_cap to force)")
+        if "optimal" in self.algorithms and max(self.ue_sweep) > solvers.DEFAULT_BRUTE_CAP:
+            raise ValueError(
+                f"ue_sweep reaches K={max(self.ue_sweep)} with the exhaustive solver "
+                f"enabled; the cap is {solvers.DEFAULT_BRUTE_CAP}")
 
 
 @dataclass
@@ -125,9 +120,8 @@ def run_trial(task) -> TrialRecord:
     _, table = make_instance(replace(cfg.scenario, num_ue=k_ues, seed=seed))
     rec = TrialRecord(k_ues=k_ues, trial=trial, seed=seed)
     for algo in cfg.algorithms:
-        options = {"override_cap": cfg.override_cap} if algo == "optimal" else {}
         try:
-            res = getattr(solvers, _SOLVERS[algo])(table, **options)
+            res = getattr(solvers, _SOLVERS[algo])(table)
         except Exception as exc:
             raise RuntimeError(f"{algo} failed at K={k_ues}, trial={trial}, "
                                f"seed={seed}: {exc}") from exc
@@ -245,16 +239,6 @@ def load_records(path: str):
 
 _REQUIRED_KEYS = ("ue_sweep", "algorithms")
 
-_BOOL_WORDS = {"true": True, "1": True, "yes": True, "on": True,
-               "false": False, "0": False, "no": False, "off": False}
-
-
-def _bool_word(value: str) -> bool:
-    if value.lower() not in _BOOL_WORDS:
-        raise ValueError(f"must be true/false, got {value!r}")
-    return _BOOL_WORDS[value.lower()]
-
-
 # key -> converter from the value text. The scenario keys are ScenarioParams'
 # fields, typed by their defaults, except num_ue and seed, which a sweep sets
 # per trial
@@ -267,7 +251,6 @@ _CONFIG_KEYS = {
     "trials": int,
     "master_seed": int,
     "output_path": str,
-    "override_cap": _bool_word,
 }
 
 

@@ -30,6 +30,8 @@ import numpy as np
 from .topology import _integer
 
 __all__ = [
+    "DEFAULT_BRUTE_CAP",
+    "BruteForceCapError",
     "ENV_BACKEND",
     "available_backends",
     "get_backend",
@@ -45,6 +47,17 @@ ENV_BACKEND = "DCALLOC_BACKEND"
 
 # rows of a load class summed at once; a larger class is summed in pieces
 _CHUNK_ROWS = 1 << 12
+
+# 14 * 3**14 is about 6.7e7 rate calculations. The scan sums only the load
+# classes whose bound can reach the maximum: about 1 ms for a seeded K=14
+# table on a shared 2-vCPU host, but about 0.4 s for one whose log terms are
+# all equal, where the bound prunes almost nothing; that worst case triples
+# with each further UE. Every scan refuses a larger K
+DEFAULT_BRUTE_CAP = 14
+
+
+class BruteForceCapError(ValueError):
+    """Raised when the exhaustive scan is asked for more than DEFAULT_BRUTE_CAP UEs."""
 
 
 def available_backends() -> tuple:
@@ -299,13 +312,17 @@ _last_scan = (None, None)
 
 
 def _table_scan(table):
-    """_block_scan of the table, memoized on the last table scanned.
+    """_block_scan of the table, memoized on the last table scanned; refuses
+    a table of more than DEFAULT_BRUTE_CAP UEs with BruteForceCapError.
 
     The key is the content of every input the scan reads, the chunk size
     included, so an equal table built anew, or the same table after its
     arrays changed, is recognised by value.
     """
     global _last_scan
+    if table.num_ue > DEFAULT_BRUTE_CAP:
+        raise BruteForceCapError(
+            f"K={table.num_ue} exceeds the exhaustive-search cap of {DEFAULT_BRUTE_CAP} UEs")
     args = _scan_args(table)
     key = (*((a.dtype.str, a.tobytes()) for a in args[:3]), *args[3:], _CHUNK_ROWS)
     last_key, result = _last_scan
@@ -319,7 +336,8 @@ def brute_force_scan(table):
     """Best sum-rate over all 3^K profile combinations.
 
     Returns (best_value, best_index) where best_index is the lowest
-    enumeration index attaining the maximum.
+    enumeration index attaining the maximum. Refuses K above
+    DEFAULT_BRUTE_CAP with BruteForceCapError.
     """
     return _table_scan(table)[:2]
 

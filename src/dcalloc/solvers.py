@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .allocation import DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY, Allocation, RateCalcCounter, evaluate
-from .kernels import (_scan_args, _table_scan, brute_force_scan, decode_combo,
-                      objective_chunk, subset_degradations)
+from .kernels import (DEFAULT_BRUTE_CAP, BruteForceCapError, _scan_args, _table_scan,
+                      brute_force_scan, decode_combo, objective_chunk, subset_degradations)
 from .topology import ChannelTable
 
 __all__ = [
@@ -36,18 +36,6 @@ __all__ = [
     "solve_stronger",
     "check_proposition1",
 ]
-
-# 14 * 3**14 is about 6.7e7 rate calculations. The scan sums only the load
-# classes whose bound can reach the maximum: about 1 ms for a seeded K=14
-# table on a shared 2-vCPU host, but about 0.4 s for one whose log terms are
-# all equal, where the bound prunes almost nothing; that worst case triples
-# with each further UE. check_proposition1 reuses the scan
-DEFAULT_BRUTE_CAP = 14
-
-
-class BruteForceCapError(ValueError):
-    """Raised when exhaustive search is asked to scan more than the cap allows."""
-
 
 @dataclass
 class SolverResult:
@@ -72,20 +60,15 @@ def build_sorted_matrix(table: ChannelTable) -> list:
     return cols
 
 
-def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = None,
-                      override_cap: bool = False) -> SolverResult:
+def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
     """Exact optimum over every profile combination.
 
     Charges K rate calculations per combination (K * 3^K total). Ties keep
     the first maximizer in enumeration order: profiles ordered (1,1), (1,0),
-    (0,1) with UE 0 as the least significant digit. Refuses K above
-    DEFAULT_BRUTE_CAP unless override_cap is set.
+    (0,1) with UE 0 as the least significant digit. The scan refuses K above
+    DEFAULT_BRUTE_CAP with BruteForceCapError.
     """
     k_ues = table.num_ue
-    if k_ues > DEFAULT_BRUTE_CAP and not override_cap:
-        raise BruteForceCapError(
-            f"K={k_ues} exceeds the exhaustive-search cap of {DEFAULT_BRUTE_CAP} UEs; "
-            f"pass override_cap=True to run anyway")
     cnt = counter if counter is not None else RateCalcCounter()
     best_val, best_idx = brute_force_scan(table)
     cnt.tick(k_ues * 3 ** k_ues)
@@ -263,13 +246,10 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     solve_brute_force returns.
     """
     k_ues = table.num_ue
-    if k_ues > DEFAULT_BRUTE_CAP:
-        raise BruteForceCapError(
-            f"K={k_ues} exceeds the exhaustive-search cap of {DEFAULT_BRUTE_CAP} UEs")
     if optimum.num_ue != k_ues:
         raise ValueError("allocation size does not match table")
-    value = objective_chunk(optimum.digits[None], *_scan_args(table))[0]
     best, _, macro_served, small_served = _table_scan(table)
+    value = objective_chunk(optimum.digits[None], *_scan_args(table))[0]
 
     if value < best - 2 * k_ues * math.ulp(best):
         raise ValueError("supplied allocation is not an exhaustive-search maximizer")

@@ -140,7 +140,7 @@ def _small_ints(values, dtype, stop: int, message: str) -> np.ndarray:
     before the cast, which would truncate fractions and wrap negatives."""
     arr = np.asarray(values)
     if ((arr.dtype.kind not in "bu" and not ((arr == np.trunc(arr)) & (arr >= 0)).all())
-            or (arr >= stop).any()):
+            or np.count_nonzero(arr >= stop)):
         raise ValueError(message)
     return np.ascontiguousarray(arr, dtype=dtype)
 

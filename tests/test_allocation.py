@@ -44,6 +44,18 @@ def test_flags_must_be_binary():
         Allocation.from_flags([1, 1], [1, 1, 1])
 
 
+def test_equality_and_hash_follow_the_digits():
+    for digits, other in (([1], [2]), ([0, 1, 2], [0, 2, 1])):
+        alloc = Allocation(digits)
+        same = Allocation(np.array(digits, dtype=np.int64))
+        assert alloc == same and not alloc != same
+        assert hash(alloc) == hash(same)
+        assert alloc != Allocation(other)
+        assert len({alloc, same, Allocation(other)}) == 2
+    assert Allocation([0]) != Allocation([0, 0])
+    assert Allocation([0, 1]) != [0, 1]
+
+
 def test_constructors():
     assert Allocation.all_both(3).digits.tolist() == [0, 0, 0]
     macro_only = Allocation([1] * 3)

@@ -32,13 +32,14 @@ def test_run_rejects_cap_violation(tmp_path, capsys):
     assert "cap" in captured.err
 
 
-def test_run_override_cap_config_key(tmp_path):
-    """The config key is the one way past the exhaustive-search cap."""
+def test_run_override_cap_config_key(tmp_path, capsys):
+    """The exhaustive-search cap is fixed: override_cap is an unknown key."""
     cfg = _write_cfg(tmp_path, "ue_sweep = 15\nalgorithms = proposed,optimal\ntrials = 1\n"
                                "override_cap = true\n")
     out = tmp_path / "y.csv"
-    assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 0
-    assert len(out.read_text().splitlines()) == 2  # header and one trial
+    assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 1
+    assert f"{cfg}:4: unknown key 'override_cap'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_has_no_override_cap_flag(tmp_path, capsys):

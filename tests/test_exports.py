@@ -29,6 +29,16 @@ def test_solvers_bind_the_kernels_by_name():
         assert getattr(solvers, name) is getattr(kernels, name)
 
 
+def test_the_cap_has_one_owner():
+    """The scan's K cap and its error live in dcalloc.kernels; the solvers
+    module and the package re-export those very objects."""
+    kernels = importlib.import_module("dcalloc.kernels")
+    for module in ("dcalloc.solvers", "dcalloc"):
+        mod = importlib.import_module(module)
+        for name in ("DEFAULT_BRUTE_CAP", "BruteForceCapError"):
+            assert getattr(mod, name) is getattr(kernels, name), f"{module}.{name}"
+
+
 def _layer_figures() -> dict:
     """LAYER_FIGURES of the benchmark runner, read from its source."""
     tree = ast.parse((Path(__file__).parents[1] / "dcbench" / "run.py").read_text())

@@ -85,8 +85,6 @@ def test_config_rejects_unknown_algorithm():
     (dict(trials=2.5), "trials"),
     (dict(trials=True), "trials"),
     (dict(master_seed=1.5), "master_seed"),
-    (dict(override_cap="no"), "override_cap"),
-    (dict(override_cap=1), "override_cap"),
 ])
 def test_config_validate_rejects(overrides, msg):
     with pytest.raises(ValueError, match=msg):
@@ -94,11 +92,10 @@ def test_config_validate_rejects(overrides, msg):
 
 
 def test_config_override_cap_allows_large_k():
-    cfg = _tiny_config(ue_sweep=(15,), override_cap=True)
+    """No override is needed past the cap: without the exhaustive solver the
+    cap never applies."""
+    cfg = _tiny_config(ue_sweep=(20,), algorithms=("proposed",))
     cfg.validate()
-    # and without the exhaustive solver the cap never applies
-    cfg2 = _tiny_config(ue_sweep=(20,), algorithms=("proposed",))
-    cfg2.validate()
 
 
 def test_ratio_and_capacity_config_shapes():
@@ -294,7 +291,6 @@ def test_load_bundled_default_config():
     assert cfg.output_path == "dcpa_results.csv"
     assert cfg.scenario.num_sbs == 4
     assert cfg.scenario.area_side_m == 500.0
-    assert not cfg.override_cap
 
 
 def _write_cfg(tmp_path, body):
@@ -315,14 +311,12 @@ algorithms = proposed
     assert cfg.trials == 200          # default
     assert cfg.master_seed == DEFAULT_MASTER_SEED
     assert cfg.output_path == "dcpa_results.csv"
-    assert cfg.override_cap is False  # default
 
 
 @pytest.mark.parametrize("body,msg", [
     ("ue_sweep = 2\nalgorithms = proposed\nwidget = 9\n", "unknown key"),
     ("algorithms = proposed\n", "ue_sweep"),
     ("ue_sweep = 2\nue_sweep = 3\nalgorithms = proposed\n", "duplicate"),
-    ("ue_sweep = 2\nalgorithms = proposed\noverride_cap = maybe\n", "true/false"),
     ("ue_sweep = 2\nalgorithms = proposed\njust a line\n", "key = value"),
     ("ue_sweep = 2\nalgorithms = proposed\ntrials = abc\n", r"exp\.cfg:3: trials: "),
     ("ue_sweep = 4,x\nalgorithms = proposed\n", r"exp\.cfg:1: ue_sweep: "),

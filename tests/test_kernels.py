@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 import dcalloc.kernels as kernels
-from dcalloc import (DEFAULT_BRUTE_CAP, ChannelTable, brute_force_scan, check_proposition1,
-                     decode_combo, evaluate, solve_1a_only, solve_3c_only, solve_brute_force,
+from dcalloc import (DEFAULT_BRUTE_CAP, Allocation, BruteForceCapError, ChannelTable,
+                     brute_force_scan, check_proposition1, decode_combo, evaluate, solve_1a_only, solve_3c_only, solve_brute_force,
                      solve_proposed, solve_stronger, subset_degradations)
 
 from conftest import (adversarial_table, chunked_scan, python_brute, python_objective,
@@ -305,6 +305,22 @@ def test_scan_memo_recognises_equal_tables(scan_calls):
     opt = solve_brute_force(seeded_table(7, num_sbs=4, seed=32))
     assert check_proposition1(seeded_table(7, num_sbs=4, seed=32), opt.alloc) == (True, None)
     assert len(scan_calls) == 2
+
+
+def test_every_scan_refuses_past_the_cap(scan_calls):
+    """The scan owns the K cap: the public scan, the exhaustive solver and
+    the head checker all refuse K = DEFAULT_BRUTE_CAP + 1 with one message,
+    before any row is summed."""
+    table = seeded_table(DEFAULT_BRUTE_CAP + 1, seed=35)
+    messages = set()
+    for call in (lambda: brute_force_scan(table), lambda: solve_brute_force(table),
+                 lambda: check_proposition1(table, Allocation.all_both(table.num_ue))):
+        with pytest.raises(BruteForceCapError) as err:
+            call()
+        messages.add(str(err.value))
+    assert messages == {f"K={DEFAULT_BRUTE_CAP + 1} exceeds the exhaustive-search cap "
+                        f"of {DEFAULT_BRUTE_CAP} UEs"}
+    assert scan_calls == []
 
 
 @pytest.mark.parametrize("change", ["log_macro", "log_small", "assoc_sbs",

@@ -134,9 +134,6 @@ def test_brute_force_cap():
     table = seeded_table(num_ue=15, seed=1)
     with pytest.raises(BruteForceCapError, match="14"):
         solve_brute_force(table)
-    res = solve_brute_force(table, override_cap=True)
-    assert res.wall_notes["combinations"] == 3 ** 15
-    assert res.sum_rate >= solve_proposed(table).sum_rate
     # the head checker scans 3^K too and refuses the same K
     with pytest.raises(BruteForceCapError, match="14"):
         check_proposition1(table, Allocation.all_both(15))
