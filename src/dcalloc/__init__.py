@@ -10,7 +10,7 @@ from .allocation import (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY,
                          Allocation, RateCalcCounter, evaluate, share_rate)
 from .kernels import (DEFAULT_BRUTE_CAP, BruteForceCapError, ENV_BACKEND,
                       available_backends, get_backend, brute_force_scan,
-                      subset_degradations, decode_combo)
+                      subset_degradations)
 from .solvers import (SolverResult, build_sorted_matrix, check_proposition1,
                       solve_brute_force, solve_proposed, solve_3c_only,
                       solve_1a_only, solve_stronger)
@@ -27,7 +27,7 @@ __all__ = [
     "DIGIT_BOTH", "DIGIT_MACRO_ONLY", "DIGIT_SMALL_ONLY",
     "Allocation", "RateCalcCounter", "evaluate", "share_rate",
     "ENV_BACKEND", "available_backends", "get_backend",
-    "brute_force_scan", "subset_degradations", "decode_combo",
+    "brute_force_scan", "subset_degradations",
     "DEFAULT_BRUTE_CAP", "BruteForceCapError", "SolverResult",
     "build_sorted_matrix", "check_proposition1", "solve_brute_force",
     "solve_proposed", "solve_3c_only", "solve_1a_only", "solve_stronger",

@@ -295,7 +295,8 @@ def load_config(path: str) -> ExperimentConfig:
 def ratio_config(output_path: str, **sweep) -> ExperimentConfig:
     """Optimality-gap sweep: every algorithm, K small enough for the oracle."""
     return ExperimentConfig(scenario=ScenarioParams(), ue_sweep=tuple(range(4, 13)),
-                            algorithms=ALGORITHM_ORDER, output_path=output_path, **sweep)
+                            algorithms=("optimal", "proposed", "3c_only", "1a_only", "stronger"),
+                            output_path=output_path, **sweep)
 
 
 def capacity_config(output_path: str, **sweep) -> ExperimentConfig:

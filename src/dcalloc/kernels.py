@@ -8,10 +8,10 @@ in descending bound and stops once a bound falls below the best row found,
 less a relative margin of 1e-9, many orders wider than rounding; on seeded
 tables with K >= 10 that leaves under 1% of the rows to sum. A class's
 rows are built from cached per-(n, r) choice tables, never from a 3^g
-table of a whole group. One scan yields the maximum, its first index and,
-per UE, whether some maximizer serves it at each tier; the last scan is
-memoized on the content of its inputs, so the exhaustive solver and the
-optimality checker share one scan of a table.
+table of a whole group. One scan yields the maximum, the digit row of its
+first maximizer and, per UE, whether some maximizer serves it at each tier;
+the last scan is memoized on the content of its inputs, so the exhaustive
+solver and the optimality checker share one scan of a table.
 
 The greedy's window pricing is a closed form: the least-degrading subset of
 a descending window is always a prefix, so subset_degradations() prices the
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .topology import _integer
+from .allocation import DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY
 
 __all__ = [
     "DEFAULT_BRUTE_CAP",
@@ -35,7 +35,6 @@ __all__ = [
     "ENV_BACKEND",
     "available_backends",
     "get_backend",
-    "decode_combo",
     "objective_chunk",
     "brute_force_scan",
     "subset_degradations",
@@ -72,18 +71,6 @@ def get_backend() -> str:
     return "numpy"
 
 
-def decode_combo(index: int, num_ue: int) -> np.ndarray:
-    """Profile digits of one enumeration index; UE 0 is the least
-    significant base-3 digit."""
-    if not 0 <= _integer("combination index", index) < 3 ** num_ue:
-        raise ValueError("combination index out of range")
-    digits = np.empty(num_ue, dtype=np.uint8)
-    for k in range(num_ue):
-        digits[k] = index % 3
-        index //= 3
-    return digits
-
-
 def objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> np.ndarray:
     """Sum-rate of each digit row, as evaluate() scores one allocation.
 
@@ -94,8 +81,8 @@ def objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> np.ndar
     exhaustive scan bit for bit.
     """
     n_rows, k_ues = digits.shape
-    macro = digits != 2
-    small = digits != 1
+    macro = digits != DIGIT_SMALL_ONLY
+    small = digits != DIGIT_MACRO_ONLY
     n_macro = macro.sum(axis=1)
     # an integer product counts each SBS's small-served UEs; bool @ bool is an OR
     n_small = small @ (assoc[:, None] == np.arange(num_sbs)).astype(np.int64)
@@ -143,16 +130,19 @@ def _small_served(groups, loads, k_ues) -> np.ndarray:
 def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
     """Exhaustive scan over load classes, best bound first.
 
-    Returns (best_val, best_idx, macro_served, small_served): the maximum,
-    the lowest enumeration index attaining it, and two tuples holding per UE
-    whether some maximizer serves it at the MBS (digit != 2) and at its SBS
-    (digit != 1). The maximizers are the rows within tol = 2*K*ulp(best_val)
-    of the maximum: rows that tie in exact arithmetic, such as the swaps of
-    two identical UEs, add the same 2K nonnegative terms in different
-    orders, and tol bounds the difference of such sums. best_val and
-    best_idx are exact: the maximum, and the least index among the rows
-    equal to it, which does not depend on the order rows are summed in. The
-    flags cover every UE, so the result depends on the arguments alone.
+    Returns (best_val, best_digits, macro_served, small_served): the
+    maximum, the profile digits of the first row attaining it in enumeration
+    order (a tuple of ints), and two tuples holding per UE whether some
+    maximizer serves it at the MBS (digit != DIGIT_SMALL_ONLY) and at its
+    SBS (digit != DIGIT_MACRO_ONLY). The maximizers are the rows within
+    tol = 2*K*ulp(best_val) of the maximum: rows that tie in exact
+    arithmetic, such as the swaps of two identical UEs, add the same 2K
+    nonnegative terms in different orders, and tol bounds the difference of
+    such sums. best_val and best_digits are exact: the maximum, and the
+    least digit row among the rows equal to it, compared from UE K-1 down as
+    the enumeration counts (UE 0 the least significant base-3 digit), which
+    does not depend on the order rows are summed in. The flags cover every
+    UE, so the result depends on the arguments alone.
 
     A load class fixes the MBS load n_m and every SBS load n_i, hence every
     term's share bw / load. The MBS then adds at most f_m[n_m] = bw_m / n_m
@@ -186,7 +176,11 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
     bw / load * log, as objective_chunk does. The term of a tier that does
     not serve the UE is +0.0 in both: objective_chunk multiplies the term by
     its False flag, the scan computes bw / load * (log * 0.0), and a finite
-    share times 0.0 is +0.0. At most _CHUNK_ROWS rows are summed at once.
+    share times 0.0 is +0.0. A piece is as many SBS patterns as fit in
+    _CHUNK_ROWS rows (at least one) times the whole MBS pick table, which
+    under DEFAULT_BRUTE_CAP has at most C(14, 7) = 3432 < _CHUNK_ROWS
+    columns; a larger one, which only a smaller _CHUNK_ROWS makes, is summed
+    whole.
 
     A piece holds its terms as a (2K, rows) array, one column per row, and
     adds the 2K term arrays by an in-place loop, vals += term, which sums
@@ -226,7 +220,7 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
         yield from (c for c in rest[np.argsort(-bounds[rest], kind="stable")].tolist()
                     if c != first)
 
-    best_val, best_idx = -1.0, -1
+    best_val, best_digits = -1.0, None
     # per UE, the best value read so far of a row where the MBS (its SBS) serves it
     macro_vals = np.full(k_ues, -1.0)
     small_vals = np.full(k_ues, -1.0)
@@ -255,47 +249,46 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
         # small-served UE, and the last row stands for the UEs no SBS serves
         pick = np.concatenate((both, np.ones((1, both.shape[1]), dtype=bool)))
         share_m = bw_m / max(n_m, 1)
-        n_q = min(pick.shape[1], _CHUNK_ROWS)
-        n_p = max(1, _CHUNK_ROWS // n_q)
+        n_cols = pick.shape[1]
+        n_p = max(1, _CHUNK_ROWS // n_cols)
         for p0 in range(0, served.shape[1], n_p):
-            for q0 in range(0, pick.shape[1], n_q):
-                # macro[k, p, q]: does the MBS serve UE k in the piece's row
-                # (p, q), flat row p * n_cols + q
-                macro = pick[:, q0:q0 + n_q][ranks[:, p0:p0 + n_p]]
-                n_cols = macro.shape[2]
-                terms = np.empty((k_ues, 2) + macro.shape[1:])
-                np.multiply(macro, macro_logs, out=terms[:, 0])
-                terms[:, 0] *= share_m
-                terms[:, 1] = small_terms[:, p0:p0 + n_p, None]
-                terms = terms.reshape(2 * k_ues, -1)
-                vals = terms[0].copy()
-                for term in terms[1:]:
-                    vals += term
-                macro = macro.reshape(k_ues, -1)
-                top = float(vals.max())
-                if top >= best_val:
-                    ties = np.flatnonzero(vals == top)
-                    digits = np.where(served[:, p0 + ties // n_cols],
-                                      np.where(macro[:, ties], 0, 2), 1)
-                    # the least index has the least digits read from UE K-1 down
-                    least = digits[:, np.lexsort(digits)[0]].tolist()
-                    idx = sum(d * 3 ** k for k, d in enumerate(least))
-                    best_idx = idx if top > best_val else min(best_idx, idx)
-                    best_val = top
-                # a maximizer ends within tol of the final maximum, whose tol
-                # is at most twice the running maximum's; rows below 2*tol of
-                # it can go, and a UE's value only rises through a row above it
-                floor = best_val - 4 * k_ues * math.ulp(best_val)
-                low = min(macro_vals.min(), small_vals.min())
-                if top >= floor and top > low:
-                    near = np.flatnonzero(vals >= floor if low < floor else vals > low)
-                    near_vals = vals[near]
-                    np.maximum(macro_vals, np.where(macro[:, near], near_vals, -1.0).max(axis=1),
-                               out=macro_vals)
-                    np.maximum(small_vals, np.where(served[:, p0 + near // n_cols], near_vals,
-                                                    -1.0).max(axis=1), out=small_vals)
+            # macro[k, p, q]: does the MBS serve UE k in the piece's row
+            # (p, q), flat row p * n_cols + q
+            macro = pick[ranks[:, p0:p0 + n_p]]
+            terms = np.empty((k_ues, 2) + macro.shape[1:])
+            np.multiply(macro, macro_logs, out=terms[:, 0])
+            terms[:, 0] *= share_m
+            terms[:, 1] = small_terms[:, p0:p0 + n_p, None]
+            terms = terms.reshape(2 * k_ues, -1)
+            vals = terms[0].copy()
+            for term in terms[1:]:
+                vals += term
+            macro = macro.reshape(k_ues, -1)
+            top = float(vals.max())
+            if top >= best_val:
+                ties = np.flatnonzero(vals == top)
+                digits = np.where(served[:, p0 + ties // n_cols],
+                                  np.where(macro[:, ties], DIGIT_BOTH, DIGIT_SMALL_ONLY),
+                                  DIGIT_MACRO_ONLY)
+                # enumeration order compares digit rows from UE K-1 down
+                least = tuple(digits[:, np.lexsort(digits)[0]].tolist())
+                if top > best_val or least[::-1] < best_digits[::-1]:
+                    best_digits = least
+                best_val = top
+            # a maximizer ends within tol of the final maximum, whose tol
+            # is at most twice the running maximum's; rows below 2*tol of
+            # it can go, and a UE's value only rises through a row above it
+            floor = best_val - 4 * k_ues * math.ulp(best_val)
+            low = min(macro_vals.min(), small_vals.min())
+            if top >= floor and top > low:
+                near = np.flatnonzero(vals >= floor if low < floor else vals > low)
+                near_vals = vals[near]
+                np.maximum(macro_vals, np.where(macro[:, near], near_vals, -1.0).max(axis=1),
+                           out=macro_vals)
+                np.maximum(small_vals, np.where(served[:, p0 + near // n_cols], near_vals,
+                                                -1.0).max(axis=1), out=small_vals)
     floor = best_val - 2 * k_ues * math.ulp(best_val)
-    return (best_val, best_idx, tuple((macro_vals >= floor).tolist()),
+    return (best_val, best_digits, tuple((macro_vals >= floor).tolist()),
             tuple((small_vals >= floor).tolist()))
 
 
@@ -335,8 +328,9 @@ def _table_scan(table):
 def brute_force_scan(table):
     """Best sum-rate over all 3^K profile combinations.
 
-    Returns (best_value, best_index) where best_index is the lowest
-    enumeration index attaining the maximum. Refuses K above
+    Returns (best_value, best_digits), where best_digits is the profile
+    digit row, a tuple of ints, of the first maximizer in enumeration order
+    (UE 0 the least significant base-3 digit). Refuses K above
     DEFAULT_BRUTE_CAP with BruteForceCapError.
     """
     return _table_scan(table)[:2]

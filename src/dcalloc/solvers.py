@@ -21,7 +21,7 @@ import numpy as np
 
 from .allocation import DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY, Allocation, RateCalcCounter, evaluate
 from .kernels import (DEFAULT_BRUTE_CAP, BruteForceCapError, _scan_args, _table_scan,
-                      brute_force_scan, decode_combo, objective_chunk, subset_degradations)
+                      brute_force_scan, objective_chunk, subset_degradations)
 from .topology import ChannelTable
 
 __all__ = [
@@ -65,21 +65,21 @@ def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = Non
 
     Charges K rate calculations per combination (K * 3^K total). Ties keep
     the first maximizer in enumeration order: profiles ordered (1,1), (1,0),
-    (0,1) with UE 0 as the least significant digit. The scan refuses K above
-    DEFAULT_BRUTE_CAP with BruteForceCapError.
+    (0,1) with UE 0 as the least significant digit. wall_notes holds the
+    combination count 3^K. The scan refuses K above DEFAULT_BRUTE_CAP with
+    BruteForceCapError.
     """
     k_ues = table.num_ue
     cnt = counter if counter is not None else RateCalcCounter()
-    best_val, best_idx = brute_force_scan(table)
+    best_val, digits = brute_force_scan(table)
     cnt.tick(k_ues * 3 ** k_ues)
-    alloc = Allocation(decode_combo(best_idx, k_ues))
+    alloc = Allocation(digits)
     sum_rate = evaluate(alloc, table)
     # the replay must agree with the scan kernel bit for bit
     if sum_rate != best_val:
         raise RuntimeError(f"exhaustive scan maximum {best_val!r} and the evaluate() "
-                           f"replay {float(sum_rate)!r} of index {best_idx} disagree")
-    return SolverResult(alloc, sum_rate, cnt.count,
-                        wall_notes={"best_index": best_idx, "combinations": 3 ** k_ues})
+                           f"replay {float(sum_rate)!r} of digits {list(digits)} disagree")
+    return SolverResult(alloc, sum_rate, cnt.count, wall_notes={"combinations": 3 ** k_ues})
 
 
 def _one_shot(alloc: Allocation, table: ChannelTable, counter) -> SolverResult:

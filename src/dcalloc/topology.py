@@ -147,10 +147,10 @@ def _small_ints(values, dtype, stop: int, message: str) -> np.ndarray:
 
 def channel_gain(distance_m, alpha: float):
     """Log-distance gain max(d, 1 m) ** -alpha. Accepts scalars or arrays."""
-    if alpha <= 0.0:
+    if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     d = np.asarray(distance_m, dtype=np.float64)
-    if (d < 0.0).any():
+    if not (d >= 0.0).all():
         raise ValueError("distances must be non-negative")
     out = np.maximum(d, MIN_GAIN_DISTANCE_M) ** (-alpha)
     if out.ndim == 0:

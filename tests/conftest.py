@@ -75,23 +75,25 @@ def python_row_sum(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> float:
 
 def python_brute(table: ChannelTable):
     """Exhaustive optimum with the canonical enumeration: UE 0 is the least
-    significant base-3 digit, first maximizer kept."""
+    significant base-3 digit, first maximizer kept. Returns (best_val,
+    best_digits), the digits a tuple of ints."""
     k_ues = table.num_ue
-    best_val, best_idx, best_digits = -1.0, -1, None
+    best_val, best_digits = -1.0, None
     for idx in range(3 ** k_ues):
-        digits = [(idx // 3 ** k) % 3 for k in range(k_ues)]
+        digits = tuple((idx // 3 ** k) % 3 for k in range(k_ues))
         val = python_objective(digits, table)
         if val > best_val:
-            best_val, best_idx, best_digits = val, idx, digits
-    return best_val, best_idx, best_digits
+            best_val, best_digits = val, digits
+    return best_val, best_digits
 
 
 def chunked_scan(table: ChannelTable):
     """Exhaustive scan by scoring every digit row with objective_chunk.
 
-    Returns (best_val, best_idx, macro_served, small_served): the maximum,
-    its first index in enumeration order, and per UE whether some maximizer
-    row serves it at the MBS (digit != 2) and at its SBS (digit != 1).
+    Returns (best_val, best_digits, macro_served, small_served): the
+    maximum, the digit row (a tuple of ints) of its first maximizer in
+    enumeration order, and per UE whether some maximizer row serves it at
+    the MBS (digit != 2) and at its SBS (digit != 1).
     Maximizer rows are those within 2*K ulps of the maximum, the bound on
     the rounding difference of two sums of the same 2K nonnegative terms in
     different orders."""
@@ -104,7 +106,7 @@ def chunked_scan(table: ChannelTable):
     j = int(np.argmax(vals))
     best = float(vals[j])
     rows = digits[vals >= best - 2 * k_ues * math.ulp(best)]
-    return (best, j, tuple(np.any(rows != 2, axis=0).tolist()),
+    return (best, tuple(digits[j].tolist()), tuple(np.any(rows != 2, axis=0).tolist()),
             tuple(np.any(rows != 1, axis=0).tolist()))
 
 

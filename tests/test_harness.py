@@ -109,6 +109,14 @@ def test_ratio_and_capacity_config_shapes():
     cc.validate()  # no cap complaint despite K=20
 
 
+def test_ratio_config_names_its_algorithms(monkeypatch):
+    """The ratio sweep lists its five algorithms by name, so a solver added
+    to the table does not grow the golden ratio CSV."""
+    monkeypatch.setattr(harness, "ALGORITHM_ORDER", ALGORITHM_ORDER + ("exact",))
+    assert ratio_config("a.csv").algorithms == (
+        "optimal", "proposed", "3c_only", "1a_only", "stronger")
+
+
 # --- experiment runs -------------------------------------------------------
 
 def test_run_experiment_small_end_to_end():

@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dcalloc
 import dcalloc.kernels as kernels
 from dcalloc import (DEFAULT_BRUTE_CAP, Allocation, BruteForceCapError, ChannelTable,
-                     brute_force_scan, check_proposition1, decode_combo, evaluate, solve_1a_only, solve_3c_only, solve_brute_force,
-                     solve_proposed, solve_stronger, subset_degradations)
+                     brute_force_scan, check_proposition1, evaluate, solve_1a_only, solve_3c_only,
+                     solve_brute_force, solve_proposed, solve_stronger, subset_degradations)
 
 from conftest import (adversarial_table, chunked_scan, python_brute, python_objective,
                       python_row_sum, python_subset_table, seeded_table, twin_table)
@@ -33,21 +34,6 @@ def test_import_ignores_backend_variable():
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_decode_combo_known_values():
-    assert decode_combo(0, 3).tolist() == [0, 0, 0]
-    assert decode_combo(1, 3).tolist() == [1, 0, 0]   # UE 0 least significant
-    assert decode_combo(5, 2).tolist() == [2, 1]
-    assert decode_combo(3 ** 3 - 1, 3).tolist() == [2, 2, 2]
-    with pytest.raises(ValueError):
-        decode_combo(9, 2)
-    with pytest.raises(ValueError):
-        decode_combo(-1, 2)
-    for index in (1.5, 4.9, 4.0, True, np.float64(3.0)):
-        with pytest.raises(ValueError, match="combination index"):
-            decode_combo(index, 2)
-    assert decode_combo(np.int64(5), 2).tolist() == [2, 1]
 
 
 def test_objective_chunk_matches_python_oracle():
@@ -89,19 +75,39 @@ def test_objective_chunk_scores_solver_allocations_as_evaluate():
 def test_brute_scan_matches_python_oracle():
     for seed in (1, 2, 3, 4):
         table = seeded_table(5, num_sbs=4, seed=seed)
-        ref_val, ref_idx, _ = python_brute(table)
-        val, idx = brute_force_scan(table)
+        ref_val, _ = python_brute(table)
+        val, digits = brute_force_scan(table)
         assert val == pytest.approx(ref_val, rel=1e-12)
         # the winner's own objective must match the oracle's maximum
-        assert python_objective(decode_combo(idx, 5), table) == pytest.approx(ref_val, rel=1e-12)
+        assert python_objective(digits, table) == pytest.approx(ref_val, rel=1e-12)
 
 
 def test_brute_scan_first_maximizer_on_ties():
     """Two UEs at identical geometry make symmetric combinations tie; the
-    scan must keep the lowest enumeration index."""
+    scan must keep the first maximizer's digit row in enumeration order."""
     twin = twin_table(seeded_table(4, num_sbs=4, seed=12), [(0, 1)])
-    _, ref_idx, _ = python_brute(twin)
-    assert brute_force_scan(twin)[1] == ref_idx
+    _, ref_digits = python_brute(twin)
+    assert brute_force_scan(twin)[1] == ref_digits
+
+
+def test_scan_returns_the_first_maximizers_digit_row():
+    """The scan names its maximizer by its digit row alone: a tuple of ints
+    equal to the reference's first maximizer, whose evaluate() replay has
+    the maximum's bits, on twin tables and all-equal tables, K=1..10. No
+    enumeration index is decoded or reported."""
+    assert not hasattr(dcalloc, "decode_combo") and not hasattr(kernels, "decode_combo")
+    for k_ues in range(1, 11):
+        tables = [_all_equal_table(k_ues, 2, seed=80 + k_ues)]
+        if k_ues >= 2:
+            base = seeded_table(k_ues, num_sbs=2, seed=90 + k_ues)
+            tables += [twin_table(base, [(0, 1)]), twin_table(base, [(0, k_ues - 1)])]
+        for table in tables:
+            ref_val, ref_digits, *_ = chunked_scan(table)
+            val, digits = brute_force_scan(table)
+            assert type(digits) is tuple and all(type(d) is int for d in digits)
+            assert (val.hex(), digits) == (ref_val.hex(), ref_digits), k_ues
+            assert evaluate(Allocation(digits), table).hex() == val.hex()
+            assert solve_brute_force(table).wall_notes == {"combinations": 3 ** k_ues}
 
 
 def _reference_tables():
@@ -133,12 +139,12 @@ def test_block_scan_matches_chunked_reference(monkeypatch):
     for the tier its digit excludes is False."""
     false_flags = 0
     for table in _reference_tables():
-        ref_val, ref_idx, *ref_flags = chunked_scan(table)
+        ref_val, ref_digits, *ref_flags = chunked_scan(table)
         for chunk_rows in CHUNK_SIZES:
             monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
-            val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
-            assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
-            assert brute_force_scan(table) == (ref_val, ref_idx)
+            val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+            assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
+            assert brute_force_scan(table) == (ref_val, ref_digits)
         monkeypatch.undo()
         false_flags += sum(flag.count(False) for flag in ref_flags)
     assert false_flags > 0
@@ -146,7 +152,7 @@ def test_block_scan_matches_chunked_reference(monkeypatch):
 
 def test_block_scan_keys_classes_on_sbs_loads(monkeypatch):
     """Two UEs on one SBS. The optimum serves UE 0 small-only and UE 1
-    macro-only, index 2 + 3 * 1, in the class of MBS load 1 and SBS load 1;
+    macro-only, digits (2, 1), in the class of MBS load 1 and SBS load 1;
     the rows where UE 1 takes digit 0 instead have the same MBS load but SBS
     load 2. Scoring a class's rows with another's shares would price UE 0's
     small term at the wrong load and miss the optimum, at any chunk size."""
@@ -156,7 +162,7 @@ def test_block_scan_keys_classes_on_sbs_loads(monkeypatch):
     table = ChannelTable(snr_macro=snr, assoc_sbs=np.array([0, 0]), sinr_small=sinr,
                          params=params)
     ref = chunked_scan(table)
-    assert ref[1] == 5
+    assert ref[1] == (2, 1)
     for chunk_rows in CHUNK_SIZES + (2,):
         monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
         assert kernels._block_scan(*kernels._scan_args(table)) == ref
@@ -168,9 +174,9 @@ def test_numpy_blocking_is_invisible(monkeypatch, scan_calls):
     size too."""
     for seed in (9, 10):
         table = seeded_table(6, num_sbs=4, seed=seed)
-        ref_val, ref_idx, *_ = chunked_scan(table)
+        ref_val, ref_digits, *_ = chunked_scan(table)
         whole = brute_force_scan(table)
-        assert (whole[0].hex(), whole[1]) == (ref_val.hex(), ref_idx)
+        assert (whole[0].hex(), whole[1]) == (ref_val.hex(), ref_digits)
         with monkeypatch.context() as m:
             for chunk_rows in (1, 2, 5, 7, kernels._CHUNK_ROWS):
                 m.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
@@ -222,9 +228,9 @@ def test_block_scan_on_all_equal_logs():
     for k_ues in range(1, 11):
         for num_sbs in (1, 2, 4):
             table = _all_equal_table(k_ues, num_sbs, seed=40 + k_ues)
-            ref_val, ref_idx, *ref_flags = chunked_scan(table)
-            val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
-            assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags), \
+            ref_val, ref_digits, *ref_flags = chunked_scan(table)
+            val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+            assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags), \
                 (k_ues, num_sbs)
 
 
@@ -234,22 +240,22 @@ def test_block_scan_on_single_sbs_tables(monkeypatch):
     for k_ues in range(1, 11):
         for seed in (60, 61):
             table = seeded_table(k_ues, num_sbs=1, seed=100 * k_ues + seed)
-            ref_val, ref_idx, *ref_flags = chunked_scan(table)
+            ref_val, ref_digits, *ref_flags = chunked_scan(table)
             for chunk_rows in CHUNK_SIZES:
                 monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
-                val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
-                assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
+                val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+                assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
 
 
 def test_block_scan_finds_optimum_outside_best_bounded_class():
     """On this seeded table the class with the highest bound does not hold
     the optimum, so the scan must go on past it."""
     table = seeded_table(10, num_sbs=16, seed=902)
-    ref_val, ref_idx, *ref_flags = chunked_scan(table)
-    optimum = _class_of(decode_combo(ref_idx, 10).tolist(), table.assoc_sbs.tolist(), 16)
+    ref_val, ref_digits, *ref_flags = chunked_scan(table)
+    optimum = _class_of(ref_digits, table.assoc_sbs.tolist(), 16)
     assert optimum != _best_bounded_class(table)
-    val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
-    assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
+    val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+    assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
 
 
 def test_block_scan_sums_every_class_when_terms_are_subnormal():
@@ -261,9 +267,9 @@ def test_block_scan_sums_every_class_when_terms_are_subnormal():
     table = ChannelTable(snr_macro=base.snr_macro, assoc_sbs=base.assoc_sbs,
                          sinr_small=base.sinr_small, params=params)
     assert table.log_macro.min() * 1e-300 / 7 < 2.0 ** -1000
-    ref_val, ref_idx, *ref_flags = chunked_scan(table)
-    val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
-    assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
+    ref_val, ref_digits, *ref_flags = chunked_scan(table)
+    val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+    assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
 
 
 _WORST_CASE_SCRIPT = """
@@ -276,10 +282,10 @@ from conftest import chunked_scan, seeded_table
 base = seeded_table(12, num_sbs=1, seed=0)
 table = ChannelTable(snr_macro=np.full(12, 3.0), assoc_sbs=base.assoc_sbs,
                      sinr_small=np.full(12, 3.0), params=base.params)
-val, idx, *flags = kernels._block_scan(*kernels._scan_args(table))
-ref_val, ref_idx, *ref_flags = chunked_scan(table)
-assert (val.hex(), idx, flags) == (ref_val.hex(), ref_idx, ref_flags)
-print(val.hex(), idx)
+val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+ref_val, ref_digits, *ref_flags = chunked_scan(table)
+assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
+print(val.hex(), "".join(map(str, digits)))
 """
 
 
@@ -344,10 +350,10 @@ def test_scan_memo_rescans_on_changed_input(monkeypatch, scan_calls, change):
         monkeypatch.setattr(kernels, "_CHUNK_ROWS", 3)
     else:
         changed.params = replace(table.params, **{change: getattr(table.params, change) * 2})
-    val, idx = brute_force_scan(changed)
+    val, digits = brute_force_scan(changed)
     assert len(scan_calls) == 2
-    ref_val, ref_idx, *_ = chunked_scan(changed)
-    assert (val.hex(), idx) == (ref_val.hex(), ref_idx)
+    ref_val, ref_digits, *_ = chunked_scan(changed)
+    assert (val.hex(), digits) == (ref_val.hex(), ref_digits)
 
 
 def test_scan_result_and_layout_are_read_only(scan_calls):

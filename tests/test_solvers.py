@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,10 +125,10 @@ def test_brute_force_counter_identity(k_ues):
 def test_brute_force_matches_python_oracle():
     for seed in (3, 14, 15):
         table = seeded_table(num_ue=5, seed=seed)
-        ref_val, _, ref_digits = python_brute(table)
+        ref_val, ref_digits = python_brute(table)
         res = solve_brute_force(table)
         assert res.sum_rate == pytest.approx(ref_val, rel=1e-12)
-        assert res.alloc.digits.tolist() == ref_digits
+        assert tuple(res.alloc.digits.tolist()) == ref_digits
 
 
 def test_brute_force_cap():
@@ -445,16 +446,16 @@ def test_check_proposition1_blocking_is_invisible(monkeypatch, scan_calls):
     tables = [seeded_table(num_ue=5, num_sbs=4, seed=300 + seed) for seed in range(5)]
     tables.append(twin_table(seeded_table(num_ue=3, num_sbs=2, seed=5321), [(0, 2)]))
     for table in tables:
-        ref_val, ref_idx, *_ = chunked_scan(table)
+        ref_val, ref_digits, *_ = chunked_scan(table)
         opt = solve_brute_force(table)
-        assert (opt.sum_rate.hex(), opt.wall_notes["best_index"]) == (ref_val.hex(), ref_idx)
+        assert (opt.sum_rate.hex(), tuple(opt.alloc.digits.tolist())) == \
+            (ref_val.hex(), ref_digits)
         with monkeypatch.context() as m:
             for chunk_rows in (1, 2, 7, kernels._CHUNK_ROWS):
                 m.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
                 before = len(scan_calls)
                 chunked = solve_brute_force(table)
-                assert (repr(chunked.sum_rate), chunked.wall_notes["best_index"]) == \
-                    (repr(opt.sum_rate), opt.wall_notes["best_index"])
+                assert (repr(chunked.sum_rate), chunked.alloc) == (repr(opt.sum_rate), opt.alloc)
                 assert check_proposition1(table, opt.alloc) == (True, None)
                 with pytest.raises(ValueError):
                     check_proposition1(table, solve_1a_only(table).alloc)
@@ -471,10 +472,10 @@ def test_check_proposition1_witness_names_first_failing_station(monkeypatch):
 
     def first_head_only(tbl):
         """Only the first station's head is served by some maximizer."""
-        best, idx, _, _ = scan(tbl)
+        best, digits, _, _ = scan(tbl)
         first = tuple(ue == heads[stations[0]] for ue in range(tbl.num_ue))
         none = (False,) * tbl.num_ue
-        return (best, idx) + ((first, none) if stations[0] == tbl.num_sbs else (none, first))
+        return (best, digits) + ((first, none) if stations[0] == tbl.num_sbs else (none, first))
 
     monkeypatch.setattr(solvers, "_table_scan", first_head_only)
     ok, witness = check_proposition1(table, opt.alloc)
@@ -487,7 +488,7 @@ def test_check_proposition1_passes_on_twin_tables():
     """Exact twins make several optima tie in exact arithmetic while their
     sums differ in the last bits; every one of them must count as a
     maximizer, and the exhaustive optimum must keep the reference scan's
-    value bits and first index."""
+    value bits and first maximizer's digits."""
     for k_ues in range(2, 10):
         for num_sbs in (1, 2, 4, 16):
             for s in range(3):
@@ -496,10 +497,10 @@ def test_check_proposition1_passes_on_twin_tables():
                 for pairs in ([(0, 1)], [(0, k_ues - 1)],
                               [(j, j + 1) for j in range(0, k_ues - 1, 2)]):
                     table = twin_table(base, pairs)
-                    ref_val, ref_idx, *_ = chunked_scan(table)
+                    ref_val, ref_digits, *_ = chunked_scan(table)
                     opt = solve_brute_force(table)
-                    assert (opt.sum_rate.hex(), opt.wall_notes["best_index"]) == \
-                        (ref_val.hex(), ref_idx)
+                    assert (opt.sum_rate.hex(), tuple(opt.alloc.digits.tolist())) == \
+                        (ref_val.hex(), ref_digits)
                     assert check_proposition1(table, opt.alloc) == (True, None), \
                         (k_ues, num_sbs, s, pairs)
 
@@ -564,8 +565,8 @@ def test_solve_brute_force_raises_when_replay_disagrees(monkeypatch):
     """The scan == evaluate() replay gate is an explicit error, so python -O
     keeps it: a scan maximum one ulp off the replay raises RuntimeError."""
     table = seeded_table(num_ue=5, num_sbs=4, seed=72)
-    val, idx = solvers.brute_force_scan(table)
+    val, digits = solvers.brute_force_scan(table)
     monkeypatch.setattr(solvers, "brute_force_scan",
-                        lambda tbl: (float(np.nextafter(val, np.inf)), idx))
-    with pytest.raises(RuntimeError, match="disagree"):
+                        lambda tbl: (float(np.nextafter(val, np.inf)), digits))
+    with pytest.raises(RuntimeError, match=re.escape(f"digits {list(digits)} disagree")):
         solve_brute_force(table)

@@ -83,6 +83,13 @@ def test_channel_gain_rejects_bad_inputs():
         channel_gain(1.0, 0.0)
     with pytest.raises(ValueError):
         channel_gain(-0.5, 3.0)
+    # NaN fails every comparison, so it must not slip past the checks
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        channel_gain(10.0, float("nan"))
+    with pytest.raises(ValueError, match="distances must be non-negative"):
+        channel_gain(np.array([1.0, np.nan]), 4.5)
+    # an infinite distance is still valid and has no gain
+    assert channel_gain(np.inf, 4.0) == 0.0
 
 
 def test_generate_topology_matches_draw_law():
