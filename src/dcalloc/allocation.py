@@ -7,8 +7,9 @@ evenly across the UEs they serve, so a station serving n UEs gives each of
 them bw/n at that UE's spectral efficiency.
 
 RateCalcCounter is the complexity currency: one tick per application of the
-per-UE rate formula. Solvers charge their own accounting to it; comparing
-counter values across solvers is the point of the exercise.
+per-UE rate formula. Each solver charges its own accounting to a counter of
+its own and reports the reading as op_count; comparing those counts across
+solvers is the point of the exercise.
 """
 
 from __future__ import annotations
@@ -82,28 +83,6 @@ class Allocation:
     def __reduce__(self):
         # pickle and deepcopy rebuild through the check, and the copy stays read-only
         return (type(self), (self.digits,))
-
-    @classmethod
-    def from_flags(cls, d_macro, d_small) -> "Allocation":
-        """The allocation serving UE k at the macro tier where d_macro[k] is 1
-        and at its SBS where d_small[k] is 1; refuses a UE served by neither."""
-        d_macro = _small_ints(d_macro, np.uint8, 2, "serving flags must be 0 or 1")
-        d_small = _small_ints(d_small, np.uint8, 2, "serving flags must be 0 or 1")
-        if d_macro.shape != d_small.shape or d_macro.ndim != 1:
-            raise ValueError("d_macro and d_small must be 1-d arrays of equal length")
-        uncovered = np.flatnonzero((d_macro | d_small) == 0)
-        if uncovered.size:
-            raise ValueError(f"UEs without any serving tier: {uncovered.tolist()}")
-        # DIGIT_BOTH is 0, and each tier a UE lacks adds the code of the profile lacking it
-        return cls(DIGIT_MACRO_ONLY * (1 - d_small) + DIGIT_SMALL_ONLY * (1 - d_macro))
-
-    @classmethod
-    def all_both(cls, num_ue: int) -> "Allocation":
-        return cls(np.full(num_ue, DIGIT_BOTH, np.uint8))
-
-    @classmethod
-    def all_small_only(cls, num_ue: int) -> "Allocation":
-        return cls(np.full(num_ue, DIGIT_SMALL_ONLY, np.uint8))
 
     @property
     def num_ue(self) -> int:

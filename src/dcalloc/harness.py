@@ -218,21 +218,33 @@ def emit_csv(records, summary, path: str) -> None:
 
 
 def load_records(path: str):
-    """Parse a trial CSV back into TrialRecords; floats round-trip exactly."""
+    """Parse a trial CSV back into TrialRecords; floats round-trip exactly.
+    A file without emit_csv's columns, an empty one included, a row of the
+    wrong length or a cell that does not convert raises ValueError naming
+    the file, and the line for a bad row."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, [])
         algorithms = tuple(c[:-len("_sumrate")] for c in header if c.endswith("_sumrate"))
+        missing = [c for c in ("k_ues", "trial", "seed", *(f"{a}_opcount" for a in algorithms),
+                               "ratio_proposed_optimal") if c not in header]
+        if missing:
+            raise ValueError(f"{path}: not a trial CSV, missing columns {missing}")
         records = []
         for row in reader:
-            cells = dict(zip(header, row))
-            rec = TrialRecord(k_ues=int(cells["k_ues"]), trial=int(cells["trial"]),
-                              seed=int(cells["seed"]))
-            for algo in algorithms:
-                rec.sum_rates[algo] = float(cells[f"{algo}_sumrate"])
-                rec.op_counts[algo] = int(cells[f"{algo}_opcount"])
-            ratio = cells["ratio_proposed_optimal"]
-            rec.ratio = float(ratio) if ratio else None
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+                cells = dict(zip(header, row))
+                rec = TrialRecord(k_ues=int(cells["k_ues"]), trial=int(cells["trial"]),
+                                  seed=int(cells["seed"]))
+                for algo in algorithms:
+                    rec.sum_rates[algo] = float(cells[f"{algo}_sumrate"])
+                    rec.op_counts[algo] = int(cells[f"{algo}_opcount"])
+                ratio = cells["ratio_proposed_optimal"]
+                rec.ratio = float(ratio) if ratio else None
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             records.append(rec)
     return records, algorithms
 

@@ -8,8 +8,8 @@ Five strategies over one ChannelTable:
   degrades its station's rate total the least
 * solve_3c_only / solve_1a_only / solve_stronger: one-shot baselines
 
-All solvers charge per-UE rate evaluations to a RateCalcCounter and return a
-SolverResult holding the final counter reading.
+Every solver takes the table alone and returns a SolverResult whose op_count
+is the per-UE rate evaluations that solve charged.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocation import DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY, Allocation, RateCalcCounter, evaluate
+from .allocation import (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY, Allocation,
+                         RateCalcCounter, evaluate)
 from .kernels import (DEFAULT_BRUTE_CAP, BruteForceCapError, _scan_args, _table_scan,
                       brute_force_scan, objective_chunk, subset_degradations)
 from .topology import ChannelTable
@@ -39,8 +40,8 @@ __all__ = [
 
 @dataclass
 class SolverResult:
-    """sum_rate is evaluate()'s np.float64 for alloc, op_count the counter
-    reading after the solve, wall_notes the solver's own tallies."""
+    """sum_rate is evaluate()'s np.float64 for alloc, op_count the rate
+    evaluations this solve charged, wall_notes the solver's own tallies."""
 
     alloc: Allocation
     sum_rate: np.float64
@@ -60,7 +61,7 @@ def build_sorted_matrix(table: ChannelTable) -> list:
     return cols
 
 
-def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
+def solve_brute_force(table: ChannelTable) -> SolverResult:
     """Exact optimum over every profile combination.
 
     Charges K rate calculations per combination (K * 3^K total). Ties keep
@@ -70,42 +71,40 @@ def solve_brute_force(table: ChannelTable, counter: RateCalcCounter | None = Non
     BruteForceCapError.
     """
     k_ues = table.num_ue
-    cnt = counter if counter is not None else RateCalcCounter()
     best_val, digits = brute_force_scan(table)
-    cnt.tick(k_ues * 3 ** k_ues)
     alloc = Allocation(digits)
     sum_rate = evaluate(alloc, table)
     # the replay must agree with the scan kernel bit for bit
     if sum_rate != best_val:
         raise RuntimeError(f"exhaustive scan maximum {best_val!r} and the evaluate() "
                            f"replay {float(sum_rate)!r} of digits {list(digits)} disagree")
-    return SolverResult(alloc, sum_rate, cnt.count, wall_notes={"combinations": 3 ** k_ues})
+    return SolverResult(alloc, sum_rate, k_ues * 3 ** k_ues, {"combinations": 3 ** k_ues})
 
 
-def _one_shot(alloc: Allocation, table: ChannelTable, counter) -> SolverResult:
-    cnt = counter if counter is not None else RateCalcCounter()
+def _one_shot(alloc: Allocation, table: ChannelTable) -> SolverResult:
+    cnt = RateCalcCounter()
     return SolverResult(alloc, evaluate(alloc, table, cnt), cnt.count)
 
 
-def solve_3c_only(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
+def solve_3c_only(table: ChannelTable) -> SolverResult:
     """Every UE served by both tiers at once."""
-    return _one_shot(Allocation.all_both(table.num_ue), table, counter)
+    return _one_shot(Allocation(np.full(table.num_ue, DIGIT_BOTH, np.uint8)), table)
 
 
-def solve_1a_only(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
+def solve_1a_only(table: ChannelTable) -> SolverResult:
     """Every UE served by its associated SBS only."""
-    return _one_shot(Allocation.all_small_only(table.num_ue), table, counter)
+    return _one_shot(Allocation(np.full(table.num_ue, DIGIT_SMALL_ONLY, np.uint8)), table)
 
 
-def solve_stronger(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
+def solve_stronger(table: ChannelTable) -> SolverResult:
     """Each UE served solely by the tier with the higher received power;
     equal powers go to the MBS."""
     digits = np.where(table.rx_macro_w >= table.rx_small_w,
                       np.uint8(DIGIT_MACRO_ONLY), np.uint8(DIGIT_SMALL_ONLY))
-    return _one_shot(Allocation(digits), table, counter)
+    return _one_shot(Allocation(digits), table)
 
 
-def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) -> SolverResult:
+def solve_proposed(table: ChannelTable) -> SolverResult:
     """Greedy allocation over the sorted matrix.
 
     Initialization commits each station's column head to that station. Each
@@ -149,13 +148,11 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
     Counter accounting still charges the paper's enumeration of every
     subset: per examined window of w rows at a station already serving cs
     UEs, priced afresh or not, each subset costs one rate evaluation per UE
-    the station would then serve, summing to cs*2^w + w*2^(w-1) ticks,
-    charged to the counter in one tick before the final evaluate().
+    the station would then serve, summing to cs*2^w + w*2^(w-1) ticks.
     wall_notes likewise reports 2^w subset evaluations per examined window,
     plus pass and commit tallies. The final counted evaluate() adds one
     tick per served (UE, tier) pair.
     """
-    cnt = counter if counter is not None else RateCalcCounter()
     columns = build_sorted_matrix(table)
     mbs = table.num_sbs
     bws = [table.params.bw_small_hz] * mbs + [table.params.bw_macro_hz]
@@ -212,17 +209,18 @@ def solve_proposed(table: ChannelTable, counter: RateCalcCounter | None = None) 
             served[ue] = 1
         depth[bs] += rows
 
-    d_macro = np.zeros(table.num_ue, dtype=np.uint8)
-    d_small = np.zeros(table.num_ue, dtype=np.uint8)
+    # each UE starts at 3 (no tier) and each serving tier subtracts the code of
+    # the profile lacking it; a UE no tier serves stays 3, which Allocation refuses
+    digits = np.full(table.num_ue, DIGIT_MACRO_ONLY + DIGIT_SMALL_ONLY, np.uint8)
     for bs, col in enumerate(columns):
-        (d_macro if bs == mbs else d_small)[col[:depth[bs]]] = 1
-    alloc = Allocation.from_flags(d_macro, d_small)
-    cnt.tick(ticks)
+        digits[col[:depth[bs]]] -= DIGIT_SMALL_ONLY if bs == mbs else DIGIT_MACRO_ONLY
+    alloc = Allocation(digits)
+    cnt = RateCalcCounter()
     sum_rate = evaluate(alloc, table, cnt)
     # each pass commits exactly once
     notes = {"passes": passes, "commits": passes, "initial_commits": initial_commits,
              "subset_evaluations": subset_evals}
-    return SolverResult(alloc, sum_rate, cnt.count, notes)
+    return SolverResult(alloc, sum_rate, ticks + cnt.count, notes)
 
 
 def check_proposition1(table: ChannelTable, optimum: Allocation):

@@ -12,9 +12,9 @@ import statistics
 import numpy as np
 import pytest
 
-from dcalloc import (RateCalcCounter, analytic_brute_count, check_proposition1,
-                     load_records, share_rate, solve_1a_only, solve_3c_only,
-                     solve_brute_force, solve_proposed, solve_stronger)
+from dcalloc import (analytic_brute_count, check_proposition1, load_records,
+                     share_rate, solve_1a_only, solve_3c_only, solve_brute_force,
+                     solve_proposed, solve_stronger)
 from dcalloc.cli import cli_main
 
 from conftest import ACCEPTANCE_LINES, seeded_table
@@ -68,11 +68,10 @@ def test_criterion_1_optimality_gap(sweep_data):
 def test_criterion_2_brute_force_count_identity():
     bad = []
     for k_ues in range(1, 11):
-        counter = RateCalcCounter()
-        solve_brute_force(seeded_table(k_ues, seed=1000 + k_ues), counter)
-        if counter.count != k_ues * 3 ** k_ues:
-            bad.append((k_ues, counter.count))
-    _record(2, not bad, f"counter == K*3^K exactly for K=1..10{bad or ''}")
+        res = solve_brute_force(seeded_table(k_ues, seed=1000 + k_ues))
+        if res.op_count != k_ues * 3 ** k_ues:
+            bad.append((k_ues, res.op_count))
+    _record(2, not bad, f"op_count == K*3^K exactly for K=1..10{bad or ''}")
 
 
 def test_criterion_3_proposed_complexity(sweep_data):

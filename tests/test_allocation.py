@@ -30,18 +30,17 @@ def test_from_digits_rejects_bad_digit():
 
 
 def test_validate_rejects_unserved_ue():
-    with pytest.raises(ValueError, match=r"without any serving tier: \[1\]"):
-        Allocation.from_flags(np.array([1, 0]), np.array([1, 0]))
-    alloc = Allocation.from_flags([1, 1, 0], [1, 0, 1])
-    assert alloc.digits.tolist() == [DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY]
-
-
-def test_flags_must_be_binary():
-    for flags in (np.array([2, 0, 1]), [0.5, 1, 1], [-1, 1, 1]):
-        with pytest.raises(ValueError, match="0 or 1"):
-            Allocation.from_flags(flags, np.array([1, 1, 1]))
-    with pytest.raises(ValueError, match="equal length"):
-        Allocation.from_flags([1, 1], [1, 1, 1])
+    """Starting from 3 and subtracting, per serving tier, the code of the
+    profile lacking it gives each profile's digit; a UE that no tier serves
+    keeps 3, which Allocation's own check refuses."""
+    d_macro = np.array([1, 1, 0, 0], np.uint8)
+    d_small = np.array([1, 0, 1, 0], np.uint8)
+    digits = 3 - DIGIT_SMALL_ONLY * d_macro - DIGIT_MACRO_ONLY * d_small
+    assert digits[:3].tolist() == [DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY]
+    assert Allocation(digits[:3]).d_macro.tolist() == d_macro[:3].tolist()
+    assert Allocation(digits[:3]).d_small.tolist() == d_small[:3].tolist()
+    with pytest.raises(ValueError, match="profile digits must be 0, 1 or 2"):
+        Allocation(digits)
 
 
 def test_equality_and_hash_follow_the_digits():
@@ -57,12 +56,20 @@ def test_equality_and_hash_follow_the_digits():
 
 
 def test_constructors():
-    assert Allocation.all_both(3).digits.tolist() == [0, 0, 0]
+    """Allocation(digits) is the one constructor."""
+    assert not hasattr(Allocation, "from_flags")
+    assert not hasattr(Allocation, "all_both")
+    assert not hasattr(Allocation, "all_small_only")
+    both = Allocation(np.full(3, DIGIT_BOTH))
+    assert both.digits.tolist() == [0, 0, 0]
+    assert both.d_macro.tolist() == both.d_small.tolist() == [1, 1, 1]
     macro_only = Allocation([1] * 3)
     assert macro_only.d_macro.tolist() == [1, 1, 1]
     assert macro_only.d_small.tolist() == [0, 0, 0]
     assert macro_only.digits.tolist() == [1, 1, 1]
-    assert Allocation.all_small_only(3).digits.tolist() == [2, 2, 2]
+    small_only = Allocation(np.full(3, DIGIT_SMALL_ONLY))
+    assert small_only.digits.tolist() == [2, 2, 2]
+    assert small_only.d_macro.tolist() == [0, 0, 0]
 
 
 def test_counter_behaviour():
@@ -119,7 +126,7 @@ def test_evaluate_matches_python_oracle():
 
 def test_evaluate_tick_counts_per_tier():
     table = seeded_table(5, seed=2)
-    for alloc, ticks in ((Allocation.all_both(5), 10), (Allocation.all_small_only(5), 5),
+    for alloc, ticks in ((Allocation([0] * 5), 10), (Allocation([2] * 5), 5),
                          (Allocation([1] * 5), 5)):
         counter = RateCalcCounter()
         evaluate(alloc, table, counter)
@@ -131,17 +138,17 @@ def test_evaluate_rejects_mismatch_and_invalid():
     unserved cannot be built, so evaluate() never sees one."""
     table = seeded_table(4, seed=3)
     with pytest.raises(ValueError, match="size"):
-        evaluate(Allocation.all_both(5), table)
-    with pytest.raises(ValueError, match="without any serving tier"):
-        Allocation.from_flags(np.array([1, 0, 1, 1]), np.array([1, 0, 1, 1]))
+        evaluate(Allocation([0] * 5), table)
+    with pytest.raises(ValueError, match="profile digits"):
+        Allocation([0, 3, 0, 0])
 
 
 def test_evaluate_accumulates_counter():
     """A counter carried across calls keeps accumulating."""
     table = seeded_table(3, seed=4)
     counter = RateCalcCounter()
-    evaluate(Allocation.all_small_only(3), table, counter)
-    evaluate(Allocation.all_both(3), table, counter)
+    evaluate(Allocation([2] * 3), table, counter)
+    evaluate(Allocation([0] * 3), table, counter)
     assert counter.count == 3 + 6
 
 
@@ -153,4 +160,4 @@ def test_zero_rate_entries_for_unserved_tier():
     total = 0.0
     for i, log_s in zip(table.assoc_sbs.tolist(), table.log_small.tolist()):
         total += table.params.bw_small_hz / loads[i] * log_s
-    assert evaluate(Allocation.all_small_only(3), table) == total
+    assert evaluate(Allocation([2] * 3), table) == total

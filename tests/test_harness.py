@@ -18,9 +18,14 @@ from dcalloc import (ALGORITHM_ORDER, DEFAULT_MASTER_SEED, ExperimentConfig,
                      trial_seed)
 
 
+# the five algorithms of the golden sweeps; an algorithm added to
+# ALGORITHM_ORDER leaves every test that names these unchanged
+FIVE = ("optimal", "proposed", "3c_only", "1a_only", "stronger")
+
+
 def _tiny_config(**overrides):
     kwargs = dict(scenario=ScenarioParams(), ue_sweep=(1, 2),
-                  algorithms=ALGORITHM_ORDER, trials=2,
+                  algorithms=FIVE, trials=2,
                   master_seed=99, output_path="out.csv")
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
@@ -91,9 +96,8 @@ def test_config_validate_rejects(overrides, msg):
         _tiny_config(**overrides)
 
 
-def test_config_override_cap_allows_large_k():
-    """No override is needed past the cap: without the exhaustive solver the
-    cap never applies."""
+def test_config_without_optimal_allows_large_k():
+    """Without the exhaustive solver the cap never applies."""
     cfg = _tiny_config(ue_sweep=(20,), algorithms=("proposed",))
     cfg.validate()
 
@@ -101,7 +105,7 @@ def test_config_override_cap_allows_large_k():
 def test_ratio_and_capacity_config_shapes():
     rc = ratio_config("a.csv", trials=3)
     assert rc.ue_sweep == tuple(range(4, 13))
-    assert rc.algorithms == ALGORITHM_ORDER
+    assert rc.algorithms == FIVE
     assert rc.trials == 3
     cc = capacity_config("b.csv")
     assert cc.ue_sweep == tuple(range(10, 21))
@@ -113,8 +117,7 @@ def test_ratio_config_names_its_algorithms(monkeypatch):
     """The ratio sweep lists its five algorithms by name, so a solver added
     to the table does not grow the golden ratio CSV."""
     monkeypatch.setattr(harness, "ALGORITHM_ORDER", ALGORITHM_ORDER + ("exact",))
-    assert ratio_config("a.csv").algorithms == (
-        "optimal", "proposed", "3c_only", "1a_only", "stronger")
+    assert ratio_config("a.csv").algorithms == FIVE
 
 
 # --- experiment runs -------------------------------------------------------
@@ -124,13 +127,13 @@ def test_run_experiment_small_end_to_end():
     records, summary = run_experiment(cfg)
     assert [(r.k_ues, r.trial) for r in records] == [(1, 0), (1, 1), (2, 0), (2, 1)]
     for rec in records:
-        assert set(rec.sum_rates) == set(ALGORITHM_ORDER)
+        assert set(rec.sum_rates) == set(FIVE)
         assert rec.op_counts["optimal"] == analytic_brute_count(rec.k_ues)
         for algo in ("proposed", "3c_only", "1a_only", "stronger"):
             assert rec.sum_rates[algo] <= rec.sum_rates["optimal"]
         assert rec.ratio == rec.sum_rates["proposed"] / rec.sum_rates["optimal"]
         assert rec.seed == trial_seed(99, rec.k_ues, rec.trial)
-    assert summary["algorithms"] == ALGORITHM_ORDER
+    assert summary["algorithms"] == FIVE
     assert [row["k_ues"] for row in summary["rows"]] == [1, 2]
 
 
@@ -157,12 +160,12 @@ def test_solver_error_names_its_trial(monkeypatch):
     solve = solvers.solve_proposed
     tables = []
 
-    def broken(table, counter=None):
+    def broken(table):
         # threads=1 runs the cells in order, so the fourth is K=3, trial 1
         tables.append(table)
         if len(tables) == 4:
             raise ZeroDivisionError("injected")
-        return solve(table, counter)
+        return solve(table)
 
     monkeypatch.setattr(solvers, "solve_proposed", broken)
     witness = f"proposed failed at K=3, trial=1, seed={trial_seed(99, 3, 1)}"
@@ -238,7 +241,7 @@ def test_emit_csv_header_and_roundtrip(tmp_path):
     assert header == expected
 
     loaded, algorithms = load_records(path)
-    assert algorithms == ALGORITHM_ORDER
+    assert algorithms == FIVE
     assert loaded == records  # floats survive the text round-trip bit for bit
 
 
@@ -260,6 +263,26 @@ def test_emit_csv_empty_records(tmp_path):
     emit_csv([], {"algorithms": ("proposed",), "rows": []}, path)
     assert open(path).read().count("\n") == 1
     assert open(path + ".summary.csv").read().count("\n") == 1
+
+
+@pytest.mark.parametrize("body,msg", [
+    ("", r"trials\.csv: not a trial CSV, missing columns \['k_ues'"),
+    ("a,b\n1,2\n", r"trials\.csv: not a trial CSV, missing columns \['k_ues'"),
+    ("k_ues,trial,seed,proposed_sumrate,ratio_proposed_optimal\n2,0,5,1.0,\n",
+     r"trials\.csv: not a trial CSV, missing columns \['proposed_opcount'\]"),
+    ("k_ues,trial,seed,proposed_sumrate,proposed_opcount,ratio_proposed_optimal\n2,0,5\n",
+     r"trials\.csv:2: 3 cells, the header has 6"),
+    ("k_ues,trial,seed,proposed_sumrate,proposed_opcount,ratio_proposed_optimal\n"
+     "2,0,5,1.0,8,\n2,1,x,1.0,8,\n", r"trials\.csv:3: invalid literal for int\(\)"),
+])
+def test_load_records_refuses_malformed_csv(tmp_path, body, msg):
+    """An empty file, one without the trial columns, a short row and a cell
+    that does not convert each raise ValueError naming the file, not
+    StopIteration, KeyError or a ValueError without a path."""
+    path = tmp_path / "trials.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=msg):
+        load_records(str(path))
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):
@@ -293,7 +316,7 @@ def test_load_bundled_default_config():
     here = os.path.dirname(__file__)
     cfg = load_config(os.path.join(here, "..", "configs", "default.cfg"))
     assert cfg.ue_sweep == tuple(range(4, 13))
-    assert cfg.algorithms == ALGORITHM_ORDER
+    assert cfg.algorithms == FIVE
     assert cfg.trials == 200
     assert cfg.master_seed == DEFAULT_MASTER_SEED
     assert cfg.output_path == "dcpa_results.csv"

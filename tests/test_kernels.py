@@ -320,7 +320,7 @@ def test_every_scan_refuses_past_the_cap(scan_calls):
     table = seeded_table(DEFAULT_BRUTE_CAP + 1, seed=35)
     messages = set()
     for call in (lambda: brute_force_scan(table), lambda: solve_brute_force(table),
-                 lambda: check_proposition1(table, Allocation.all_both(table.num_ue))):
+                 lambda: check_proposition1(table, Allocation([0] * table.num_ue))):
         with pytest.raises(BruteForceCapError) as err:
             call()
         messages.add(str(err.value))
