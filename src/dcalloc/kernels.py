@@ -10,8 +10,8 @@ tables with K >= 10 that leaves under 1% of the rows to sum. A class's
 rows are built from cached per-(n, r) choice tables, never from a 3^g
 table of a whole group. One scan yields the maximum, the digit row of its
 first maximizer and, per UE, whether some maximizer serves it at each tier;
-the last scan is memoized on the content of its inputs, so the exhaustive
-solver and the optimality checker share one scan of a table.
+the last scan is memoized on the table object, whose content is frozen, so
+the exhaustive solver and the optimality checker share one scan of a table.
 
 The greedy's window pricing is a closed form: the least-degrading subset of
 a descending window is always a prefix, so subset_degradations() prices the
@@ -71,8 +71,9 @@ def get_backend() -> str:
     return "numpy"
 
 
-def objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> np.ndarray:
-    """Sum-rate of each digit row, as evaluate() scores one allocation.
+def objective_chunk(digits, table) -> np.ndarray:
+    """Sum-rate of each digit row on the table, as evaluate() scores one
+    allocation.
 
     Each term is flag * (bw / max(load, 1) * log): bw / load * log where
     the tier serves the UE and +0.0 where it does not. A row adds UE 0..K-1
@@ -81,14 +82,15 @@ def objective_chunk(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> np.ndar
     exhaustive scan bit for bit.
     """
     n_rows, k_ues = digits.shape
+    assoc, bw_m, bw_s = table.assoc_sbs, table.params.bw_macro_hz, table.params.bw_small_hz
     macro = digits != DIGIT_SMALL_ONLY
     small = digits != DIGIT_MACRO_ONLY
     n_macro = macro.sum(axis=1)
     # an integer product counts each SBS's small-served UEs; bool @ bool is an OR
-    n_small = small @ (assoc[:, None] == np.arange(num_sbs)).astype(np.int64)
+    n_small = small @ (assoc[:, None] == np.arange(table.num_sbs)).astype(np.int64)
     terms = np.empty((n_rows, k_ues, 2))
-    terms[:, :, 0] = macro * (bw_m / np.maximum(n_macro, 1)[:, None] * log_m)
-    terms[:, :, 1] = small * (bw_s / np.maximum(n_small[:, assoc], 1) * log_s)
+    terms[:, :, 0] = macro * (bw_m / np.maximum(n_macro, 1)[:, None] * table.log_macro)
+    terms[:, :, 1] = small * (bw_s / np.maximum(n_small[:, assoc], 1) * table.log_small)
     return terms.reshape(n_rows, 2 * k_ues).cumsum(axis=1)[:, -1]
 
 
@@ -127,8 +129,8 @@ def _small_served(groups, loads, k_ues) -> np.ndarray:
     return served
 
 
-def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
-    """Exhaustive scan over load classes, best bound first.
+def _block_scan(table):
+    """Exhaustive scan of the table over load classes, best bound first.
 
     Returns (best_val, best_digits, macro_served, small_served): the
     maximum, the profile digits of the first row attaining it in enumeration
@@ -142,7 +144,7 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
     least digit row among the rows equal to it, compared from UE K-1 down as
     the enumeration counts (UE 0 the least significant base-3 digit), which
     does not depend on the order rows are summed in. The flags cover every
-    UE, so the result depends on the arguments alone.
+    UE, so the result depends on the table alone.
 
     A load class fixes the MBS load n_m and every SBS load n_i, hence every
     term's share bw / load. The MBS then adds at most f_m[n_m] = bw_m / n_m
@@ -191,11 +193,12 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
     and so changes bits: it differed from the loop in 1,040 of 2,000 random
     28-term columns.
     """
-    k_ues = log_m.shape[0]
-    groups = [[] for _ in range(num_sbs)]
+    log_m, log_s, assoc = table.log_macro, table.log_small, table.assoc_sbs
+    k_ues, bw_m, bw_s = table.num_ue, table.params.bw_macro_hz, table.params.bw_small_hz
+    groups = [[] for _ in range(table.num_sbs)]
     for k, i in enumerate(assoc.tolist()):
         groups[i].append(k)
-    used = [i for i in range(num_sbs) if groups[i]]
+    used = [i for i in range(table.num_sbs) if groups[i]]
     groups = [groups[i] for i in used]
     # bound and load sum of every combination of SBS loads, the last group
     # varying fastest, then of every class: n_m major
@@ -238,7 +241,7 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
             served = _small_served(groups, loads, k_ues)
             ranks = np.cumsum(served, axis=0) - 1
             ranks[~served] = sum(loads)
-            load_s = np.zeros(num_sbs, dtype=np.int64)
+            load_s = np.zeros(table.num_sbs, dtype=np.int64)
             load_s[used] = loads
             share_s = bw_s / np.maximum(load_s, 1)[assoc]
             patterns[s] = (served, ranks, int(sum(loads)),
@@ -292,36 +295,24 @@ def _block_scan(log_m, log_s, assoc, num_sbs, bw_m, bw_s):
             tuple((small_vals >= floor).tolist()))
 
 
-def _scan_args(table):
-    """The table's arrays and bandwidths in the argument order of _block_scan
-    and objective_chunk."""
-    return (table.log_macro, table.log_small, table.assoc_sbs, table.num_sbs,
-            table.params.bw_macro_hz, table.params.bw_small_hz)
-
-
-# (key, result) of the last scan. The oracle loop scans a table in
+# (table, result) of the last scan. The oracle loop scans a table in
 # solve_brute_force and reads the same result in check_proposition1.
 _last_scan = (None, None)
 
 
 def _table_scan(table):
-    """_block_scan of the table, memoized on the last table scanned; refuses
-    a table of more than DEFAULT_BRUTE_CAP UEs with BruteForceCapError.
-
-    The key is the content of every input the scan reads, the chunk size
-    included, so an equal table built anew, or the same table after its
-    arrays changed, is recognised by value.
-    """
+    """_block_scan of the table, memoized on the last table object scanned;
+    refuses a table of more than DEFAULT_BRUTE_CAP UEs with
+    BruteForceCapError. A table's content is frozen, so the object is the
+    key; an equal table built anew is scanned again."""
     global _last_scan
     if table.num_ue > DEFAULT_BRUTE_CAP:
         raise BruteForceCapError(
             f"K={table.num_ue} exceeds the exhaustive-search cap of {DEFAULT_BRUTE_CAP} UEs")
-    args = _scan_args(table)
-    key = (*((a.dtype.str, a.tobytes()) for a in args[:3]), *args[3:], _CHUNK_ROWS)
-    last_key, result = _last_scan
-    if key != last_key:
-        result = _block_scan(*args)
-        _last_scan = (key, result)
+    last, result = _last_scan
+    if last is not table:
+        result = _block_scan(table)
+        _last_scan = (table, result)
     return result
 
 

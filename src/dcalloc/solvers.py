@@ -21,8 +21,8 @@ import numpy as np
 
 from .allocation import (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY, Allocation,
                          RateCalcCounter, evaluate)
-from .kernels import (DEFAULT_BRUTE_CAP, BruteForceCapError, _scan_args, _table_scan,
-                      brute_force_scan, objective_chunk, subset_degradations)
+from .kernels import (DEFAULT_BRUTE_CAP, BruteForceCapError, _table_scan, brute_force_scan,
+                      objective_chunk, subset_degradations)
 from .topology import ChannelTable
 
 __all__ = [
@@ -235,7 +235,7 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
 
     The maximum and the per-UE served flags come from the exhaustive scan
     behind brute_force_scan, read from its memo: after solve_brute_force on
-    the same table, the check scans nothing. The scan's maximizers are the
+    the same table object, the check scans nothing. The scan's maximizers are the
     rows within 2*K ulps of the maximum, so that the swapped optima of
     identical UEs, which sum the same terms in another order, count as
     maximizers too. The supplied allocation's own digit row is scored by
@@ -247,7 +247,7 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     if optimum.num_ue != k_ues:
         raise ValueError("allocation size does not match table")
     best, _, macro_served, small_served = _table_scan(table)
-    value = objective_chunk(optimum.digits[None], *_scan_args(table))[0]
+    value = objective_chunk(optimum.digits[None], table)[0]
 
     if value < best - 2 * k_ues * math.ulp(best):
         raise ValueError("supplied allocation is not an exhaustive-search maximizer")

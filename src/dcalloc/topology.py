@@ -172,7 +172,7 @@ def generate_topology(params: ScenarioParams) -> Topology:
     return Topology(mbs_pos=mbs, sbs_pos=sbs, ue_pos=ue)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ChannelTable:
     """Per-UE link quality snapshot, the sole input the solvers see.
 
@@ -183,7 +183,9 @@ class ChannelTable:
     rx_macro_w / rx_small_w keep the raw received powers (watts) around for
     the received-power baseline. log_macro / log_small cache the Shannon
     terms log2(1 + x); every rate path in the package reads these cached
-    arrays so identical allocations evaluate to bit-identical sums.
+    arrays so identical allocations evaluate to bit-identical sums. A table
+    checks itself when built, is frozen and holds read-only copies of its
+    arrays; dataclasses.replace builds a new checked table.
     """
 
     snr_macro: np.ndarray
@@ -196,30 +198,39 @@ class ChannelTable:
     log_small: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.assoc_sbs = _small_ints(self.assoc_sbs, np.int64, self.params.num_sbs,
-                                     "assoc_sbs entries must index a valid SBS")
+        def put(name, value):
+            object.__setattr__(self, name, value)
+        put("assoc_sbs", _small_ints(self.assoc_sbs, np.int64, self.params.num_sbs,
+                                     "assoc_sbs entries must index a valid SBS").copy())
         if self.assoc_sbs.shape != (self.params.num_ue,):
             raise ValueError("assoc_sbs must have shape (num_ue,)")
         if self.rx_macro_w is None:
             # synthetic tables: back out a consistent received power from the SNR
-            self.rx_macro_w = np.multiply(self.snr_macro, self.params.noise_macro_w)
+            put("rx_macro_w", np.multiply(self.snr_macro, self.params.noise_macro_w))
         if self.rx_small_w is None:
             # zero-interference stand-in, only the ordering matters downstream
-            self.rx_small_w = np.multiply(self.sinr_small, self.params.noise_small_w)
+            put("rx_small_w", np.multiply(self.sinr_small, self.params.noise_small_w))
         names = ("snr_macro", "sinr_small", "rx_macro_w", "rx_small_w")
         for name in names:
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(getattr(self, name), dtype=np.float64)  # a copy the caller cannot reach
             if arr.shape != self.assoc_sbs.shape:
                 raise ValueError(f"{name} must have shape (num_ue,)")
-            setattr(self, name, arr)
+            put(name, arr)
         # one pass over the four arrays end to end; NaN fails both comparisons
         values = np.concatenate([getattr(self, name) for name in names])
         ok = (values > 0.0) & (values < math.inf)
         if not ok.all():
             raise ValueError(f"{names[int(ok.argmin()) // self.params.num_ue]} "
                              f"must be finite and strictly positive")
-        self.log_macro = np.log2(1.0 + self.snr_macro)
-        self.log_small = np.log2(1.0 + self.sinr_small)
+        put("log_macro", np.log2(1.0 + self.snr_macro))
+        put("log_small", np.log2(1.0 + self.sinr_small))
+        for name in ("assoc_sbs", *names, "log_macro", "log_small"):
+            getattr(self, name).flags.writeable = False
+
+    def __reduce__(self):
+        # pickle and deepcopy rebuild through the check, and the copy stays read-only
+        return (type(self), (self.snr_macro, self.assoc_sbs, self.sinr_small, self.params,
+                             self.rx_macro_w, self.rx_small_w))
 
     @property
     def num_ue(self) -> int:

@@ -55,10 +55,13 @@ def python_objective(digits, table: ChannelTable) -> float:
     return sum(rates_m) + sum(rates_s)
 
 
-def python_row_sum(digits, log_m, log_s, assoc, num_sbs, bw_m, bw_s) -> float:
+def python_row_sum(digits, table: ChannelTable) -> float:
     """Sum-rate of one digit row in objective_chunk's documented order: UE
     0..K-1, macro term then small term, each bw / load * log, added left to
     right from 0.0, with the terms of unserved tiers skipped."""
+    log_m, log_s = table.log_macro.tolist(), table.log_small.tolist()
+    assoc, num_sbs = table.assoc_sbs.tolist(), table.num_sbs
+    bw_m, bw_s = table.params.bw_macro_hz, table.params.bw_small_hz
     n_macro = sum(1 for d in digits if d != 2)
     n_small = [0] * num_sbs
     for d, i in zip(digits, assoc):
@@ -100,9 +103,7 @@ def chunked_scan(table: ChannelTable):
     k_ues = table.num_ue
     idx = np.arange(3 ** k_ues, dtype=np.int64)
     digits = (idx[:, None] // 3 ** np.arange(k_ues, dtype=np.int64)) % 3
-    vals = objective_chunk(digits, table.log_macro, table.log_small,
-                           table.assoc_sbs.astype(np.int64), table.num_sbs,
-                           table.params.bw_macro_hz, table.params.bw_small_hz)
+    vals = objective_chunk(digits, table)
     j = int(np.argmax(vals))
     best = float(vals[j])
     rows = digits[vals >= best - 2 * k_ues * math.ulp(best)]

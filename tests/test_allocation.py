@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import dcalloc.kernels as kernels
 from dcalloc import (Allocation, RateCalcCounter, evaluate, share_rate,
                      DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY)
 
@@ -115,9 +114,7 @@ def test_evaluate_matches_python_oracle():
             table.params.bw_macro_hz, table.params.bw_small_hz)
         assert sum_rate == pytest.approx(sum(rates_m) + sum(rates_s), rel=1e-12)
         # every served term, summed in the documented order, bit for bit
-        plain = [a.tolist() if isinstance(a, np.ndarray) else a
-                 for a in kernels._scan_args(table)]
-        assert sum_rate == python_row_sum(digits.tolist(), *plain)
+        assert sum_rate == python_row_sum(digits.tolist(), table)
         # repr(sum_rate) is hashed into the benchmark's golden digests
         assert type(sum_rate) is np.float64
         served_pairs = int(np.sum(alloc.d_macro)) + int(np.sum(alloc.d_small))

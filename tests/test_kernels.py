@@ -46,13 +46,11 @@ def test_objective_chunk_matches_python_oracle():
     assert len(set(tables[2].assoc_sbs.tolist())) < 16
     rng = np.random.default_rng(5)
     for table in tables:
-        args = kernels._scan_args(table)
-        plain = [a.tolist() if isinstance(a, np.ndarray) else a for a in args]
         for n_rows in (0, 1, 4096):
             digits = rng.integers(0, 3, size=(n_rows, table.num_ue), dtype=np.uint8)
-            vals = kernels.objective_chunk(digits, *args)
+            vals = kernels.objective_chunk(digits, table)
             assert vals.dtype == np.float64 and vals.shape == (n_rows,)
-            expected = [python_row_sum(row, *plain) for row in digits.tolist()]
+            expected = [python_row_sum(row, table) for row in digits.tolist()]
             assert [v.hex() for v in vals.tolist()] == [v.hex() for v in expected]
 
 
@@ -67,7 +65,7 @@ def test_objective_chunk_scores_solver_allocations_as_evaluate():
             picked = solvers + [solve_brute_force] * (k_ues <= DEFAULT_BRUTE_CAP)
             for solve in picked:
                 alloc = solve(table).alloc
-                score = kernels.objective_chunk(alloc.digits[None], *kernels._scan_args(table))
+                score = kernels.objective_chunk(alloc.digits[None], table)
                 assert score[0].hex() == evaluate(alloc, table).hex(), \
                     (k_ues, num_sbs, solve.__name__)
 
@@ -142,7 +140,7 @@ def test_block_scan_matches_chunked_reference(monkeypatch):
         ref_val, ref_digits, *ref_flags = chunked_scan(table)
         for chunk_rows in CHUNK_SIZES:
             monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
-            val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+            val, digits, *flags = kernels._block_scan(table)
             assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
             assert brute_force_scan(table) == (ref_val, ref_digits)
         monkeypatch.undo()
@@ -165,13 +163,13 @@ def test_block_scan_keys_classes_on_sbs_loads(monkeypatch):
     assert ref[1] == (2, 1)
     for chunk_rows in CHUNK_SIZES + (2,):
         monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
-        assert kernels._block_scan(*kernels._scan_args(table)) == ref
+        assert kernels._block_scan(table) == ref
 
 
 def test_numpy_blocking_is_invisible(monkeypatch, scan_calls):
     """Every chunk size gives the reference's value bits and first
-    maximizer, and each one really scans: the memo is keyed on the chunk
-    size too."""
+    maximizer, and each one really scans: a copy built by replace is a new
+    table object, which the memo does not recognise."""
     for seed in (9, 10):
         table = seeded_table(6, num_sbs=4, seed=seed)
         ref_val, ref_digits, *_ = chunked_scan(table)
@@ -180,10 +178,10 @@ def test_numpy_blocking_is_invisible(monkeypatch, scan_calls):
         with monkeypatch.context() as m:
             for chunk_rows in (1, 2, 5, 7, kernels._CHUNK_ROWS):
                 m.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
-                chunked = brute_force_scan(table)
+                before = len(scan_calls)
+                chunked = brute_force_scan(replace(table))
                 assert (chunked[0].hex(), chunked[1]) == (whole[0].hex(), whole[1])
-                # consecutive sizes differ, so this is the scan just made
-                assert scan_calls[-1] == chunk_rows
+                assert scan_calls[before:] == [chunk_rows]
 
 
 def _all_equal_table(k_ues, num_sbs, seed=0):
@@ -229,7 +227,7 @@ def test_block_scan_on_all_equal_logs():
         for num_sbs in (1, 2, 4):
             table = _all_equal_table(k_ues, num_sbs, seed=40 + k_ues)
             ref_val, ref_digits, *ref_flags = chunked_scan(table)
-            val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+            val, digits, *flags = kernels._block_scan(table)
             assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags), \
                 (k_ues, num_sbs)
 
@@ -243,7 +241,7 @@ def test_block_scan_on_single_sbs_tables(monkeypatch):
             ref_val, ref_digits, *ref_flags = chunked_scan(table)
             for chunk_rows in CHUNK_SIZES:
                 monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
-                val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+                val, digits, *flags = kernels._block_scan(table)
                 assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
 
 
@@ -254,7 +252,7 @@ def test_block_scan_finds_optimum_outside_best_bounded_class():
     ref_val, ref_digits, *ref_flags = chunked_scan(table)
     optimum = _class_of(ref_digits, table.assoc_sbs.tolist(), 16)
     assert optimum != _best_bounded_class(table)
-    val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+    val, digits, *flags = kernels._block_scan(table)
     assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
 
 
@@ -268,7 +266,7 @@ def test_block_scan_sums_every_class_when_terms_are_subnormal():
                          sinr_small=base.sinr_small, params=params)
     assert table.log_macro.min() * 1e-300 / 7 < 2.0 ** -1000
     ref_val, ref_digits, *ref_flags = chunked_scan(table)
-    val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+    val, digits, *flags = kernels._block_scan(table)
     assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
 
 
@@ -282,7 +280,7 @@ from conftest import chunked_scan, seeded_table
 base = seeded_table(12, num_sbs=1, seed=0)
 table = ChannelTable(snr_macro=np.full(12, 3.0), assoc_sbs=base.assoc_sbs,
                      sinr_small=np.full(12, 3.0), params=base.params)
-val, digits, *flags = kernels._block_scan(*kernels._scan_args(table))
+val, digits, *flags = kernels._block_scan(table)
 ref_val, ref_digits, *ref_flags = chunked_scan(table)
 assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
 print(val.hex(), "".join(map(str, digits)))
@@ -301,16 +299,17 @@ def test_block_scan_worst_case_under_memory_limit():
     assert len(proc.stdout.split()) == 2
 
 
-def test_scan_memo_recognises_equal_tables(scan_calls):
-    """A second table object with the same content is not scanned again, and
-    solve_brute_force then check_proposition1 cost one scan together."""
+def test_scan_memo_keys_on_the_table_object(scan_calls):
+    """solve_brute_force then check_proposition1 on one table object cost one
+    scan together; an equal table built anew is scanned again, to the same
+    result."""
     table = seeded_table(7, num_sbs=4, seed=31)
-    first = brute_force_scan(table)
-    assert brute_force_scan(seeded_table(7, num_sbs=4, seed=31)) == first
+    opt = solve_brute_force(table)
+    assert check_proposition1(table, opt.alloc) == (True, None)
+    assert brute_force_scan(table) == (opt.sum_rate, tuple(opt.alloc.digits.tolist()))
     assert len(scan_calls) == 1
-    opt = solve_brute_force(seeded_table(7, num_sbs=4, seed=32))
-    assert check_proposition1(seeded_table(7, num_sbs=4, seed=32), opt.alloc) == (True, None)
-    assert len(scan_calls) == 2
+    assert brute_force_scan(seeded_table(7, num_sbs=4, seed=31)) == brute_force_scan(table)
+    assert len(scan_calls) == 3
 
 
 def test_every_scan_refuses_past_the_cap(scan_calls):
@@ -330,26 +329,27 @@ def test_every_scan_refuses_past_the_cap(scan_calls):
 
 
 @pytest.mark.parametrize("change", ["log_macro", "log_small", "assoc_sbs",
-                                    "bw_macro_hz", "bw_small_hz", "chunk_rows"])
-def test_scan_memo_rescans_on_changed_input(monkeypatch, scan_calls, change):
-    """Each input the scan reads is part of the memo key: a one-ulp change
-    of a log term in the scanned table's own array, another SBS for one UE,
-    another bandwidth or another chunk size scans again, and the rescan
-    matches a fresh reference."""
+                                    "bw_macro_hz", "bw_small_hz"])
+def test_scan_memo_rescans_on_changed_input(scan_calls, change):
+    """A table changed in any input the scan reads is a new table, built by
+    replace: another SNR or SINR for one UE, hence another log term, another
+    SBS for one UE, or another bandwidth scans again, and the rescan matches
+    a fresh reference."""
     table = seeded_table(6, num_sbs=4, seed=33)
     brute_force_scan(table)
-    changed = replace(table)
     if change in ("log_macro", "log_small"):
-        changed = table
-        logs = getattr(table, change)
-        logs[2] = np.nextafter(logs[2], np.inf)
+        name = {"log_macro": "snr_macro", "log_small": "sinr_small"}[change]
+        values = getattr(table, name).copy()
+        values[2] *= 1.5
+        changed = replace(table, **{name: values})
+        assert getattr(changed, change)[2] != getattr(table, change)[2]
     elif change == "assoc_sbs":
-        changed.assoc_sbs = table.assoc_sbs.copy()
-        changed.assoc_sbs[1] = (changed.assoc_sbs[1] + 1) % table.num_sbs
-    elif change == "chunk_rows":
-        monkeypatch.setattr(kernels, "_CHUNK_ROWS", 3)
+        assoc = table.assoc_sbs.copy()
+        assoc[1] = (assoc[1] + 1) % table.num_sbs
+        changed = replace(table, assoc_sbs=assoc)
     else:
-        changed.params = replace(table.params, **{change: getattr(table.params, change) * 2})
+        params = replace(table.params, **{change: getattr(table.params, change) * 2})
+        changed = replace(table, params=params)
     val, digits = brute_force_scan(changed)
     assert len(scan_calls) == 2
     ref_val, ref_digits, *_ = chunked_scan(changed)

@@ -448,8 +448,8 @@ def test_check_proposition1_blocking_is_invisible(monkeypatch, scan_calls):
     load classes. The last table twins UE 2 onto UE 0: the two swapped
     optima tie in exact arithmetic but not in summation order, and the swap
     that sums one ulp lower must still count as a maximizer at every chunk
-    size. Each chunk size scans exactly once, in solve_brute_force; the
-    checks read that scan."""
+    size. Each chunk size scans a copy built by replace, a new table object,
+    exactly once, in solve_brute_force; the checks read that scan."""
     tables = [seeded_table(num_ue=5, num_sbs=4, seed=300 + seed) for seed in range(5)]
     tables.append(twin_table(seeded_table(num_ue=3, num_sbs=2, seed=5321), [(0, 2)]))
     for table in tables:
@@ -461,11 +461,12 @@ def test_check_proposition1_blocking_is_invisible(monkeypatch, scan_calls):
             for chunk_rows in (1, 2, 7, kernels._CHUNK_ROWS):
                 m.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
                 before = len(scan_calls)
-                chunked = solve_brute_force(table)
+                fresh = dataclasses.replace(table)
+                chunked = solve_brute_force(fresh)
                 assert (repr(chunked.sum_rate), chunked.alloc) == (repr(opt.sum_rate), opt.alloc)
-                assert check_proposition1(table, opt.alloc) == (True, None)
+                assert check_proposition1(fresh, opt.alloc) == (True, None)
                 with pytest.raises(ValueError):
-                    check_proposition1(table, solve_1a_only(table).alloc)
+                    check_proposition1(fresh, solve_1a_only(fresh).alloc)
                 assert scan_calls[before:] == [chunk_rows]
     assert opt.alloc.digits.tolist() == [1, 1, 0]
 

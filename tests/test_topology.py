@@ -1,13 +1,17 @@
 """Geometry, unit conversion, channel table construction."""
 
+import copy
+import dataclasses
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dcalloc import (ChannelTable, ScenarioParams, Topology, build_channel_table,
-                     channel_gain, dbm_to_watts, generate_topology, make_instance)
+from dcalloc import (ChannelTable, ScenarioParams, Topology, brute_force_scan,
+                     build_channel_table, channel_gain, dbm_to_watts, generate_topology,
+                     make_instance)
 
 from conftest import seeded_table
 
@@ -221,3 +225,53 @@ def test_make_instance_matches_pipeline():
     assert np.array_equal(topo.ue_pos, topo2.ue_pos)
     assert np.array_equal(table.sinr_small, table2.sinr_small)
     assert seeded_table(4, 3, 11).snr_macro == pytest.approx(table.snr_macro, rel=0)
+
+
+def test_channel_table_is_frozen():
+    """A table's arrays are read-only copies and its fields cannot be
+    reassigned, so no table in hand can disagree with itself: the SNR cannot
+    leave its log term stale, nor params its association."""
+    table = make_instance(ScenarioParams(num_ue=6, seed=3))[1]
+    snr = table.snr_macro.copy()
+    for name in ("snr_macro", "sinr_small", "rx_macro_w", "rx_small_w",
+                 "log_macro", "log_small", "assoc_sbs"):
+        arr = getattr(table, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[:] = arr[::-1]
+    assert np.array_equal(table.snr_macro, snr)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.params = replace(table.params, num_sbs=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.log_macro = table.log_macro * 2
+    # the constructor copies: the caller's array stays writeable and unshared
+    built = ChannelTable(snr_macro=snr, assoc_sbs=table.assoc_sbs,
+                         sinr_small=table.sinr_small, params=table.params)
+    snr[0] *= 2
+    assert built.snr_macro[0] == table.snr_macro[0]
+
+
+def test_channel_table_copies_stay_checked_and_read_only():
+    """pickle and deepcopy rebuild a table through its constructor, so the
+    copy is read-only and scans to the same result; replace builds a new
+    checked table with fresh log terms."""
+    table = make_instance(ScenarioParams(num_ue=6, seed=3))[1]
+    scan = brute_force_scan(table)
+    for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert twin is not table
+        for name in ("snr_macro", "assoc_sbs", "sinr_small", "rx_macro_w", "rx_small_w",
+                     "log_macro", "log_small"):
+            arr = getattr(twin, name)
+            assert not arr.flags.writeable, name
+            assert np.array_equal(arr, getattr(table, name)), name
+        assert twin.params == table.params
+        assert brute_force_scan(twin) == scan
+    sinr = table.sinr_small * 2.0
+    doubled = replace(table, sinr_small=sinr)
+    assert not doubled.sinr_small.flags.writeable
+    assert np.array_equal(doubled.log_small, np.log2(1.0 + sinr))
+    assert np.array_equal(doubled.log_macro, table.log_macro)
+    with pytest.raises(ValueError, match="sinr_small"):
+        replace(table, sinr_small=-sinr)
+    with pytest.raises(ValueError, match="assoc_sbs"):
+        replace(table, params=replace(table.params, num_sbs=1))
