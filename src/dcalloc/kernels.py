@@ -1,12 +1,16 @@
 """Hot numeric kernels.
 
 The exhaustive 3^K scan groups rows by load class: the MBS load and every
-SBS load. Within a class each term's share bw / load is fixed, so no row of
-the class scores more than a closed form, the sum over stations of the
-share times the largest log terms the load can hold. The scan sums classes
-in descending bound and stops once a bound falls below the best row found,
-less a relative margin of 1e-9, many orders wider than rounding; on seeded
-tables with K >= 10 that leaves under 1% of the rows to sum. A class's
+SBS load. A class that leaves a station with UEs idle is skipped: serving
+one of that station's UEs on both tiers sums no less, with a smaller digit
+row and no served pair lost. Within a class each term's share bw / load is
+fixed, so no row of the class scores more than a closed form, the sum over
+stations of the share times the largest log terms the load can hold; the
+MBS's part is also capped by the UEs no SBS serves, which it must cover.
+The scan sums classes in descending bound and stops once a bound falls
+below the best row found, less a relative margin of 1e-9, many orders
+wider than rounding; on seeded tables with K >= 10 that leaves a median
+well under 1% of the rows to sum. A class's
 rows are built from cached per-(n, r) choice tables, never from a 3^g
 table of a whole group. One scan yields the maximum, the digit row of its
 first maximizer and, per UE, whether some maximizer serves it at each tier;
@@ -48,10 +52,10 @@ ENV_BACKEND = "DCALLOC_BACKEND"
 _CHUNK_ROWS = 1 << 12
 
 # 14 * 3**14 is about 6.7e7 rate calculations. The scan sums only the load
-# classes whose bound can reach the maximum: about 1 ms for a seeded K=14
-# table on a shared 2-vCPU host, but about 0.4 s for one whose log terms are
-# all equal, where the bound prunes almost nothing; that worst case triples
-# with each further UE. Every scan refuses a larger K
+# classes whose bound can reach the maximum: a median of 0.3-0.5 ms for a
+# seeded K=14 table on a shared 2-vCPU host, but 0.25-0.7 s for one whose log
+# terms are all equal, where the bound prunes almost nothing; that worst case
+# triples with each further UE. Every scan refuses a larger K
 DEFAULT_BRUTE_CAP = 14
 
 
@@ -105,24 +109,21 @@ def _choices(n: int, r: int) -> np.ndarray:
     return table
 
 
-def _load_bounds(logs, bw) -> list:
-    """f[n] = bw / n * (sum of the n largest logs), f[0] = 0: the most a
-    station of bandwidth bw adds to a row where it serves n of these UEs."""
-    bounds, total = [0.0], 0.0
-    for n, x in enumerate(sorted(logs, reverse=True), 1):
-        total += x
-        bounds.append(bw / n * total)
-    return bounds
+def _top_sums(logs) -> list:
+    """t[n] = the sum of the n largest logs, added largest first; t[0] = 0.0."""
+    sums = [0.0]
+    for x in sorted(logs, reverse=True):
+        sums.append(sums[-1] + x)
+    return sums
 
 
 def _small_served(groups, loads, k_ues) -> np.ndarray:
     """Which UEs their SBS serves, one column per way for every group to put
-    its load on its SBS (k_ues x P, P the product of the groups' C(g, n))."""
-    served = np.zeros((k_ues, 1), dtype=bool)
+    its load on its SBS (k_ues x P, P the product of the groups' C(g, n)).
+    Every load is at least 1, and a UE of no listed group is served."""
+    served = np.ones((k_ues, 1), dtype=bool)
     for members, n in zip(groups, loads):
-        if n == len(members):
-            served[members] = True
-        elif n:
+        if n < len(members):
             choice = _choices(len(members), n)
             served = np.repeat(served, choice.shape[1], axis=1)
             served[members] = np.tile(choice, served.shape[1] // choice.shape[1])
@@ -147,21 +148,41 @@ def _block_scan(table):
     UE, so the result depends on the table alone.
 
     A load class fixes the MBS load n_m and every SBS load n_i, hence every
-    term's share bw / load. The MBS then adds at most f_m[n_m] = bw_m / n_m
-    * (sum of the n_m largest log_m), SBS i at most f_i[n_i], the same over
-    its UEs' log_small, and the class bound is f_m[n_m] + sum f_i[n_i]. A
-    row serves every UE somewhere, so classes with n_m + sum n_i < K hold no
+    term's share bw / load. The scan sums only classes in which every
+    station with UEs serves one of them: n_m >= 1, and n_i >= 1 for every SBS
+    with UEs. A row that leaves such a station idle is dominated: let one of
+    the station's UEs take digit DIGIT_BOTH. One +0.0 term becomes a
+    nonnegative bw / 1 * log and no share changes, so the sum cannot fall
+    (IEEE addition is monotone); the digit row is smaller at that UE, so it
+    comes first in enumeration order; and it serves every (UE, tier) pair
+    the old row served. Repeating the switch reaches a row with no idle
+    station, so the maximum, its first maximizer and every served flag lie
+    in the classes summed. An SBS with one UE thus has the single load 1 and
+    adds a constant to every class's bound and SBS load; only the larger
+    groups' loads make up the classes.
+
+    Within a class the MBS adds at most f_m[n_m] = bw_m / n_m * top_m[n_m],
+    top_m[j] being the sum of the j largest log_m, and SBS i at most
+    f_i[n_i], the same over its UEs' log_small. The MBS must also serve the
+    c = K - sum n_i UEs no SBS serves: group i leaves it exactly g_i - n_i of
+    its g_i UEs, whose log_m sum to at most h_i[n_i], the sum of the group's
+    g_i - n_i largest, and its other n_m - c UEs sum to at most
+    top_m[n_m - c]. The class bound is min(f_m[n_m], bw_m / n_m * (sum
+    h_i[n_i] + top_m[n_m - c])) + sum f_i[n_i]; classes with n_m < c hold no
     rows. Classes are summed in descending bound, and the scan stops at the
     first class whose bound is below best_val * (1 - 1e-9), best_val being
     the maximum of the rows summed so far.
 
     The stop loses no row within 4K ulps of the maximum. A term takes two
-    roundings (the share, then the product), a row's sum 2K - 1 more, and a
-    bound at most K + I + 1. While no nonzero intermediate is subnormal or
+    roundings (the share, then the product), a row's sum 2K - 1 more. A
+    bound takes at most K + I + 3 on the path of any one log: a sum of n
+    logs takes n - 1, adding the groups' and one-UE SBSs' parts at most I,
+    adding h to top_m 1, the MBS's share and product 2, and adding the SBS
+    part 1; the min is exact. While no nonzero intermediate is subnormal or
     overflows, each rounding is a relative error of at most u = 2^-53, and
     the exact row is at most its class's exact bound. So a row of a class
     bounded below best_val * (1 - 1e-9) sums to less than best_val *
-    (1 - 1e-9) * (1 + 1.01 * (3K + I + 2) * u), which for K + I < 10^5 is
+    (1 - 1e-9) * (1 + 1.01 * (3K + I + 4) * u), which for K + I < 10^5 is
     below best_val * (1 - 8*K*u) <= best_val - 4*K*ulp(best_val), the
     near-row floor under which no row is a maximizer; later classes bound
     lower still. The margin is thus many orders wider than the rounding,
@@ -172,8 +193,8 @@ def _block_scan(table):
 
     A class's rows are every way for each SBS group to put its load on its
     SBS (_small_served, built once per combination of SBS loads in a scan)
-    times every way for the MBS to serve n_m - (K - sum n_i) of the
-    small-served UEs besides the UEs no SBS serves (_choices). Each
+    times every way for the MBS to serve n_m - c of the small-served UEs
+    besides the c UEs no SBS serves (_choices). Each
     row adds UE 0..K-1 in order, macro term then small term, each
     bw / load * log, as objective_chunk does. The term of a tier that does
     not serve the UE is +0.0 in both: objective_chunk multiplies the term by
@@ -198,19 +219,34 @@ def _block_scan(table):
     groups = [[] for _ in range(table.num_sbs)]
     for k, i in enumerate(assoc.tolist()):
         groups[i].append(k)
-    used = [i for i in range(table.num_sbs) if groups[i]]
-    groups = [groups[i] for i in used]
-    # bound and load sum of every combination of SBS loads, the last group
-    # varying fastest, then of every class: n_m major
-    f_s, n_s = np.zeros(1), np.zeros(1, dtype=np.int64)
-    for members in groups:
-        f_s = np.add.outer(f_s, _load_bounds(log_s[members].tolist(), bw_s)).ravel()
-        n_s = np.add.outer(n_s, np.arange(len(members) + 1)).ravel()
-    bounds = np.add.outer(_load_bounds(log_m.tolist(), bw_m), f_s).ravel()
-    feasible = np.add.outer(np.arange(k_ues + 1), n_s).ravel() >= k_ues
-    first = int(np.argmax(np.where(feasible, bounds, -np.inf)))
+    lm, ls = log_m.tolist(), log_s.tolist()
+    # an SBS with one UE serves it in every class, so only larger groups vary
+    multi = [i for i, members in enumerate(groups) if len(members) > 1]
+    sizes = [len(groups[i]) for i in multi]
+    single = [members[0] for members in groups if len(members) == 1]
+    # per combination of the larger groups' loads, 1..g each, the last group
+    # varying fastest: the SBSs' bound, their load, and the most the macro
+    # logs of the UEs they leave to the MBS can sum to
+    acc = np.array([[sum(bw_s * ls[k] for k in single)], [len(single)], [0.0]])
+    for i, g in zip(multi, sizes):
+        t_s, t_m = _top_sums(ls[k] for k in groups[i]), _top_sums(lm[k] for k in groups[i])
+        step = np.array([[bw_s / n * t_s[n] for n in range(1, g + 1)], range(1, g + 1),
+                         t_m[g - 1::-1]])
+        acc = (acc[:, :, None] + step[:, None, :]).reshape(3, -1)
+    f_s, n_s, h_s = acc[0], acc[1].astype(np.int64), acc[2]
+    # class (n_m - 1) * len(f_s) + s for n_m = 1..K. Its MBS serves the K - n_s
+    # UEs no SBS serves and free = n_m - (K - n_s) others, so it adds at most
+    # bw_m / n_m times the lesser of its n_m largest logs and h_s plus its free
+    # largest ones. A class with free < 0 holds no rows (its top_m[free] reads
+    # from the end), and its bound is -inf
+    top_m = np.array(_top_sums(lm))
+    loads_m = np.arange(1, k_ues + 1)[:, None]
+    free = n_s - k_ues + loads_m
+    most_m = np.minimum(top_m[1:, None], h_s + top_m[free])
+    bounds = np.where(free >= 0, bw_m / loads_m * most_m + f_s, -np.inf).ravel()
+    first = int(np.argmax(bounds))
     # the rounding argument for the cut needs every nonzero intermediate normal
-    nonzero = [x for x in (*log_m.tolist(), *log_s.tolist()) if x > 0.0]
+    nonzero = [x for x in (*lm, *ls) if x > 0.0]
     prunes = (bounds[first] < 2.0 ** 1000
               and min(bw_m, bw_s) / k_ues * min(nonzero, default=1.0) >= 2.0 ** -1000)
 
@@ -218,8 +254,8 @@ def _block_scan(table):
         """The best-bounded class, then the others in descending bound,
         sorted once the first class's rows have set the cut."""
         yield first
-        rest = np.flatnonzero(feasible & (bounds >= best_val * (1 - 1e-9))
-                              if prunes else feasible)
+        rest = np.flatnonzero(bounds >= best_val * (1 - 1e-9) if prunes
+                              else bounds > -np.inf)
         yield from (c for c in rest[np.argsort(-bounds[rest], kind="stable")].tolist()
                     if c != first)
 
@@ -236,22 +272,22 @@ def _block_scan(table):
         if prunes and bounds[c] < best_val * (1 - 1e-9):
             break
         n_m, s = divmod(c, len(f_s))
+        n_m += 1
         if s not in patterns:
-            loads = np.unravel_index(s, [len(members) + 1 for members in groups])
-            served = _small_served(groups, loads, k_ues)
+            loads = [int(n) + 1 for n in np.unravel_index(s, sizes)]
+            served = _small_served([groups[i] for i in multi], loads, k_ues)
             ranks = np.cumsum(served, axis=0) - 1
-            ranks[~served] = sum(loads)
-            load_s = np.zeros(table.num_sbs, dtype=np.int64)
-            load_s[used] = loads
-            share_s = bw_s / np.maximum(load_s, 1)[assoc]
-            patterns[s] = (served, ranks, int(sum(loads)),
-                           share_s[:, None] * (served * log_s[:, None]))
+            ranks[~served] = n_s[s]
+            load_s = np.ones(table.num_sbs, dtype=np.int64)
+            load_s[multi] = loads
+            patterns[s] = (served, ranks, int(n_s[s]),
+                           (bw_s / load_s[assoc])[:, None] * (served * log_s[:, None]))
         served, ranks, n_small, small_terms = patterns[s]
         both = _choices(n_small, n_m - k_ues + n_small)
         # read by rank: row j says whether the MBS serves the j-th
         # small-served UE, and the last row stands for the UEs no SBS serves
         pick = np.concatenate((both, np.ones((1, both.shape[1]), dtype=bool)))
-        share_m = bw_m / max(n_m, 1)
+        share_m = bw_m / n_m
         n_cols = pick.shape[1]
         n_p = max(1, _CHUNK_ROWS // n_cols)
         for p0 in range(0, served.shape[1], n_p):

@@ -124,6 +124,20 @@ def _reference_tables():
         base = seeded_table(10, num_sbs=num_sbs, seed=970 + num_sbs)
         yield ChannelTable(snr_macro=base.snr_macro, assoc_sbs=np.array(assoc),
                            sinr_small=base.sinr_small, params=base.params)
+    # zero log terms, where a row that leaves a station idle ties the row
+    # serving one of its UEs on that tier too
+    for k_ues in (1, 3, 6, 9):
+        for num_sbs in (1, 4):
+            base = seeded_table(k_ues, num_sbs=num_sbs, seed=1000 + 10 * k_ues + num_sbs)
+            every = range(k_ues)
+            yield _zeroed_table(base, small=every)
+            yield _zeroed_table(base, macro=every)
+            yield _zeroed_table(base, macro=every, small=every)
+            yield _zeroed_table(base, macro=every[::2], small=every[1::3])
+    # many one-UE SBSs
+    for k_ues in range(8, 11):
+        for seed in range(3):
+            yield seeded_table(k_ues, num_sbs=16, seed=1100 + 10 * k_ues + seed)
 
 
 # chunk sizes the scan must be indifferent to: the default, a few rows (pieces
@@ -186,11 +200,23 @@ def test_numpy_blocking_is_invisible(monkeypatch, scan_calls):
 
 def _all_equal_table(k_ues, num_sbs, seed=0):
     """A seeded table's SBS association with every SNR and SINR 3.0: every
-    log term is 2.0, so whole load classes tie and the bound prunes only
-    classes that leave a station idle."""
+    log term is 2.0, so whole load classes tie and the bound prunes almost
+    nothing."""
     base = seeded_table(k_ues, num_sbs=num_sbs, seed=seed)
     return ChannelTable(snr_macro=np.full(k_ues, 3.0), assoc_sbs=base.assoc_sbs,
                         sinr_small=np.full(k_ues, 3.0), params=base.params)
+
+
+def _zeroed_table(table, macro=(), small=()):
+    """Copy of table where the UEs in macro (small) have SNR (SINR) 1e-20, so
+    that their macro (small) log term is exactly 0.0."""
+    snr, sinr = table.snr_macro.copy(), table.sinr_small.copy()
+    snr[list(macro)] = 1e-20
+    sinr[list(small)] = 1e-20
+    table = ChannelTable(snr_macro=snr, assoc_sbs=table.assoc_sbs, sinr_small=sinr,
+                         params=table.params)
+    assert all(table.log_macro[list(macro)] == 0.0) and all(table.log_small[list(small)] == 0.0)
+    return table
 
 
 def _class_of(digits, assoc, num_sbs):
@@ -201,22 +227,90 @@ def _class_of(digits, assoc, num_sbs):
     return sum(d != 2 for d in digits), tuple(loads)
 
 
-def _best_bounded_class(table):
-    """The load class with the highest bound, by plain enumeration: per
-    station, bw / n times the sum of the n largest log terms it may serve."""
-    def bound(logs, bw, n):
-        return bw / n * sum(sorted(logs, reverse=True)[:n]) if n else 0.0
+def _station_bound(logs, bw, n):
+    """bw / n times the sum of the n largest logs: the most a station adds
+    where it serves n of these UEs."""
+    return bw / n * sum(sorted(logs, reverse=True)[:n])
+
+
+def _class_bounds(table):
+    """Every load class the scan sums from, with its bound, by plain
+    enumeration. Every station with UEs serves at least one of them. The
+    MBS serves the UEs no SBS serves, so it adds at most bw_m / n_m times the
+    lesser of its n_m largest log terms and, for each group, the g - n
+    largest it leaves to the MBS plus the largest others it has room for."""
     k_ues, assoc = table.num_ue, table.assoc_sbs.tolist()
-    groups = [[table.log_small[k] for k in range(k_ues) if assoc[k] == i]
-              for i in range(table.num_sbs)]
-    best = None
-    for loads in itertools.product(*(range(len(g) + 1) for g in groups)):
-        for n_m in range(k_ues - sum(loads), k_ues + 1):
-            value = bound(table.log_macro.tolist(), table.params.bw_macro_hz, n_m) + sum(
-                bound(g, table.params.bw_small_hz, n) for g, n in zip(groups, loads))
-            if best is None or value > best[0]:
-                best = (value, (n_m, loads))
-    return best[1]
+    log_m, log_s = table.log_macro.tolist(), table.log_small.tolist()
+    bw_m, bw_s = table.params.bw_macro_hz, table.params.bw_small_hz
+    groups = [[k for k in range(k_ues) if assoc[k] == i] for i in range(table.num_sbs)]
+    bounds = {}
+    for loads in itertools.product(*(range(min(len(g), 1), len(g) + 1) for g in groups)):
+        uncovered = k_ues - sum(loads)
+        left = sum(sum(sorted((log_m[k] for k in g), reverse=True)[:len(g) - n])
+                   for g, n in zip(groups, loads))
+        small = sum(_station_bound([log_s[k] for k in g], bw_s, n)
+                    for g, n in zip(groups, loads) if n)
+        for n_m in range(max(uncovered, 1), k_ues + 1):
+            cover = bw_m / n_m * (left + sum(sorted(log_m, reverse=True)[:n_m - uncovered]))
+            bounds[n_m, loads] = min(_station_bound(log_m, bw_m, n_m), cover) + small
+    return bounds
+
+
+def _best_bounded_class(table):
+    """The load class with the highest bound, the first in _class_bounds'
+    order on a tie."""
+    bounds = _class_bounds(table)
+    return max(bounds, key=bounds.get)
+
+
+def _dominance_tables():
+    for k_ues in range(1, 7):
+        for num_sbs in (1, 4, 16):
+            yield seeded_table(k_ues, num_sbs=num_sbs, seed=1200 + 10 * k_ues + num_sbs)
+        yield _all_equal_table(k_ues, 2, seed=1300 + k_ues)
+        base = seeded_table(k_ues, num_sbs=2, seed=1400 + k_ues)
+        every = range(k_ues)
+        yield _zeroed_table(base, small=every)
+        yield _zeroed_table(base, macro=every, small=every)
+        yield _zeroed_table(base, macro=every[::2], small=every[1::2])
+        if k_ues >= 2:
+            yield twin_table(base, [(0, k_ues - 1)])
+
+
+def test_scan_classes_hold_every_undominated_row():
+    """Every digit row of small tables, K <= 6. A row where every station
+    with UEs serves one of them lies in one of _class_bounds' classes and
+    sums to at most its bound (1e-12 relative, for the other summation
+    order), which is at most the bound without the covering term; every
+    class holds such a row. A row that leaves a station idle is matched by
+    the row where that station's first UE takes digit 0: a smaller digit
+    row, a sum at least as large and every (UE, tier) pair still served. So
+    the maximum, its first maximizer and every served flag lie in the
+    classes the scan sums."""
+    for table in _dominance_tables():
+        k_ues, assoc, num_sbs = table.num_ue, table.assoc_sbs.tolist(), table.num_sbs
+        log_m, log_s = table.log_macro.tolist(), table.log_small.tolist()
+        bounds = _class_bounds(table)
+        for (n_m, loads), bound in bounds.items():
+            assert bound <= _station_bound(log_m, table.params.bw_macro_hz, n_m) + sum(
+                _station_bound([log_s[k] for k in range(k_ues) if assoc[k] == i],
+                               table.params.bw_small_hz, n) for i, n in enumerate(loads) if n)
+        # every digit row in enumeration order, UE 0 the least significant digit
+        rows = [row[::-1] for row in itertools.product(range(3), repeat=k_ues)]
+        vals = kernels.objective_chunk(np.array(rows, dtype=np.uint8), table).tolist()
+        index = {row: j for j, row in enumerate(rows)}
+        held = set()
+        for row, val in zip(rows, vals):
+            n_m, loads = _class_of(row, assoc, num_sbs)
+            idle = [k for k in range(k_ues) if n_m == 0 or loads[assoc[k]] == 0]
+            if not idle:
+                held.add((n_m, loads))
+                assert val <= bounds[n_m, loads] * (1 + 1e-12)
+                continue
+            better = row[:idle[0]] + (0,) + row[idle[0] + 1:]
+            assert better[::-1] < row[::-1] and vals[index[better]] >= val
+            assert all((d == 2 or b != 2) and (d == 1 or b != 1) for d, b in zip(row, better))
+        assert held == set(bounds)
 
 
 def test_block_scan_on_all_equal_logs():
@@ -246,8 +340,9 @@ def test_block_scan_on_single_sbs_tables(monkeypatch):
 
 
 def test_block_scan_finds_optimum_outside_best_bounded_class():
-    """On this seeded table the class with the highest bound does not hold
-    the optimum, so the scan must go on past it."""
+    """On this seeded table the class with the highest bound, the covering
+    term included, does not hold the optimum, so the scan must go on past
+    it."""
     table = seeded_table(10, num_sbs=16, seed=902)
     ref_val, ref_digits, *ref_flags = chunked_scan(table)
     optimum = _class_of(ref_digits, table.assoc_sbs.tolist(), 16)
