@@ -10,10 +10,12 @@ MBS's part is also capped by the UEs no SBS serves, which it must cover.
 The scan sums classes in descending bound and stops once a bound falls
 below the best row found, less a relative margin of 1e-9, many orders
 wider than rounding; on seeded tables with K >= 10 that leaves a median
-well under 1% of the rows to sum. A class's
-rows are built from cached per-(n, r) choice tables, never from a 3^g
-table of a whole group. One scan yields the maximum, the digit row of its
-first maximizer and, per UE, whether some maximizer serves it at each tier;
+well under 1% of the rows to sum. A class's rows are built from tables
+cached across scans and keyed by shape alone, never by member UEs: per
+group sizes and loads, every SBS pattern; per (n, r), the MBS's choice
+table. None is a 3^g table of a whole group. One scan yields the maximum,
+the digit row of its first maximizer and, per UE, whether some maximizer
+serves it at each tier;
 the last scan is memoized on the table object, whose content is frozen, so
 the exhaustive solver and the optimality checker share one scan of a table.
 
@@ -52,8 +54,8 @@ ENV_BACKEND = "DCALLOC_BACKEND"
 _CHUNK_ROWS = 1 << 12
 
 # 14 * 3**14 is about 6.7e7 rate calculations. The scan sums only the load
-# classes whose bound can reach the maximum: a median of 0.3-0.5 ms for a
-# seeded K=14 table on a shared 2-vCPU host, but 0.25-0.7 s for one whose log
+# classes whose bound can reach the maximum: a median of 0.13-0.26 ms for a
+# seeded K=14 table on a shared 2-vCPU host, but 0.1-0.35 s for one whose log
 # terms are all equal, where the bound prunes almost nothing; that worst case
 # triples with each further UE. Every scan refuses a larger K
 DEFAULT_BRUTE_CAP = 14
@@ -117,17 +119,39 @@ def _top_sums(logs) -> list:
     return sums
 
 
-def _small_served(groups, loads, k_ues) -> np.ndarray:
-    """Which UEs their SBS serves, one column per way for every group to put
-    its load on its SBS (k_ues x P, P the product of the groups' C(g, n)).
-    Every load is at least 1, and a UE of no listed group is served."""
-    served = np.ones((k_ues, 1), dtype=bool)
-    for members, n in zip(groups, loads):
-        if n < len(members):
-            choice = _choices(len(members), n)
+@functools.lru_cache(maxsize=None)
+def _picks(n_small: int, n_both: int) -> np.ndarray:
+    """Read-only MBS pick table read by rank: _choices(n_small, n_both), an
+    all-True row for the UEs no SBS serves, then whether the SBS serves the
+    UE: True for ranks 0..n_small-1, False for the last."""
+    both = _choices(n_small, n_both)
+    table = np.concatenate((both, np.ones((n_small + 1, both.shape[1]), dtype=bool),
+                            np.zeros((1, both.shape[1]), dtype=bool)))
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(sizes: tuple, loads: tuple, n_single: int):
+    """Every SBS pattern of one combination of group loads, read-only, one
+    column per pattern (the last group varying fastest) and one row per UE
+    in layout order: the groups' members in turn, then n_single UEs of
+    one-UE SBSs. Returns (served, ranks): whether the UE's SBS serves it;
+    its rank among the small-served UEs (past the last if none), then that
+    rank plus n_small + 1, its two rows of _picks (2k x P)."""
+    served = np.ones((sum(sizes) + n_single, 1), dtype=bool)
+    start = 0
+    for g, n in zip(sizes, loads):
+        if n < g:
+            choice = _choices(g, n)
             served = np.repeat(served, choice.shape[1], axis=1)
-            served[members] = np.tile(choice, served.shape[1] // choice.shape[1])
-    return served
+            served[start:start + g] = np.tile(choice, served.shape[1] // choice.shape[1])
+        start += g
+    n_small = sum(loads) + n_single
+    ranks = np.where(served, np.cumsum(served, axis=0) - 1, n_small)
+    ranks = np.concatenate((ranks, ranks + n_small + 1))
+    served.flags.writeable = ranks.flags.writeable = False
+    return served, ranks
 
 
 def _block_scan(table):
@@ -191,24 +215,37 @@ def _block_scan(table):
     and the largest bound lie well inside the normal range; otherwise every
     class is summed.
 
-    A class's rows are every way for each SBS group to put its load on its
-    SBS (_small_served, built once per combination of SBS loads in a scan)
-    times every way for the MBS to serve n_m - c of the small-served UEs
-    besides the c UEs no SBS serves (_choices). Each
-    row adds UE 0..K-1 in order, macro term then small term, each
+    A class's rows are every SBS pattern, one way for each SBS group to put
+    its load on its SBS, times every way for the MBS to serve n_m - c of the
+    small-served UEs besides the c UEs no SBS serves. Both tables are cached
+    across scans, keyed by shape alone: _layout holds the patterns of one
+    combination of group loads in layout order, gathered into UE order once
+    per scan through an inverse permutation, and _picks appends to the MBS's
+    choices the rows saying whether the SBS serves the UE, so one gather
+    gives a piece's macro and small flags. Ranks count small-served UEs in
+    layout order, which permutes the rows within a piece only; nothing the
+    scan returns depends on that order.
+
+    Each row adds UE 0..K-1 in order, macro term then small term, each
     bw / load * log, as objective_chunk does. The term of a tier that does
     not serve the UE is +0.0 in both: objective_chunk multiplies the term by
-    its False flag, the scan computes bw / load * (log * 0.0), and a finite
-    share times 0.0 is +0.0. A piece is as many SBS patterns as fit in
+    its False flag, the scan selects 0.0 for a macro term and computes
+    bw / load * (log * 0.0) for a small one, and a finite share times 0.0
+    is +0.0. A piece is as many SBS patterns as fit in
     _CHUNK_ROWS rows (at least one) times the whole MBS pick table, which
     under DEFAULT_BRUTE_CAP has at most C(14, 7) = 3432 < _CHUNK_ROWS
     columns; a larger one, which only a smaller _CHUNK_ROWS makes, is summed
-    whole.
+    whole. Ties are resolved per piece: the piece's rows equal to its
+    maximum give their least digit row. The rows near the running maximum
+    update one (2K,) array of best near-row values, the MBS's flags first,
+    then the SBSs'.
 
-    A piece holds its terms as a (2K, rows) array, one column per row, and
-    adds the 2K term arrays by an in-place loop, vals += term, which sums
-    every column left to right. cumsum(axis=0) gives the same bits but
-    accumulates along the strided axis: it made the all-equal K=13 one-SBS
+    A piece holds its macro terms as a (K, rows) array and its small terms
+    as one value per UE and pattern, and adds them by an in-place loop,
+    vals += term, macro and small in turn, a small term broadcast over its
+    pattern's rows; each row is summed left to right. cumsum(axis=0) over a
+    (2K, rows) array gives the same bits but accumulates along the strided
+    axis: it made the all-equal K=13 one-SBS
     scan take 0.5-0.6 s instead of 0.35 s. np.add.reduce(axis=0) sums
     pairwise when a piece holds one row, whose single column is contiguous,
     and so changes bits: it differed from the loop in 1,040 of 2,000 random
@@ -222,7 +259,7 @@ def _block_scan(table):
     lm, ls = log_m.tolist(), log_s.tolist()
     # an SBS with one UE serves it in every class, so only larger groups vary
     multi = [i for i, members in enumerate(groups) if len(members) > 1]
-    sizes = [len(groups[i]) for i in multi]
+    sizes = tuple(len(groups[i]) for i in multi)
     single = [members[0] for members in groups if len(members) == 1]
     # per combination of the larger groups' loads, 1..g each, the last group
     # varying fastest: the SBSs' bound, their load, and the most the macro
@@ -260,13 +297,17 @@ def _block_scan(table):
                     if c != first)
 
     best_val, best_digits = -1.0, None
-    # per UE, the best value read so far of a row where the MBS (its SBS) serves it
-    macro_vals = np.full(k_ues, -1.0)
-    small_vals = np.full(k_ues, -1.0)
-    macro_logs = log_m[:, None, None]
-    # per combination of SBS loads: which UEs the SBSs serve, one column per
-    # pattern; each UE's rank among the small-served ones (the others rank
-    # past the last); how many they serve; each UE's small term, or 0.0
+    # per UE, the best value read so far of a row where the MBS serves it,
+    # then the same where its SBS serves it
+    near_best = np.full(2 * k_ues, -1.0)
+    # the layout lists the larger groups' UEs, then the one-UE SBSs' UEs;
+    # inv[k] is UE k's row there, and inv2 its two rows of ranks
+    inv = np.empty(k_ues, dtype=np.intp)
+    inv[[k for i in multi for k in groups[i]] + single] = range(k_ues)
+    inv2 = np.concatenate((inv, inv + k_ues))
+    # per combination of SBS loads, in UE order, one column per pattern: each
+    # UE's two rows of the pick table; how many UEs the SBSs serve; each UE's
+    # small term, or 0.0
     patterns = {}
     for c in by_bound():
         if prunes and bounds[c] < best_val * (1 - 1e-9):
@@ -274,41 +315,34 @@ def _block_scan(table):
         n_m, s = divmod(c, len(f_s))
         n_m += 1
         if s not in patterns:
-            loads = [int(n) + 1 for n in np.unravel_index(s, sizes)]
-            served = _small_served([groups[i] for i in multi], loads, k_ues)
-            ranks = np.cumsum(served, axis=0) - 1
-            ranks[~served] = n_s[s]
+            loads = tuple(s // math.prod(sizes[j + 1:]) % g + 1 for j, g in enumerate(sizes))
+            served, ranks = _layout(sizes, loads, len(single))
             load_s = np.ones(table.num_sbs, dtype=np.int64)
             load_s[multi] = loads
-            patterns[s] = (served, ranks, int(n_s[s]),
-                           (bw_s / load_s[assoc])[:, None] * (served * log_s[:, None]))
-        served, ranks, n_small, small_terms = patterns[s]
-        both = _choices(n_small, n_m - k_ues + n_small)
-        # read by rank: row j says whether the MBS serves the j-th
-        # small-served UE, and the last row stands for the UEs no SBS serves
-        pick = np.concatenate((both, np.ones((1, both.shape[1]), dtype=bool)))
-        share_m = bw_m / n_m
+            patterns[s] = (ranks[inv2], int(n_s[s]),
+                           (bw_s / load_s[assoc])[:, None] * (served[inv] * log_s[:, None]))
+        ranks, n_small, small_terms = patterns[s]
+        pick = _picks(n_small, n_m - k_ues + n_small)
+        macro_terms = (bw_m / n_m * log_m)[:, None, None]
         n_cols = pick.shape[1]
         n_p = max(1, _CHUNK_ROWS // n_cols)
-        for p0 in range(0, served.shape[1], n_p):
-            # macro[k, p, q]: does the MBS serve UE k in the piece's row
-            # (p, q), flat row p * n_cols + q
-            macro = pick[ranks[:, p0:p0 + n_p]]
-            terms = np.empty((k_ues, 2) + macro.shape[1:])
-            np.multiply(macro, macro_logs, out=terms[:, 0])
-            terms[:, 0] *= share_m
-            terms[:, 1] = small_terms[:, p0:p0 + n_p, None]
-            terms = terms.reshape(2 * k_ues, -1)
-            vals = terms[0].copy()
-            for term in terms[1:]:
-                vals += term
-            macro = macro.reshape(k_ues, -1)
+        for p0 in range(0, ranks.shape[1], n_p):
+            # flags[k, p, q]: does the MBS serve UE k in the piece's row
+            # (p, q), flat row p * n_cols + q; flags[K + k, p, q]: does its SBS
+            flags = pick[ranks[:, p0:p0 + n_p]]
+            macro = np.where(flags[:k_ues], macro_terms, 0.0)
+            small = small_terms[:, p0:p0 + n_p, None]
+            vals = macro[0] + small[0]
+            for k in range(1, k_ues):
+                vals += macro[k]
+                vals += small[k]
+            vals = vals.ravel()
+            flags = flags.reshape(2 * k_ues, -1)
             top = float(vals.max())
             if top >= best_val:
-                ties = np.flatnonzero(vals == top)
-                digits = np.where(served[:, p0 + ties // n_cols],
-                                  np.where(macro[:, ties], DIGIT_BOTH, DIGIT_SMALL_ONLY),
-                                  DIGIT_MACRO_ONLY)
+                ties = flags[:, vals == top]
+                digits = np.where(ties[k_ues:], np.where(ties[:k_ues], DIGIT_BOTH,
+                                                         DIGIT_SMALL_ONLY), DIGIT_MACRO_ONLY)
                 # enumeration order compares digit rows from UE K-1 down
                 least = tuple(digits[:, np.lexsort(digits)[0]].tolist())
                 if top > best_val or least[::-1] < best_digits[::-1]:
@@ -318,17 +352,13 @@ def _block_scan(table):
             # is at most twice the running maximum's; rows below 2*tol of
             # it can go, and a UE's value only rises through a row above it
             floor = best_val - 4 * k_ues * math.ulp(best_val)
-            low = min(macro_vals.min(), small_vals.min())
+            low = near_best.min()
             if top >= floor and top > low:
-                near = np.flatnonzero(vals >= floor if low < floor else vals > low)
-                near_vals = vals[near]
-                np.maximum(macro_vals, np.where(macro[:, near], near_vals, -1.0).max(axis=1),
-                           out=macro_vals)
-                np.maximum(small_vals, np.where(served[:, p0 + near // n_cols], near_vals,
-                                                -1.0).max(axis=1), out=small_vals)
-    floor = best_val - 2 * k_ues * math.ulp(best_val)
-    return (best_val, best_digits, tuple((macro_vals >= floor).tolist()),
-            tuple((small_vals >= floor).tolist()))
+                near = vals >= floor if low < floor else vals > low
+                np.maximum(near_best, np.where(flags[:, near], vals[near], -1.0).max(axis=1),
+                           out=near_best)
+    served = (near_best >= best_val - 2 * k_ues * math.ulp(best_val)).tolist()
+    return best_val, best_digits, tuple(served[:k_ues]), tuple(served[k_ues:])
 
 
 # (table, result) of the last scan. The oracle loop scans a table in

@@ -238,19 +238,22 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     the same table object, the check scans nothing. The scan's maximizers are the
     rows within 2*K ulps of the maximum, so that the swapped optima of
     identical UEs, which sum the same terms in another order, count as
-    maximizers too. The supplied allocation's own digit row is scored by
-    objective_chunk, in the scan's summation order, and is accepted by the
-    same rule: any maximizer gets the same (ok, witness), not only the one
-    solve_brute_force returns.
+    maximizers too. The scan's own maximizer, the allocation
+    solve_brute_force returns, sums to the maximum bit for bit (the solver
+    replays it through evaluate), so it is not scored again. Any other
+    allocation's digit row is scored by objective_chunk, in the scan's
+    summation order, and is accepted by the same rule: any maximizer gets
+    the same (ok, witness), not only the one solve_brute_force returns.
     """
     k_ues = table.num_ue
     if optimum.num_ue != k_ues:
         raise ValueError("allocation size does not match table")
-    best, _, macro_served, small_served = _table_scan(table)
-    value = objective_chunk(optimum.digits[None], table)[0]
-
-    if value < best - 2 * k_ues * math.ulp(best):
-        raise ValueError("supplied allocation is not an exhaustive-search maximizer")
+    best, digits, macro_served, small_served = _table_scan(table)
+    # the scan's own maximizer sums to best bit for bit; only another row is scored
+    if tuple(optimum.digits.tolist()) != digits:
+        value = objective_chunk(optimum.digits[None], table)[0]
+        if value < best - 2 * k_ues * math.ulp(best):
+            raise ValueError("supplied allocation is not an exhaustive-search maximizer")
     mbs = table.num_sbs
     for bs, col in enumerate(build_sorted_matrix(table)):
         if len(col) and not (macro_served if bs == mbs else small_served)[col[0]]:

@@ -3,6 +3,7 @@ the Python oracle, its pruning, the scan memo's key, the numba-free import,
 and prefix window pricing against full subset enumeration."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -14,9 +15,11 @@ import pytest
 
 import dcalloc
 import dcalloc.kernels as kernels
+import dcalloc.solvers as solvers
 from dcalloc import (DEFAULT_BRUTE_CAP, Allocation, BruteForceCapError, ChannelTable,
-                     brute_force_scan, check_proposition1, evaluate, solve_1a_only, solve_3c_only,
-                     solve_brute_force, solve_proposed, solve_stronger, subset_degradations)
+                     brute_force_scan, build_sorted_matrix, check_proposition1, evaluate,
+                     solve_1a_only, solve_3c_only, solve_brute_force, solve_proposed,
+                     solve_stronger, subset_degradations)
 
 from conftest import (adversarial_table, chunked_scan, python_brute, python_objective,
                       python_row_sum, python_subset_table, seeded_table, twin_table)
@@ -351,14 +354,19 @@ def test_block_scan_finds_optimum_outside_best_bounded_class():
     assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
 
 
+def _subnormal_table():
+    """A seeded K=7 table at a bandwidth of 1e-300 Hz on both tiers."""
+    base = seeded_table(7, num_sbs=2, seed=71)
+    params = replace(base.params, bw_macro_hz=1e-300, bw_small_hz=1e-300)
+    return ChannelTable(snr_macro=base.snr_macro, assoc_sbs=base.assoc_sbs,
+                        sinr_small=base.sinr_small, params=params)
+
+
 def test_block_scan_sums_every_class_when_terms_are_subnormal():
     """At a bandwidth of 1e-300 Hz the smallest terms are subnormal, where
     rounding is no longer relative, so the scan sums every class; it still
     matches the reference."""
-    base = seeded_table(7, num_sbs=2, seed=71)
-    params = replace(base.params, bw_macro_hz=1e-300, bw_small_hz=1e-300)
-    table = ChannelTable(snr_macro=base.snr_macro, assoc_sbs=base.assoc_sbs,
-                         sinr_small=base.sinr_small, params=params)
+    table = _subnormal_table()
     assert table.log_macro.min() * 1e-300 / 7 < 2.0 ** -1000
     ref_val, ref_digits, *ref_flags = chunked_scan(table)
     val, digits, *flags = kernels._block_scan(table)
@@ -452,20 +460,98 @@ def test_scan_memo_rescans_on_changed_input(scan_calls, change):
 
 
 def test_scan_result_and_layout_are_read_only(scan_calls):
-    """The memoized result is a tuple of tuples and the cached choice tables
-    the scan builds its rows from are read-only, so no caller can corrupt a
-    later scan."""
+    """The memoized result is a tuple of tuples and the cached choice,
+    pick and pattern tables the scan builds its rows from are read-only, so
+    no caller can corrupt a later scan."""
     table = seeded_table(9, num_sbs=4, seed=34)
     scan = kernels._table_scan(table)
     assert type(scan) is tuple
     assert all(type(flags) is tuple for flags in scan[2:])
-    for n, r in ((4, 2), (9, 0), (9, 9)):
-        arr = kernels._choices(n, r)
+    cached = [kernels._choices(n, r) for n, r in ((4, 2), (9, 0), (9, 9))]
+    cached += [kernels._picks(n, r) for n, r in ((4, 2), (5, 0), (5, 5))]
+    for sizes, loads, n_single in (((3, 2), (2, 1), 1), ((4,), (4,), 0), ((2, 2), (1, 2), 3)):
+        cached += kernels._layout(sizes, loads, n_single)
+    for arr in cached:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1
     assert kernels._table_scan(table) is scan
     assert len(scan_calls) == 1
+
+
+def test_layout_cache_is_keyed_by_group_shape(monkeypatch):
+    """Two tables whose SBS groups have the same sizes but other member UEs
+    (a permuted assoc_sbs) share the cached SBS patterns, and each scans to
+    the row-at-a-time reference at every chunk size."""
+    base = seeded_table(9, num_sbs=3, seed=36)
+    perm = np.array([4, 7, 0, 2, 8, 1, 6, 3, 5])
+    moved = replace(base, assoc_sbs=base.assoc_sbs[perm])
+    assert np.array_equal(np.bincount(moved.assoc_sbs), np.bincount(base.assoc_sbs))
+    assert not np.array_equal(moved.assoc_sbs, base.assoc_sbs)
+    kernels._layout.cache_clear()
+    kernels._block_scan(base)
+    seen = kernels._layout.cache_info()
+    kernels._block_scan(moved)
+    assert kernels._layout.cache_info().hits > seen.hits
+    for table in (base, moved):
+        ref_val, ref_digits, *ref_flags = chunked_scan(table)
+        for chunk_rows in CHUNK_SIZES:
+            monkeypatch.setattr(kernels, "_CHUNK_ROWS", chunk_rows)
+            val, digits, *flags = kernels._block_scan(table)
+            assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
+
+
+def _check_by_scoring(table, alloc):
+    """check_proposition1's rule with every allocation scored by
+    objective_chunk, the scan's own maximizer included."""
+    best, _, macro_served, small_served = kernels._table_scan(table)
+    value = kernels.objective_chunk(alloc.digits[None], table)[0]
+    if value < best - 2 * table.num_ue * math.ulp(best):
+        raise ValueError("not a maximizer")
+    mbs = table.num_sbs
+    for bs, col in enumerate(build_sorted_matrix(table)):
+        if len(col) and not (macro_served if bs == mbs else small_served)[col[0]]:
+            return False, {"bs": bs, "head_ue": int(col[0]), "max_sum_rate": best}
+    return True, None
+
+
+def test_check_proposition1_scores_only_other_maximizers(monkeypatch):
+    """objective_chunk scores the scan's own maximizer to the scan's
+    maximum bit for bit, so the checker takes the maximum for it and calls
+    objective_chunk zero times; a swapped-twin maximizer, another row, is
+    scored once. Both get the (ok, witness) of scoring every allocation. The
+    tables: the reference set (twins, zero logs), all-equal tables and the
+    subnormal one."""
+    calls = []
+
+    def counted(digits, table):
+        calls.append(digits.shape)
+        return kernels.objective_chunk(digits, table)
+
+    monkeypatch.setattr(solvers, "objective_chunk", counted)
+    swapped_rows = 0
+    all_equal = [_all_equal_table(k, i, seed=40 + k) for k in range(6, 10) for i in (1, 2, 4)]
+    for table in itertools.chain(_reference_tables(), all_equal, [_subnormal_table()]):
+        best, digits = brute_force_scan(table)
+        assert kernels.objective_chunk(np.array([digits]), table)[0].hex() == best.hex()
+        own = Allocation(digits)
+        expected = _check_by_scoring(table, own)
+        del calls[:]
+        assert check_proposition1(table, own) == expected
+        assert calls == []
+        assoc = table.assoc_sbs.tolist()
+        twins = [(a, b) for a, b in itertools.combinations(range(table.num_ue), 2)
+                 if digits[a] != digits[b] and assoc[a] == assoc[b]
+                 and table.snr_macro[a] == table.snr_macro[b]
+                 and table.sinr_small[a] == table.sinr_small[b]]
+        for a, b in twins[:1]:
+            row = list(digits)
+            row[a], row[b] = row[b], row[a]
+            swapped = Allocation(row)
+            assert check_proposition1(table, swapped) == _check_by_scoring(table, swapped)
+            assert calls == [(1, table.num_ue)]
+            swapped_rows += 1
+    assert swapped_rows >= 10
 
 
 def _lexicographic_winner(candidates, degs, ues_of):
