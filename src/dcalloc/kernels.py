@@ -7,17 +7,22 @@ row and no served pair lost. Within a class each term's share bw / load is
 fixed, so no row of the class scores more than a closed form, the sum over
 stations of the share times the largest log terms the load can hold; the
 MBS's part is also capped by the UEs no SBS serves, which it must cover.
-The scan sums classes in descending bound and stops once a bound falls
-below the best row found, less a relative margin of 1e-9, many orders
-wider than rounding; on seeded tables with K >= 10 that leaves a median
-well under 1% of the rows to sum. A class's rows are built from tables
-cached across scans and keyed by shape alone, never by member UEs: per
-group sizes and loads, every SBS pattern; per (n, r), the MBS's choice
-table. None is a 3^g table of a whole group. One scan yields the maximum,
-the digit row of its first maximizer and, per UE, whether some maximizer
-serves it at each tier;
-the last scan is memoized on the table object, whose content is frozen, so
-the exhaustive solver and the optimality checker share one scan of a table.
+The bounds are formed on Python floats, the running sums of each group's
+sorted logs and one list per combination of group loads, and become one
+array apiece only for the grid of classes; a class whose MBS load cannot
+cover the UEs no SBS serves reads a -inf padded past the MBS's sums, so its
+bound is -inf without a mask. The scan sums classes in descending bound and
+stops once a bound falls below the best row found, less a relative margin of
+1e-9, many orders wider than rounding; on seeded tables with K >= 10 that
+leaves a median well under 1% of the rows to sum. A class's rows are built
+from tables cached across scans and keyed by shape alone, never by member
+UEs: per group sizes and loads, every SBS pattern; per (n, r), the MBS's
+choice table. None is a 3^g table of a whole group. One scan yields the
+maximum, the digit row of its first maximizer (read from the flags of a
+piece's one row at its maximum, or the least of several tied rows) and, per
+UE, whether some maximizer serves it at each tier; the last scan is
+memoized on the table object, whose content is frozen, so the exhaustive
+solver and the optimality checker share one scan of a table.
 
 The greedy's window pricing is a closed form: the least-degrading subset of
 a descending window is always a prefix, so subset_degradations() prices the
@@ -54,8 +59,8 @@ ENV_BACKEND = "DCALLOC_BACKEND"
 _CHUNK_ROWS = 1 << 12
 
 # 14 * 3**14 is about 6.7e7 rate calculations. The scan sums only the load
-# classes whose bound can reach the maximum: a median of 0.13-0.26 ms for a
-# seeded K=14 table on a shared 2-vCPU host, but 0.1-0.35 s for one whose log
+# classes whose bound can reach the maximum: a median of 0.10-0.18 ms for a
+# seeded K=14 table on a shared 2-vCPU host, but 0.07-0.28 s for one whose log
 # terms are all equal, where the bound prunes almost nothing; that worst case
 # triples with each further UE. Every scan refuses a larger K
 DEFAULT_BRUTE_CAP = 14
@@ -109,14 +114,6 @@ def _choices(n: int, r: int) -> np.ndarray:
         table[list(chosen), col] = True
     table.flags.writeable = False
     return table
-
-
-def _top_sums(logs) -> list:
-    """t[n] = the sum of the n largest logs, added largest first; t[0] = 0.0."""
-    sums = [0.0]
-    for x in sorted(logs, reverse=True):
-        sums.append(sums[-1] + x)
-    return sums
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,10 +189,16 @@ def _block_scan(table):
     its g_i UEs, whose log_m sum to at most h_i[n_i], the sum of the group's
     g_i - n_i largest, and its other n_m - c UEs sum to at most
     top_m[n_m - c]. The class bound is min(f_m[n_m], bw_m / n_m * (sum
-    h_i[n_i] + top_m[n_m - c])) + sum f_i[n_i]; classes with n_m < c hold no
-    rows. Classes are summed in descending bound, and the scan stops at the
-    first class whose bound is below best_val * (1 - 1e-9), best_val being
-    the maximum of the rows summed so far.
+    h_i[n_i] + top_m[n_m - c])) + sum f_i[n_i]. Classes with n_m < c hold no
+    rows: top_m is padded with K entries of -inf, which top_m[n_m - c] reads
+    for every such class (n_m - c >= 1 - K), so their bound is -inf. The
+    prelude builds each group's top sums, added largest first, and the
+    per-combination f, load and h vectors as Python lists, the last group
+    varying fastest and each entry the running sum plus the group's term,
+    then makes one array of each for the grid of classes. Classes are summed
+    in descending bound, and the scan stops at the first class whose bound is
+    below best_val * (1 - 1e-9), best_val being the maximum of the rows
+    summed so far.
 
     The stop loses no row within 4K ulps of the maximum. A term takes two
     roundings (the share, then the product), a row's sum 2K - 1 more. A
@@ -235,8 +238,9 @@ def _block_scan(table):
     _CHUNK_ROWS rows (at least one) times the whole MBS pick table, which
     under DEFAULT_BRUTE_CAP has at most C(14, 7) = 3432 < _CHUNK_ROWS
     columns; a larger one, which only a smaller _CHUNK_ROWS makes, is summed
-    whole. Ties are resolved per piece: the piece's rows equal to its
-    maximum give their least digit row. The rows near the running maximum
+    whole. Ties are resolved per piece: where one row equals the piece's
+    maximum, its digit row is read from its flag column; where several do,
+    they give their least digit row. The rows near the running maximum
     update one (2K,) array of best near-row values, the MBS's flags first,
     then the SBSs'.
 
@@ -264,23 +268,26 @@ def _block_scan(table):
     # per combination of the larger groups' loads, 1..g each, the last group
     # varying fastest: the SBSs' bound, their load, and the most the macro
     # logs of the UEs they leave to the MBS can sum to
-    acc = np.array([[sum(bw_s * ls[k] for k in single)], [len(single)], [0.0]])
+    f_s, n_s, h_s = [sum(bw_s * ls[k] for k in single)], [len(single)], [0.0]
     for i, g in zip(multi, sizes):
-        t_s, t_m = _top_sums(ls[k] for k in groups[i]), _top_sums(lm[k] for k in groups[i])
-        step = np.array([[bw_s / n * t_s[n] for n in range(1, g + 1)], range(1, g + 1),
-                         t_m[g - 1::-1]])
-        acc = (acc[:, :, None] + step[:, None, :]).reshape(3, -1)
-    f_s, n_s, h_s = acc[0], acc[1].astype(np.int64), acc[2]
+        t_s = [*itertools.accumulate(sorted([ls[k] for k in groups[i]], reverse=True), initial=0.0)]
+        t_m = [*itertools.accumulate(sorted([lm[k] for k in groups[i]], reverse=True), initial=0.0)]
+        group_loads = range(1, g + 1)
+        step = [bw_s / n * t_s[n] for n in group_loads]
+        f_s = [a + b for a in f_s for b in step]
+        n_s = [a + n for a in n_s for n in group_loads]
+        h_s = [a + b for a in h_s for b in t_m[g - 1::-1]]
+    f_s, n_s, h_s = np.array(f_s), np.array(n_s), np.array(h_s)
     # class (n_m - 1) * len(f_s) + s for n_m = 1..K. Its MBS serves the K - n_s
     # UEs no SBS serves and free = n_m - (K - n_s) others, so it adds at most
     # bw_m / n_m times the lesser of its n_m largest logs and h_s plus its free
-    # largest ones. A class with free < 0 holds no rows (its top_m[free] reads
-    # from the end), and its bound is -inf
-    top_m = np.array(_top_sums(lm))
+    # largest ones. A class with free < 0 holds no rows: its top_m[free] reads
+    # one of the K -inf entries past the sums, and its bound is -inf
+    top_m = np.array([*itertools.accumulate(sorted(lm, reverse=True), initial=0.0),
+                      *[-math.inf] * k_ues])
     loads_m = np.arange(1, k_ues + 1)[:, None]
-    free = n_s - k_ues + loads_m
-    most_m = np.minimum(top_m[1:, None], h_s + top_m[free])
-    bounds = np.where(free >= 0, bw_m / loads_m * most_m + f_s, -np.inf).ravel()
+    most_m = np.minimum(top_m[1:k_ues + 1, None], h_s + top_m[n_s - k_ues + loads_m])
+    bounds = (bw_m / loads_m * most_m + f_s).ravel()
     first = int(np.argmax(bounds))
     # the rounding argument for the cut needs every nonzero intermediate normal
     nonzero = [x for x in (*lm, *ls) if x > 0.0]
@@ -302,9 +309,10 @@ def _block_scan(table):
     near_best = np.full(2 * k_ues, -1.0)
     # the layout lists the larger groups' UEs, then the one-UE SBSs' UEs;
     # inv[k] is UE k's row there, and inv2 its two rows of ranks
-    inv = np.empty(k_ues, dtype=np.intp)
-    inv[[k for i in multi for k in groups[i]] + single] = range(k_ues)
-    inv2 = np.concatenate((inv, inv + k_ues))
+    inv = [0] * k_ues
+    for r, k in enumerate([k for i in multi for k in groups[i]] + single):
+        inv[k] = r
+    inv2 = np.array(inv + [r + k_ues for r in inv])
     # per combination of SBS loads, in UE order, one column per pattern: each
     # UE's two rows of the pick table; how many UEs the SBSs serve; each UE's
     # small term, or 0.0
@@ -317,10 +325,10 @@ def _block_scan(table):
         if s not in patterns:
             loads = tuple(s // math.prod(sizes[j + 1:]) % g + 1 for j, g in enumerate(sizes))
             served, ranks = _layout(sizes, loads, len(single))
-            load_s = np.ones(table.num_sbs, dtype=np.int64)
-            load_s[multi] = loads
+            load_s = dict(zip(multi, loads))
+            share = np.array([bw_s / load_s.get(i, 1) for i in assoc.tolist()])
             patterns[s] = (ranks[inv2], int(n_s[s]),
-                           (bw_s / load_s[assoc])[:, None] * (served[inv] * log_s[:, None]))
+                           share[:, None] * (served[inv2[:k_ues]] * log_s[:, None]))
         ranks, n_small, small_terms = patterns[s]
         pick = _picks(n_small, n_m - k_ues + n_small)
         macro_terms = (bw_m / n_m * log_m)[:, None, None]
@@ -340,11 +348,18 @@ def _block_scan(table):
             flags = flags.reshape(2 * k_ues, -1)
             top = float(vals.max())
             if top >= best_val:
-                ties = flags[:, vals == top]
-                digits = np.where(ties[k_ues:], np.where(ties[:k_ues], DIGIT_BOTH,
-                                                         DIGIT_SMALL_ONLY), DIGIT_MACRO_ONLY)
-                # enumeration order compares digit rows from UE K-1 down
-                least = tuple(digits[:, np.lexsort(digits)[0]].tolist())
+                ties = np.flatnonzero(vals == top)
+                if len(ties) == 1:
+                    col = flags[:, ties[0]].tolist()
+                    least = tuple(DIGIT_MACRO_ONLY if not on_s else
+                                  DIGIT_BOTH if on_m else DIGIT_SMALL_ONLY
+                                  for on_m, on_s in zip(col[:k_ues], col[k_ues:]))
+                else:
+                    ties = flags[:, ties]
+                    digits = np.where(ties[k_ues:], np.where(ties[:k_ues], DIGIT_BOTH,
+                                                             DIGIT_SMALL_ONLY), DIGIT_MACRO_ONLY)
+                    # enumeration order compares digit rows from UE K-1 down
+                    least = tuple(digits[:, np.lexsort(digits)[0]].tolist())
                 if top > best_val or least[::-1] < best_digits[::-1]:
                     best_digits = least
                 best_val = top

@@ -72,7 +72,7 @@ def solve_brute_force(table: ChannelTable) -> SolverResult:
     """
     k_ues = table.num_ue
     best_val, digits = brute_force_scan(table)
-    alloc = Allocation(digits)
+    alloc = Allocation(np.array(digits, np.uint8))
     sum_rate = evaluate(alloc, table)
     # the replay must agree with the scan kernel bit for bit
     if sum_rate != best_val:
@@ -244,6 +244,12 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     allocation's digit row is scored by objective_chunk, in the scan's
     summation order, and is accepted by the same rule: any maximizer gets
     the same (ok, witness), not only the one solve_brute_force returns.
+
+    The heads are found in one pass, without sorting: each SBS's head is the
+    first UE of its group with the greatest SINR and the MBS's the first UE
+    with the greatest SNR, so a tie goes to the lowest index, as it does in
+    build_sorted_matrix, whose columns start with these same UEs. Stations
+    are checked SBS 0..I-1, then the MBS.
     """
     k_ues = table.num_ue
     if optimum.num_ue != k_ues:
@@ -254,8 +260,14 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
         value = objective_chunk(optimum.digits[None], table)[0]
         if value < best - 2 * k_ues * math.ulp(best):
             raise ValueError("supplied allocation is not an exhaustive-search maximizer")
+    # each SBS's first UE of greatest SINR, then the first UE of greatest SNR
+    sinr, snr = table.sinr_small.tolist(), table.snr_macro.tolist()
+    heads = [None] * table.num_sbs + [max(range(k_ues), key=snr.__getitem__)]
+    for k, i in enumerate(table.assoc_sbs.tolist()):
+        if heads[i] is None or sinr[k] > sinr[heads[i]]:
+            heads[i] = k
     mbs = table.num_sbs
-    for bs, col in enumerate(build_sorted_matrix(table)):
-        if len(col) and not (macro_served if bs == mbs else small_served)[col[0]]:
-            return False, {"bs": bs, "head_ue": int(col[0]), "max_sum_rate": best}
+    for bs, head in enumerate(heads):
+        if head is not None and not (macro_served if bs == mbs else small_served)[head]:
+            return False, {"bs": bs, "head_ue": head, "max_sum_rate": best}
     return True, None

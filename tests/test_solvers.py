@@ -492,6 +492,64 @@ def test_check_proposition1_witness_names_first_failing_station(monkeypatch):
     assert type(witness["head_ue"]) is int
 
 
+def _head_tables():
+    """Seeded tables, twin tables, all-equal tables, two-valued tie tables
+    and tables whose SBSs include some that serve nobody."""
+    for k_ues in range(1, 9):
+        for num_sbs in (1, 2, 4, 16):
+            base = seeded_table(k_ues, num_sbs=num_sbs, seed=6000 + 10 * k_ues + num_sbs)
+            yield base
+            yield _synthetic(snr=[3.0] * k_ues, sinr=[3.0] * k_ues, assoc=base.assoc_sbs,
+                             num_sbs=num_sbs)
+            if k_ues >= 2:
+                yield twin_table(base, [(0, 1)])
+                yield twin_table(base, [(0, k_ues - 1)])
+    rng = np.random.default_rng(29)
+    for k_ues in range(2, 9):
+        for num_sbs in (3, 8):
+            # half the SBSs serve nobody
+            yield _synthetic(snr=rng.choice([0.5, 2.0], size=k_ues),
+                             sinr=rng.choice([0.5, 2.0], size=k_ues),
+                             assoc=rng.integers(0, num_sbs // 2 + 1, size=k_ues),
+                             num_sbs=num_sbs)
+
+
+def test_check_proposition1_heads_are_the_sorted_columns_first_ues(monkeypatch):
+    """Each station's head is the first UE of its column of the sorted
+    matrix: ties go to the lowest index. Forcing one station's head alone to
+    be served by no maximizer names that station and that UE, and the check
+    never builds the sorted matrix."""
+    scan = solvers._table_scan
+    sorts = []
+    build = solvers.build_sorted_matrix
+    monkeypatch.setattr(solvers, "build_sorted_matrix",
+                        lambda table: sorts.append(table) or build(table))
+    empty_groups = 0
+    for table in _head_tables():
+        opt = solve_brute_force(table)
+        mbs = table.num_sbs
+        for bs, col in enumerate(build(table)):
+            if not col.size:
+                empty_groups += 1
+                continue
+            head = int(col[0])
+
+            def head_fails(tbl, bs=bs, head=head):
+                """Every (UE, tier) pair is served by some maximizer but the
+                head of station bs at that station."""
+                flags = [[True] * tbl.num_ue, [True] * tbl.num_ue]
+                flags[bs != mbs][head] = False
+                return scan(tbl)[:2] + tuple(map(tuple, flags))
+
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_table_scan", head_fails)
+                ok, witness = check_proposition1(table, opt.alloc)
+            assert (ok, witness) == (False, {"bs": bs, "head_ue": head,
+                                             "max_sum_rate": opt.sum_rate})
+            assert type(witness["head_ue"]) is int
+    assert sorts == [] and empty_groups > 0
+
+
 def test_check_proposition1_passes_on_twin_tables():
     """Exact twins make several optima tie in exact arithmetic while their
     sums differ in the last bits; every one of them must count as a
