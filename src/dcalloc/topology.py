@@ -172,28 +172,37 @@ def generate_topology(params: ScenarioParams) -> Topology:
     return Topology(mbs_pos=mbs, sbs_pos=sbs, ue_pos=ue)
 
 
+# ChannelTable's refusals, in the order of its checked arrays
+_REFUSED = ("rx_macro_w must be finite and strictly positive",
+            "rx_small_w must be finite and strictly positive",
+            "interference_w must be finite and non-negative",
+            "snr_macro = rx_macro_w / noise_macro_w must be finite and strictly positive",
+            "sinr_small = rx_small_w / (interference_w + noise_small_w) "
+            "must be finite and strictly positive")
+
+
 @dataclass(frozen=True, eq=False)
 class ChannelTable:
     """Per-UE link quality snapshot, the sole input the solvers see.
 
-    snr_macro[k]   macro-tier SNR of UE k (linear)
-    assoc_sbs[k]   index of the SBS whose received power is largest at k
-    sinr_small[k]  SINR toward assoc_sbs[k] with all other SBSs as interference
-
-    rx_macro_w / rx_small_w keep the raw received powers (watts) around for
-    the received-power baseline. log_macro / log_small cache the Shannon
-    terms log2(1 + x); every rate path in the package reads these cached
-    arrays so identical allocations evaluate to bit-identical sums. A table
-    checks itself when built, is frozen and holds read-only copies of its
-    arrays; dataclasses.replace builds a new checked table.
+    Stored, what the geometry produces (watts): rx_macro_w[k], the MBS power
+    received at UE k; rx_small_w[k], the power from assoc_sbs[k], the SBS whose
+    power is largest at k; interference_w[k], the other SBSs' summed power.
+    Derived when built: snr_macro = rx_macro_w / noise_macro_w, sinr_small =
+    rx_small_w / (interference_w + noise_small_w), and log_macro / log_small =
+    log2(1 + x), which every rate path reads so that identical allocations
+    evaluate to bit-identical sums. A table checks itself when built, is
+    frozen and holds read-only copies of its arrays; dataclasses.replace
+    builds a new checked table from new inputs and derives the rest again.
     """
 
-    snr_macro: np.ndarray
+    rx_macro_w: np.ndarray
+    rx_small_w: np.ndarray
+    interference_w: np.ndarray
     assoc_sbs: np.ndarray
-    sinr_small: np.ndarray
     params: ScenarioParams
-    rx_macro_w: np.ndarray | None = None
-    rx_small_w: np.ndarray | None = None
+    snr_macro: np.ndarray = field(init=False)
+    sinr_small: np.ndarray = field(init=False)
     log_macro: np.ndarray = field(init=False, repr=False)
     log_small: np.ndarray = field(init=False, repr=False)
 
@@ -204,24 +213,21 @@ class ChannelTable:
                                      "assoc_sbs entries must index a valid SBS").copy())
         if self.assoc_sbs.shape != (self.params.num_ue,):
             raise ValueError("assoc_sbs must have shape (num_ue,)")
-        if self.rx_macro_w is None:
-            # synthetic tables: back out a consistent received power from the SNR
-            put("rx_macro_w", np.multiply(self.snr_macro, self.params.noise_macro_w))
-        if self.rx_small_w is None:
-            # zero-interference stand-in, only the ordering matters downstream
-            put("rx_small_w", np.multiply(self.sinr_small, self.params.noise_small_w))
-        names = ("snr_macro", "sinr_small", "rx_macro_w", "rx_small_w")
-        for name in names:
+        for name in ("rx_macro_w", "rx_small_w", "interference_w"):
             arr = np.array(getattr(self, name), dtype=np.float64)  # a copy the caller cannot reach
             if arr.shape != self.assoc_sbs.shape:
                 raise ValueError(f"{name} must have shape (num_ue,)")
             put(name, arr)
-        # one pass over the four arrays end to end; NaN fails both comparisons
+        put("snr_macro", self.rx_macro_w / self.params.noise_macro_w)
+        put("sinr_small", self.rx_small_w / (self.interference_w + self.params.noise_small_w))
+        # one pass over the five arrays end to end; NaN fails every comparison
+        names = ("rx_macro_w", "rx_small_w", "interference_w", "snr_macro", "sinr_small")
         values = np.concatenate([getattr(self, name) for name in names])
         ok = (values > 0.0) & (values < math.inf)
+        k = self.params.num_ue
+        ok[2 * k:3 * k] |= values[2 * k:3 * k] == 0.0   # a lone SBS has no interferer
         if not ok.all():
-            raise ValueError(f"{names[int(ok.argmin()) // self.params.num_ue]} "
-                             f"must be finite and strictly positive")
+            raise ValueError(_REFUSED[int(ok.argmin()) // k])
         put("log_macro", np.log2(1.0 + self.snr_macro))
         put("log_small", np.log2(1.0 + self.sinr_small))
         for name in ("assoc_sbs", *names, "log_macro", "log_small"):
@@ -229,8 +235,8 @@ class ChannelTable:
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the check, and the copy stays read-only
-        return (type(self), (self.snr_macro, self.assoc_sbs, self.sinr_small, self.params,
-                             self.rx_macro_w, self.rx_small_w))
+        return (type(self), (self.rx_macro_w, self.rx_small_w, self.interference_w,
+                             self.assoc_sbs, self.params))
 
     @property
     def num_ue(self) -> int:
@@ -242,13 +248,13 @@ class ChannelTable:
 
 
 def build_channel_table(topo: Topology, params: ScenarioParams) -> ChannelTable:
-    """Compute SNR, association, and SINR for every UE of a drop."""
+    """Compute received powers, association and interference for every UE of
+    a drop; the table derives the SNRs and SINRs from them."""
     if topo.ue_pos.shape[0] != params.num_ue or topo.sbs_pos.shape[0] != params.num_sbs:
         raise ValueError("topology does not match params (num_ue / num_sbs)")
 
     d_macro = np.hypot(topo.ue_pos[:, 0] - topo.mbs_pos[0], topo.ue_pos[:, 1] - topo.mbs_pos[1])
     rx_macro = params.p_macro_w * channel_gain(d_macro, params.alpha_macro)
-    snr_macro = rx_macro / params.noise_macro_w
 
     # (K, I) distance matrix UE -> SBS
     diff = topo.ue_pos[:, None, :] - topo.sbs_pos[None, :, :]
@@ -258,20 +264,10 @@ def build_channel_table(topo: Topology, params: ScenarioParams) -> ChannelTable:
     # strongest received power wins; argmax takes the lowest index on ties
     assoc = rx_small.argmax(axis=1)
     rows = np.arange(params.num_ue)
-    serving_rx = rx_small[rows, assoc]
     others = rx_small.copy()
     others[rows, assoc] = 0.0        # summing the zeroed copy avoids cancellation
-    interference = others.sum(axis=1)
-    sinr_small = serving_rx / (interference + params.noise_small_w)
-
-    return ChannelTable(
-        snr_macro=snr_macro,
-        assoc_sbs=assoc,
-        sinr_small=sinr_small,
-        params=params,
-        rx_macro_w=rx_macro,
-        rx_small_w=serving_rx,
-    )
+    return ChannelTable(rx_macro_w=rx_macro, rx_small_w=rx_small[rows, assoc],
+                        interference_w=others.sum(axis=1), assoc_sbs=assoc, params=params)
 
 
 def make_instance(params: ScenarioParams):

@@ -33,6 +33,15 @@ def seeded_table(num_ue: int, num_sbs: int = 4, seed: int = 0) -> ChannelTable:
     return make_instance(params)[1]
 
 
+def synthetic_table(snr, sinr, assoc, params: ScenarioParams) -> ChannelTable:
+    """A table with the given SNRs and SINRs: received powers snr * noise and
+    sinr * noise with no interference, from which the table derives them
+    again (possibly a last bit off)."""
+    return ChannelTable(rx_macro_w=np.multiply(snr, params.noise_macro_w),
+                        rx_small_w=np.multiply(sinr, params.noise_small_w),
+                        interference_w=np.zeros(len(snr)), assoc_sbs=assoc, params=params)
+
+
 def python_rates(digits, snr, sinr, assoc, num_sbs, bw_m, bw_s):
     """Per-UE (macro, small) rates of one profile digit vector, plain Python."""
     n_macro = sum(1 for d in digits if d != 2)
@@ -129,15 +138,15 @@ def scan_calls(monkeypatch):
 
 
 def twin_table(table: ChannelTable, pairs) -> ChannelTable:
-    """Copy of table where UE b takes UE a's SNR, SINR and SBS for every
-    (a, b) in pairs, so that swapping their digits ties exactly."""
-    snr = table.snr_macro.copy()
-    sinr = table.sinr_small.copy()
-    assoc = table.assoc_sbs.copy()
+    """Copy of table where UE b takes UE a's received powers, interference
+    and SBS for every (a, b) in pairs, so that swapping their digits ties
+    exactly."""
+    arrays = [table.rx_macro_w.copy(), table.rx_small_w.copy(), table.interference_w.copy(),
+              table.assoc_sbs.copy()]
     for a, b in pairs:
-        snr[b], sinr[b], assoc[b] = snr[a], sinr[a], assoc[a]
-    return ChannelTable(snr_macro=snr, assoc_sbs=assoc, sinr_small=sinr,
-                        params=table.params)
+        for arr in arrays:
+            arr[b] = arr[a]
+    return ChannelTable(*arrays, params=table.params)
 
 
 def python_subset_table(pool_logs, cs_logsum, cs_size, bw):
@@ -278,7 +287,7 @@ def adversarial_table(num_ue: int) -> ChannelTable:
         k = t + 2
         snr[k], sinr[k], assoc[k] = 50.0 / t, 1.0, 0
     params = ScenarioParams(num_sbs=2, num_ue=num_ue, seed=0)
-    return ChannelTable(snr_macro=snr, assoc_sbs=assoc, sinr_small=sinr, params=params)
+    return synthetic_table(snr, sinr, assoc, params)
 
 
 @pytest.fixture

@@ -176,7 +176,8 @@ def test_solver_error_names_its_trial(monkeypatch):
     seed = int(re.search(r"seed=(\d+)", str(info.value)).group(1))
     _, replayed = make_instance(replace(cfg.scenario, num_ue=3, seed=seed))
     failed = tables[-1]
-    for name in ("snr_macro", "sinr_small", "assoc_sbs", "log_macro", "log_small"):
+    for name in ("rx_macro_w", "rx_small_w", "interference_w", "snr_macro", "sinr_small",
+                 "assoc_sbs", "log_macro", "log_small"):
         got, want = getattr(replayed, name), getattr(failed, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 

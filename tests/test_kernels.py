@@ -16,13 +16,14 @@ import pytest
 import dcalloc
 import dcalloc.kernels as kernels
 import dcalloc.solvers as solvers
-from dcalloc import (DEFAULT_BRUTE_CAP, Allocation, BruteForceCapError, ChannelTable,
+from dcalloc import (DEFAULT_BRUTE_CAP, Allocation, BruteForceCapError,
                      brute_force_scan, build_sorted_matrix, check_proposition1, evaluate,
                      solve_1a_only, solve_3c_only, solve_brute_force, solve_proposed,
                      solve_stronger, subset_degradations)
 
 from conftest import (adversarial_table, chunked_scan, python_brute, python_objective,
-                      python_row_sum, python_subset_table, seeded_table, twin_table)
+                      python_row_sum, python_subset_table, seeded_table, synthetic_table,
+                      twin_table)
 
 
 def test_import_ignores_backend_variable():
@@ -125,8 +126,7 @@ def _reference_tables():
     # every SBS's low UEs interleave with another's in assoc
     for num_sbs, assoc in ((2, [1, 0] * 5), (3, [2, 0, 1] * 3 + [0])):
         base = seeded_table(10, num_sbs=num_sbs, seed=970 + num_sbs)
-        yield ChannelTable(snr_macro=base.snr_macro, assoc_sbs=np.array(assoc),
-                           sinr_small=base.sinr_small, params=base.params)
+        yield replace(base, assoc_sbs=np.array(assoc))
     # zero log terms, where a row that leaves a station idle ties the row
     # serving one of its UEs on that tier too
     for k_ues in (1, 3, 6, 9):
@@ -174,8 +174,7 @@ def test_block_scan_keys_classes_on_sbs_loads(monkeypatch):
     snr = np.array([0.5, 60.0])
     sinr = np.array([80.0, 0.2])
     params = seeded_table(2, num_sbs=1).params
-    table = ChannelTable(snr_macro=snr, assoc_sbs=np.array([0, 0]), sinr_small=sinr,
-                         params=params)
+    table = synthetic_table(snr, sinr, [0, 0], params)
     ref = chunked_scan(table)
     assert ref[1] == (2, 1)
     for chunk_rows in CHUNK_SIZES + (2,):
@@ -206,8 +205,8 @@ def _all_equal_table(k_ues, num_sbs, seed=0):
     log term is 2.0, so whole load classes tie and the bound prunes almost
     nothing."""
     base = seeded_table(k_ues, num_sbs=num_sbs, seed=seed)
-    return ChannelTable(snr_macro=np.full(k_ues, 3.0), assoc_sbs=base.assoc_sbs,
-                        sinr_small=np.full(k_ues, 3.0), params=base.params)
+    return synthetic_table(np.full(k_ues, 3.0), np.full(k_ues, 3.0), base.assoc_sbs,
+                           base.params)
 
 
 def _zeroed_table(table, macro=(), small=()):
@@ -216,8 +215,7 @@ def _zeroed_table(table, macro=(), small=()):
     snr, sinr = table.snr_macro.copy(), table.sinr_small.copy()
     snr[list(macro)] = 1e-20
     sinr[list(small)] = 1e-20
-    table = ChannelTable(snr_macro=snr, assoc_sbs=table.assoc_sbs, sinr_small=sinr,
-                         params=table.params)
+    table = synthetic_table(snr, sinr, table.assoc_sbs, table.params)
     assert all(table.log_macro[list(macro)] == 0.0) and all(table.log_small[list(small)] == 0.0)
     return table
 
@@ -358,8 +356,7 @@ def _subnormal_table():
     """A seeded K=7 table at a bandwidth of 1e-300 Hz on both tiers."""
     base = seeded_table(7, num_sbs=2, seed=71)
     params = replace(base.params, bw_macro_hz=1e-300, bw_small_hz=1e-300)
-    return ChannelTable(snr_macro=base.snr_macro, assoc_sbs=base.assoc_sbs,
-                        sinr_small=base.sinr_small, params=params)
+    return synthetic_table(base.snr_macro, base.sinr_small, base.assoc_sbs, params)
 
 
 def test_block_scan_sums_every_class_when_terms_are_subnormal():
@@ -377,12 +374,11 @@ _WORST_CASE_SCRIPT = """
 import resource
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 import numpy as np
-from dcalloc import ChannelTable, kernels
-from conftest import chunked_scan, seeded_table
+from dcalloc import kernels
+from conftest import chunked_scan, seeded_table, synthetic_table
 
 base = seeded_table(12, num_sbs=1, seed=0)
-table = ChannelTable(snr_macro=np.full(12, 3.0), assoc_sbs=base.assoc_sbs,
-                     sinr_small=np.full(12, 3.0), params=base.params)
+table = synthetic_table(np.full(12, 3.0), np.full(12, 3.0), base.assoc_sbs, base.params)
 val, digits, *flags = kernels._block_scan(table)
 ref_val, ref_digits, *ref_flags = chunked_scan(table)
 assert (val.hex(), digits, flags) == (ref_val.hex(), ref_digits, ref_flags)
@@ -435,13 +431,13 @@ def test_every_scan_refuses_past_the_cap(scan_calls):
                                     "bw_macro_hz", "bw_small_hz"])
 def test_scan_memo_rescans_on_changed_input(scan_calls, change):
     """A table changed in any input the scan reads is a new table, built by
-    replace: another SNR or SINR for one UE, hence another log term, another
-    SBS for one UE, or another bandwidth scans again, and the rescan matches
-    a fresh reference."""
+    replace: another received power for one UE, hence another SNR or SINR and
+    log term, another SBS for one UE, or another bandwidth scans again, and
+    the rescan matches a fresh reference."""
     table = seeded_table(6, num_sbs=4, seed=33)
     brute_force_scan(table)
     if change in ("log_macro", "log_small"):
-        name = {"log_macro": "snr_macro", "log_small": "sinr_small"}[change]
+        name = {"log_macro": "rx_macro_w", "log_small": "rx_small_w"}[change]
         values = getattr(table, name).copy()
         values[2] *= 1.5
         changed = replace(table, **{name: values})

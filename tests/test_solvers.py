@@ -22,16 +22,12 @@ from dcalloc import (Allocation, BruteForceCapError, ChannelTable, ScenarioParam
 from dcalloc.cli import cli_main
 
 from conftest import (adversarial_table, chunked_scan, python_brute, python_greedy,
-                      python_prefix_greedy, seeded_table, twin_table)
+                      python_prefix_greedy, seeded_table, synthetic_table, twin_table)
 
 
-def _synthetic(snr, sinr, assoc, num_sbs, rx_macro=None, rx_small=None, **scenario):
+def _synthetic(snr, sinr, assoc, num_sbs, **scenario):
     params = ScenarioParams(num_sbs=num_sbs, num_ue=len(snr), **scenario)
-    return ChannelTable(snr_macro=np.asarray(snr, float),
-                        assoc_sbs=np.asarray(assoc),
-                        sinr_small=np.asarray(sinr, float), params=params,
-                        rx_macro_w=None if rx_macro is None else np.asarray(rx_macro, float),
-                        rx_small_w=None if rx_small is None else np.asarray(rx_small, float))
+    return synthetic_table(snr, sinr, assoc, params)
 
 
 # --- sorted matrix ---------------------------------------------------------
@@ -169,8 +165,9 @@ def test_every_solver_takes_the_table_alone():
 
 
 def test_stronger_picks_higher_received_power_tie_to_macro():
-    table = _synthetic(snr=[1.0, 1.0, 1.0], sinr=[1.0, 1.0, 1.0], assoc=[0, 0, 0],
-                       num_sbs=1, rx_macro=[2.0, 1.0, 1.0], rx_small=[1.0, 2.0, 1.0])
+    table = ChannelTable(rx_macro_w=[2.0, 1.0, 1.0], rx_small_w=[1.0, 2.0, 1.0],
+                         interference_w=[0.0, 0.0, 0.0], assoc_sbs=[0, 0, 0],
+                         params=ScenarioParams(num_sbs=1, num_ue=3))
     res = solve_stronger(table)
     assert res.alloc.digits.tolist() == [1, 2, 1]
 

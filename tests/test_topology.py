@@ -4,16 +4,17 @@ import copy
 import dataclasses
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dcalloc import (ChannelTable, ScenarioParams, Topology, brute_force_scan,
-                     build_channel_table, channel_gain, dbm_to_watts, generate_topology,
-                     make_instance)
+                     build_channel_table, channel_gain, dbm_to_watts, evaluate,
+                     generate_topology, make_instance, solve_stronger)
 
-from conftest import seeded_table
+from conftest import python_objective, seeded_table
 
 
 def test_dbm_to_watts_known_values():
@@ -162,6 +163,7 @@ def test_interference_excludes_serving_sbs():
     d = np.hypot(*(topo.ue_pos - topo.sbs_pos[0]).T)
     rx = params.p_small_w * np.maximum(d, 1.0) ** -5.0
     assert table.sinr_small == pytest.approx(rx / params.noise_small_w, rel=1e-12)
+    assert table.interference_w.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_sinr_improves_moving_toward_serving_sbs():
@@ -188,33 +190,51 @@ def test_sinr_improves_moving_toward_serving_sbs():
     assert checked >= 30
 
 
+def _good_inputs(**params):
+    return dict(rx_macro_w=np.array([1e-5, 2e-5]), rx_small_w=np.array([1e-10, 2e-10]),
+                interference_w=np.array([0.0, 1e-11]), assoc_sbs=np.array([0, 1]),
+                params=ScenarioParams(num_sbs=2, num_ue=2, **params))
+
+
 def test_channel_table_validation():
-    params = ScenarioParams(num_sbs=2, num_ue=2)
-    good = dict(snr_macro=np.array([1.0, 2.0]), assoc_sbs=np.array([0, 1]),
-                sinr_small=np.array([0.5, 0.25]), params=params)
+    """Each stored input is refused by name unless it has one entry per UE
+    and is finite and positive, or for interference_w non-negative: zero,
+    a lone SBS's interference, leaves the SINR signal over noise. An SNR or
+    SINR that comes out infinite or zero from such inputs is refused, and
+    the message names the inputs it derives from."""
+    good = _good_inputs()
     ChannelTable(**good)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="assoc_sbs"):
         ChannelTable(**{**good, "assoc_sbs": np.array([0, 2])})
-    with pytest.raises(ValueError):
-        ChannelTable(**{**good, "snr_macro": np.array([1.0, 0.0])})
-    with pytest.raises(ValueError):
-        ChannelTable(**{**good, "sinr_small": np.array([0.5, np.inf])})
-    with pytest.raises(ValueError):
-        ChannelTable(**{**good, "snr_macro": np.array([1.0])})
     with pytest.raises(ValueError, match="assoc_sbs"):
         ChannelTable(**{**good, "assoc_sbs": np.array([0.7, 1.0])})
-    for name in ("rx_macro_w", "rx_small_w"):
-        for bad in (np.array([1.0]), np.array([np.nan, 1.0]), np.array([-1.0, 1.0])):
+    with pytest.raises(ValueError, match="assoc_sbs"):
+        ChannelTable(**{**good, "assoc_sbs": np.array([0])})
+    for name in ("rx_macro_w", "rx_small_w", "interference_w"):
+        for bad in (np.array([1.0]), np.ones((2, 1)), np.array([np.nan, 1.0]),
+                    np.array([-1e-30, 1.0]), np.array([1.0, np.inf])):
             with pytest.raises(ValueError, match=name):
-                ChannelTable(**good, **{name: bad})
+                ChannelTable(**{**good, name: bad})
+    for name in ("rx_macro_w", "rx_small_w"):
+        with pytest.raises(ValueError, match=name):
+            ChannelTable(**{**good, name: np.array([1.0, 0.0])})
+    quiet = ChannelTable(**{**good, "interference_w": np.zeros(2)})
+    noise = quiet.params.noise_small_w
+    assert quiet.sinr_small.tobytes() == (good["rx_small_w"] / noise).tobytes()
 
-
-def test_synthetic_received_powers_default():
-    params = ScenarioParams(num_sbs=2, num_ue=2)
-    table = ChannelTable(snr_macro=np.array([1.0, 2.0]), assoc_sbs=np.array([0, 1]),
-                         sinr_small=np.array([0.5, 0.25]), params=params)
-    assert np.array_equal(table.rx_macro_w, table.snr_macro * params.noise_macro_w)
-    assert np.array_equal(table.rx_small_w, table.sinr_small * params.noise_small_w)
+    snr = "snr_macro = rx_macro_w / noise_macro_w"
+    sinr = re.escape("sinr_small = rx_small_w / (interference_w + noise_small_w)")
+    one_watt = np.array([1.0, 1.0])
+    derived = [  # a finite power over a noise of 1e-312 W (macro) or 1e-317 W (small)
+               (dict(_good_inputs(bw_macro_hz=1e-300), rx_macro_w=one_watt), snr),
+               (dict(_good_inputs(bw_small_hz=1e-300), rx_small_w=one_watt), sinr),
+               # the least subnormal power over a noise of 1e4 W, or over 1e300 W
+               (dict(_good_inputs(n_macro_dbm_hz=0.0), rx_macro_w=np.array([5e-324, 1.0])), snr),
+               (dict(good, rx_small_w=np.array([1.0, 5e-324]),
+                     interference_w=np.array([0.0, 1e300])), sinr)]
+    for inputs, match in derived:
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
+            ChannelTable(**inputs)
 
 
 def test_make_instance_matches_pipeline():
@@ -233,7 +253,7 @@ def test_channel_table_is_frozen():
     leave its log term stale, nor params its association."""
     table = make_instance(ScenarioParams(num_ue=6, seed=3))[1]
     snr = table.snr_macro.copy()
-    for name in ("snr_macro", "sinr_small", "rx_macro_w", "rx_small_w",
+    for name in ("snr_macro", "sinr_small", "rx_macro_w", "rx_small_w", "interference_w",
                  "log_macro", "log_small", "assoc_sbs"):
         arr = getattr(table, name)
         assert not arr.flags.writeable, name
@@ -245,33 +265,60 @@ def test_channel_table_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.log_macro = table.log_macro * 2
     # the constructor copies: the caller's array stays writeable and unshared
-    built = ChannelTable(snr_macro=snr, assoc_sbs=table.assoc_sbs,
-                         sinr_small=table.sinr_small, params=table.params)
-    snr[0] *= 2
+    rx = table.rx_macro_w.copy()
+    built = replace(table, rx_macro_w=rx)
+    rx[0] *= 2
+    assert built.rx_macro_w[0] == table.rx_macro_w[0]
     assert built.snr_macro[0] == table.snr_macro[0]
 
 
 def test_channel_table_copies_stay_checked_and_read_only():
     """pickle and deepcopy rebuild a table through its constructor, so the
     copy is read-only and scans to the same result; replace builds a new
-    checked table with fresh log terms."""
+    checked table whose SINRs and log terms derive from the new powers."""
     table = make_instance(ScenarioParams(num_ue=6, seed=3))[1]
     scan = brute_force_scan(table)
     for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
         assert twin is not table
         for name in ("snr_macro", "assoc_sbs", "sinr_small", "rx_macro_w", "rx_small_w",
-                     "log_macro", "log_small"):
+                     "interference_w", "log_macro", "log_small"):
             arr = getattr(twin, name)
             assert not arr.flags.writeable, name
             assert np.array_equal(arr, getattr(table, name)), name
         assert twin.params == table.params
         assert brute_force_scan(twin) == scan
-    sinr = table.sinr_small * 2.0
-    doubled = replace(table, sinr_small=sinr)
+    rx = table.rx_small_w * 2.0
+    doubled = replace(table, rx_small_w=rx)
     assert not doubled.sinr_small.flags.writeable
+    sinr = rx / (table.interference_w + table.params.noise_small_w)
+    assert np.array_equal(doubled.sinr_small, sinr)
     assert np.array_equal(doubled.log_small, np.log2(1.0 + sinr))
     assert np.array_equal(doubled.log_macro, table.log_macro)
-    with pytest.raises(ValueError, match="sinr_small"):
-        replace(table, sinr_small=-sinr)
+    with pytest.raises(ValueError, match="rx_small_w"):
+        replace(table, rx_small_w=-rx)
     with pytest.raises(ValueError, match="assoc_sbs"):
         replace(table, params=replace(table.params, num_sbs=1))
+
+
+def test_replace_derives_the_channel_from_the_new_powers():
+    """A table built by replace from new MBS powers derives its SNRs from
+    them, so solve_stronger, which decides on the powers, and evaluate, which
+    reads the SNRs' log terms, see one channel. The derived fields
+    themselves cannot be replaced."""
+    table = make_instance(ScenarioParams(num_ue=6, seed=3))[1]
+    rx = table.rx_macro_w[::-1].copy()
+    flipped = replace(table, rx_macro_w=rx)
+    assert flipped.snr_macro.tobytes() == (rx / table.params.noise_macro_w).tobytes()
+    assert flipped.log_macro.tobytes() == np.log2(1.0 + flipped.snr_macro).tobytes()
+    assert not np.array_equal(flipped.log_macro, table.log_macro)
+    assert flipped.sinr_small.tobytes() == table.sinr_small.tobytes()
+    # MBS powers above and below each UE's serving SBS power
+    mixed = replace(table, rx_macro_w=table.rx_small_w * np.array([2.0, 0.5] * 3))
+    stronger = solve_stronger(mixed)
+    assert stronger.alloc.digits.tolist() == [1, 2] * 3
+    assert stronger.sum_rate == evaluate(stronger.alloc, mixed)
+    assert stronger.sum_rate == pytest.approx(python_objective(stronger.alloc.digits, mixed),
+                                              rel=1e-12)
+    for name in ("snr_macro", "sinr_small", "log_macro", "log_small"):
+        with pytest.raises(ValueError, match=name):
+            replace(table, **{name: getattr(table, name)})
