@@ -155,26 +155,38 @@ def summarize(algorithms, ue_sweep, records) -> dict:
     count for comparison at any K. Per K, the sum-rates and the logs of the
     op counts are averaged with one row mean each over an (algorithm x
     trial) array, which sums each row as np.mean sums a 1-D list."""
+    columns = _summary_columns(algorithms)
     rows = []
     for k in ue_sweep:
         recs = [r for r in records if r.k_ues == k]
-        row = {"k_ues": k, "trials": len(recs)}
         mean_rates = mean_logs = [None] * len(algorithms)
         if recs:
             mean_rates = np.array([[r.sum_rates[algo] for r in recs]
                                    for algo in algorithms]).mean(axis=1).tolist()
             mean_logs = np.array([[math.log(r.op_counts[algo]) for r in recs]
                                   for algo in algorithms]).mean(axis=1).tolist()
-        for algo, rate, log in zip(algorithms, mean_rates, mean_logs):
-            row[f"mean_sumrate_{algo}"] = rate
-            row[f"geomean_opcount_{algo}"] = None if log is None else math.exp(log)
         ratios = [r.ratio for r in recs if r.ratio is not None]
-        row["mean_ratio_proposed_optimal"] = float(np.mean(ratios)) if ratios else None
-        row["std_ratio_proposed_optimal"] = (
-            float(np.std(ratios, ddof=1)) if len(ratios) > 1 else (0.0 if ratios else None))
-        row["optimal_opcount_analytic"] = analytic_brute_count(k)
-        rows.append(row)
+        rows.append(dict(zip(columns, [
+            k, len(recs), *mean_rates,
+            *(None if log is None else math.exp(log) for log in mean_logs),
+            float(np.mean(ratios)) if ratios else None,
+            float(np.std(ratios, ddof=1)) if len(ratios) > 1 else (0.0 if ratios else None),
+            analytic_brute_count(k)])))
     return {"algorithms": tuple(algorithms), "rows": rows}
+
+
+def _trial_columns(algorithms) -> list:
+    """The trial CSV's header, which load_records requires."""
+    return ["k_ues", "trial", "seed",
+            *(f"{algo}_{c}" for algo in algorithms for c in ("sumrate", "opcount")),
+            "ratio_proposed_optimal"]
+
+
+def _summary_columns(algorithms) -> list:
+    """The summary CSV's header and the keys of each summarize row."""
+    return ["k_ues", "trials", *(f"mean_sumrate_{algo}" for algo in algorithms),
+            *(f"geomean_opcount_{algo}" for algo in algorithms), "mean_ratio_proposed_optimal",
+            "std_ratio_proposed_optimal", "optimal_opcount_analytic"]
 
 
 def _fmt(value) -> str:
@@ -188,13 +200,9 @@ def _fmt(value) -> str:
 def emit_csv(records, summary, path: str) -> None:
     """Trial CSV at `path` plus per-K aggregates at `<path>.summary.csv`."""
     algorithms = summary["algorithms"]
-    header = ["k_ues", "trial", "seed"]
-    for algo in algorithms:
-        header += [f"{algo}_sumrate", f"{algo}_opcount"]
-    header.append("ratio_proposed_optimal")
     with open(path, "w", newline="") as f:
         wr = csv.writer(f, lineterminator="\n")
-        wr.writerow(header)
+        wr.writerow(_trial_columns(algorithms))
         for rec in records:
             row = [rec.k_ues, rec.trial, rec.seed]
             for algo in algorithms:
@@ -202,19 +210,11 @@ def emit_csv(records, summary, path: str) -> None:
             row.append(_fmt(rec.ratio))
             wr.writerow(row)
 
-    srows = summary["rows"]
-    sheader = ["k_ues", "trials"]
-    for algo in algorithms:
-        sheader.append(f"mean_sumrate_{algo}")
-    for algo in algorithms:
-        sheader.append(f"geomean_opcount_{algo}")
-    sheader += ["mean_ratio_proposed_optimal", "std_ratio_proposed_optimal",
-                "optimal_opcount_analytic"]
     with open(path + ".summary.csv", "w", newline="") as f:
         wr = csv.writer(f, lineterminator="\n")
-        wr.writerow(sheader)
-        for row in srows:
-            wr.writerow([_fmt(row[c]) for c in sheader])
+        wr.writerow(_summary_columns(algorithms))
+        for row in summary["rows"]:
+            wr.writerow([_fmt(value) for value in row.values()])
 
 
 def load_records(path: str):
@@ -226,8 +226,7 @@ def load_records(path: str):
         reader = csv.reader(f)
         header = next(reader, [])
         algorithms = tuple(c[:-len("_sumrate")] for c in header if c.endswith("_sumrate"))
-        missing = [c for c in ("k_ues", "trial", "seed", *(f"{a}_opcount" for a in algorithms),
-                               "ratio_proposed_optimal") if c not in header]
+        missing = [c for c in _trial_columns(algorithms) if c not in header]
         if missing:
             raise ValueError(f"{path}: not a trial CSV, missing columns {missing}")
         records = []

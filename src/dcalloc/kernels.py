@@ -365,36 +365,29 @@ def _block_scan(table):
                 best_val = top
             # a maximizer ends within tol of the final maximum, whose tol
             # is at most twice the running maximum's; rows below 2*tol of
-            # it can go, and a UE's value only rises through a row above it
+            # it can go. A kept row at or below near_best.min() raises no
+            # entry, so filtering those rows out too would change no bit
             floor = best_val - 4 * k_ues * math.ulp(best_val)
-            low = near_best.min()
-            if top >= floor and top > low:
-                near = vals >= floor if low < floor else vals > low
+            if top >= floor:
+                near = vals >= floor
                 np.maximum(near_best, np.where(flags[:, near], vals[near], -1.0).max(axis=1),
                            out=near_best)
     served = (near_best >= best_val - 2 * k_ues * math.ulp(best_val)).tolist()
     return best_val, best_digits, tuple(served[:k_ues]), tuple(served[k_ues:])
 
 
-# (table, result) of the last scan. The oracle loop scans a table in
-# solve_brute_force and reads the same result in check_proposition1.
-_last_scan = (None, None)
-
-
+@functools.lru_cache(maxsize=1)
 def _table_scan(table):
-    """_block_scan of the table, memoized on the last table object scanned;
-    refuses a table of more than DEFAULT_BRUTE_CAP UEs with
-    BruteForceCapError. A table's content is frozen, so the object is the
-    key; an equal table built anew is scanned again."""
-    global _last_scan
+    """_block_scan of the table, memoized on the last table object scanned:
+    the oracle loop scans a table in solve_brute_force and reads the same
+    result in check_proposition1. Refuses a table of more than
+    DEFAULT_BRUTE_CAP UEs with BruteForceCapError. A table's content is
+    frozen and it compares by identity, so the object is the key; an equal
+    table built anew is scanned again."""
     if table.num_ue > DEFAULT_BRUTE_CAP:
         raise BruteForceCapError(
             f"K={table.num_ue} exceeds the exhaustive-search cap of {DEFAULT_BRUTE_CAP} UEs")
-    last, result = _last_scan
-    if last is not table:
-        result = _block_scan(table)
-        _last_scan = (table, result)
-    return result
+    return _block_scan(table)
 
 
 def brute_force_scan(table):

@@ -21,13 +21,12 @@ import numpy as np
 
 from .allocation import (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY, Allocation,
                          RateCalcCounter, evaluate)
+# the cap's two names are kernels' own, bound here for harness, cli and callers
 from .kernels import (DEFAULT_BRUTE_CAP, BruteForceCapError, _table_scan, brute_force_scan,
                       objective_chunk, subset_degradations)
 from .topology import ChannelTable
 
 __all__ = [
-    "DEFAULT_BRUTE_CAP",
-    "BruteForceCapError",
     "SolverResult",
     "build_sorted_matrix",
     "solve_brute_force",

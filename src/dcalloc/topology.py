@@ -218,8 +218,10 @@ class ChannelTable:
             if arr.shape != self.assoc_sbs.shape:
                 raise ValueError(f"{name} must have shape (num_ue,)")
             put(name, arr)
-        put("snr_macro", self.rx_macro_w / self.params.noise_macro_w)
-        put("sinr_small", self.rx_small_w / (self.interference_w + self.params.noise_small_w))
+        # the check below refuses an overflow or a noise underflowed to 0.0; no warning first
+        with np.errstate(all="ignore"):
+            put("snr_macro", self.rx_macro_w / self.params.noise_macro_w)
+            put("sinr_small", self.rx_small_w / (self.interference_w + self.params.noise_small_w))
         # one pass over the five arrays end to end; NaN fails every comparison
         names = ("rx_macro_w", "rx_small_w", "interference_w", "snr_macro", "sinr_small")
         values = np.concatenate([getattr(self, name) for name in names])

@@ -133,7 +133,7 @@ def scan_calls(monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(kernels, "_block_scan", counted)
-    monkeypatch.setattr(kernels, "_last_scan", (None, None))
+    kernels._table_scan.cache_clear()
     return calls
 
 

@@ -19,6 +19,22 @@ def test_every_exported_name_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
+def test_each_public_name_has_one_owner():
+    """The package's __all__ is its layer modules' lists joined in layer
+    order, with no name listed twice. Each name the package exports is the
+    object of the one layer module that lists it, and each function and
+    class among them is defined there."""
+    package = importlib.import_module("dcalloc")
+    layers = [importlib.import_module(f"dcalloc.{m}") for m in LAYER_MODULES]
+    assert package.__all__ == [name for mod in layers for name in mod.__all__]
+    assert len(set(package.__all__)) == len(package.__all__)
+    for mod in layers:
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            assert getattr(package, name) is obj, name
+            assert getattr(obj, "__module__", mod.__name__) == mod.__name__, name
+
+
 def test_solvers_bind_the_kernels_by_name():
     """The greedy and the optimality checker call the kernels through names
     bound in dcalloc.solvers; the benchmark's tracer wraps and counts the

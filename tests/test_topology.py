@@ -5,6 +5,7 @@ import dataclasses
 import math
 import pickle
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -201,7 +202,7 @@ def test_channel_table_validation():
     and is finite and positive, or for interference_w non-negative: zero,
     a lone SBS's interference, leaves the SINR signal over noise. An SNR or
     SINR that comes out infinite or zero from such inputs is refused, and
-    the message names the inputs it derives from."""
+    the message names the inputs it derives from, with no warning first."""
     good = _good_inputs()
     ChannelTable(**good)
     with pytest.raises(ValueError, match="assoc_sbs"):
@@ -228,12 +229,22 @@ def test_channel_table_validation():
     derived = [  # a finite power over a noise of 1e-312 W (macro) or 1e-317 W (small)
                (dict(_good_inputs(bw_macro_hz=1e-300), rx_macro_w=one_watt), snr),
                (dict(_good_inputs(bw_small_hz=1e-300), rx_small_w=one_watt), sinr),
+               # ... or over a noise that underflows to 0.0
+               (dict(_good_inputs(bw_macro_hz=1e-300, n_macro_dbm_hz=-300.0),
+                     rx_macro_w=one_watt), snr),
+               (dict(_good_inputs(bw_small_hz=1e-300, n_small_dbm_hz=-300.0),
+                     rx_small_w=one_watt, interference_w=np.zeros(2)), sinr),
+               # 0 W over it is 0/0, refused as the stored input it is
+               (dict(_good_inputs(bw_macro_hz=1e-300, n_macro_dbm_hz=-300.0),
+                     rx_macro_w=np.zeros(2)), "rx_macro_w"),
                # the least subnormal power over a noise of 1e4 W, or over 1e300 W
                (dict(_good_inputs(n_macro_dbm_hz=0.0), rx_macro_w=np.array([5e-324, 1.0])), snr),
                (dict(good, rx_small_w=np.array([1.0, 5e-324]),
                      interference_w=np.array([0.0, 1e300])), sinr)]
     for inputs, match in derived:
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match=match):
+        # the ValueError is the only signal: no RuntimeWarning from the division
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=match):
+            warnings.simplefilter("error")
             ChannelTable(**inputs)
 
 
