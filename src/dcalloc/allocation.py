@@ -30,9 +30,8 @@ __all__ = [
     "evaluate",
 ]
 
-# Profile codes in canonical enumeration order. Brute force counts base-3
-# combinations with UE 0 as the least significant digit, so ties resolve
-# toward (1,1) first, then (1,0), then (0,1).
+# Profile codes. Among tied maximizers the exhaustive scan returns one, the
+# first it sums, whatever their codes.
 DIGIT_BOTH = 0         # (d_macro, d_small) = (1, 1)
 DIGIT_MACRO_ONLY = 1   # (1, 0)
 DIGIT_SMALL_ONLY = 2   # (0, 1)

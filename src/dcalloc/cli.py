@@ -63,7 +63,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_oracle_check(args) -> int:
     if args.trials < 1:
-        raise ValueError("--trials must be >= 1")
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
     if not 1 <= args.k <= DEFAULT_BRUTE_CAP:
         raise ValueError(f"--k must be between 1 and the exhaustive-search cap of "
                          f"{DEFAULT_BRUTE_CAP} UEs, got {args.k}")

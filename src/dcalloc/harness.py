@@ -142,8 +142,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
         raise ValueError("threads must be >= 1")
     tasks = [(cfg, k, t) for k in cfg.ue_sweep for t in range(cfg.trials)]
     if threads > 1:
+        # about four chunks per worker: one cell per task costs more to ship
+        # than a small cell takes to run
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_trial, tasks))
+            records = list(pool.map(run_trial, tasks, chunksize=-(-len(tasks) // (4 * threads))))
     else:
         records = [run_trial(t) for t in tasks]
     return records, summarize(cfg.algorithms, cfg.ue_sweep, records)

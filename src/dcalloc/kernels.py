@@ -2,11 +2,11 @@
 
 The exhaustive 3^K scan groups rows by load class: the MBS load and every
 SBS load. A class that leaves a station with UEs idle is skipped: serving
-one of that station's UEs on both tiers sums no less, with a smaller digit
-row and no served pair lost. Within a class each term's share bw / load is
-fixed, so no row of the class scores more than a closed form, the sum over
-stations of the share times the largest log terms the load can hold; the
-MBS's part is also capped by the UEs no SBS serves, which it must cover.
+one of that station's UEs on both tiers sums no less and loses no served
+pair. Within a class each term's share bw / load is fixed, so no row of the
+class scores more than a closed form, the sum over stations of the share
+times the largest log terms the load can hold; the MBS's part is also
+capped by the UEs no SBS serves, which it must cover.
 The bounds are formed on Python floats, the running sums of each group's
 sorted logs and one list per combination of group loads, and become one
 array apiece only for the grid of classes; a class whose MBS load cannot
@@ -18,11 +18,11 @@ leaves a median well under 1% of the rows to sum. A class's rows are built
 from tables cached across scans and keyed by shape alone, never by member
 UEs: per group sizes and loads, every SBS pattern; per (n, r), the MBS's
 choice table. None is a 3^g table of a whole group. One scan yields the
-maximum, the digit row of its first maximizer (read from the flags of a
-piece's one row at its maximum, or the least of several tied rows) and, per
-UE, whether some maximizer serves it at each tier; the last scan is
-memoized on the table object, whose content is frozen, so the exhaustive
-solver and the optimality checker share one scan of a table.
+maximum, the digit row of a maximizer, the first the scan sums (read from
+that row's flags), and, per UE, whether some maximizer serves it at each
+tier; the last scan is memoized on the table object, whose content is
+frozen, so the exhaustive solver and the optimality checker share one scan
+of a table.
 
 The greedy's window pricing is a closed form: the least-degrading subset of
 a descending window is always a prefix, so subset_degradations() prices the
@@ -133,9 +133,9 @@ def _layout(sizes: tuple, loads: tuple, n_single: int):
     """Every SBS pattern of one combination of group loads, read-only, one
     column per pattern (the last group varying fastest) and one row per UE
     in layout order: the groups' members in turn, then n_single UEs of
-    one-UE SBSs. Returns (served, ranks): whether the UE's SBS serves it;
-    its rank among the small-served UEs (past the last if none), then that
-    rank plus n_small + 1, its two rows of _picks (2k x P)."""
+    one-UE SBSs. Returns the ranks (2k x P): the UE's rank among the
+    small-served UEs, or n_small where its SBS does not serve it, then that
+    rank plus n_small + 1, its two rows of _picks."""
     served = np.ones((sum(sizes) + n_single, 1), dtype=bool)
     start = 0
     for g, n in zip(sizes, loads):
@@ -147,26 +147,25 @@ def _layout(sizes: tuple, loads: tuple, n_single: int):
     n_small = sum(loads) + n_single
     ranks = np.where(served, np.cumsum(served, axis=0) - 1, n_small)
     ranks = np.concatenate((ranks, ranks + n_small + 1))
-    served.flags.writeable = ranks.flags.writeable = False
-    return served, ranks
+    ranks.flags.writeable = False
+    return ranks
 
 
 def _block_scan(table):
     """Exhaustive scan of the table over load classes, best bound first.
 
     Returns (best_val, best_digits, macro_served, small_served): the
-    maximum, the profile digits of the first row attaining it in enumeration
-    order (a tuple of ints), and two tuples holding per UE whether some
-    maximizer serves it at the MBS (digit != DIGIT_SMALL_ONLY) and at its
-    SBS (digit != DIGIT_MACRO_ONLY). The maximizers are the rows within
-    tol = 2*K*ulp(best_val) of the maximum: rows that tie in exact
+    maximum, the profile digits (a tuple of ints) of a maximizer, the first
+    row the scan sums that attains it, and two tuples holding per UE
+    whether some maximizer serves it at the MBS (digit != DIGIT_SMALL_ONLY)
+    and at its SBS (digit != DIGIT_MACRO_ONLY). The maximizers are the rows
+    within tol = 2*K*ulp(best_val) of the maximum: rows that tie in exact
     arithmetic, such as the swaps of two identical UEs, add the same 2K
     nonnegative terms in different orders, and tol bounds the difference of
-    such sums. best_val and best_digits are exact: the maximum, and the
-    least digit row among the rows equal to it, compared from UE K-1 down as
-    the enumeration counts (UE 0 the least significant base-3 digit), which
-    does not depend on the order rows are summed in. The flags cover every
-    UE, so the result depends on the table alone.
+    such sums. best_val is exact, and best_digits' row sums to it bit for
+    bit. Rows are summed in one order at every _CHUNK_ROWS, so best_digits
+    does not depend on it, and where one row attains the maximum
+    best_digits is that row. The flags cover every UE.
 
     A load class fixes the MBS load n_m and every SBS load n_i, hence every
     term's share bw / load. The scan sums only classes in which every
@@ -174,10 +173,9 @@ def _block_scan(table):
     with UEs. A row that leaves such a station idle is dominated: let one of
     the station's UEs take digit DIGIT_BOTH. One +0.0 term becomes a
     nonnegative bw / 1 * log and no share changes, so the sum cannot fall
-    (IEEE addition is monotone); the digit row is smaller at that UE, so it
-    comes first in enumeration order; and it serves every (UE, tier) pair
-    the old row served. Repeating the switch reaches a row with no idle
-    station, so the maximum, its first maximizer and every served flag lie
+    (IEEE addition is monotone), and the new row serves every (UE, tier)
+    pair the old row served. Repeating the switch reaches a row with no idle
+    station, so the maximum, a row attaining it and every served flag lie
     in the classes summed. An SBS with one UE thus has the single load 1 and
     adds a constant to every class's bound and SBS load; only the larger
     groups' loads make up the classes.
@@ -226,8 +224,9 @@ def _block_scan(table):
     per scan through an inverse permutation, and _picks appends to the MBS's
     choices the rows saying whether the SBS serves the UE, so one gather
     gives a piece's macro and small flags. Ranks count small-served UEs in
-    layout order, which permutes the rows within a piece only; nothing the
-    scan returns depends on that order.
+    layout order, which orders the MBS picks within a pattern; of the
+    results, only which of several tied rows best_digits names depends on
+    that order.
 
     Each row adds UE 0..K-1 in order, macro term then small term, each
     bw / load * log, as objective_chunk does. The term of a tier that does
@@ -238,9 +237,11 @@ def _block_scan(table):
     _CHUNK_ROWS rows (at least one) times the whole MBS pick table, which
     under DEFAULT_BRUTE_CAP has at most C(14, 7) = 3432 < _CHUNK_ROWS
     columns; a larger one, which only a smaller _CHUNK_ROWS makes, is summed
-    whole. Ties are resolved per piece: where one row equals the piece's
-    maximum, its digit row is read from its flag column; where several do,
-    they give their least digit row. The rows near the running maximum
+    whole. A piece's first row at its maximum replaces best_digits, read
+    from its flag column, only where it is strictly above the running
+    maximum, so the first row summed that attains the maximum is kept.
+    Within a class rows are summed pattern by pattern, each with every MBS
+    pick, however the pieces cut them. The rows near the running maximum
     update one (2K,) array of best near-row values, the MBS's flags first,
     then the SBSs'.
 
@@ -324,11 +325,11 @@ def _block_scan(table):
         n_m += 1
         if s not in patterns:
             loads = tuple(s // math.prod(sizes[j + 1:]) % g + 1 for j, g in enumerate(sizes))
-            served, ranks = _layout(sizes, loads, len(single))
+            ranks, n_small = _layout(sizes, loads, len(single))[inv2], int(n_s[s])
             load_s = dict(zip(multi, loads))
             share = np.array([bw_s / load_s.get(i, 1) for i in assoc.tolist()])
-            patterns[s] = (ranks[inv2], int(n_s[s]),
-                           share[:, None] * (served[inv2[:k_ues]] * log_s[:, None]))
+            patterns[s] = (ranks, n_small,
+                           share[:, None] * ((ranks[:k_ues] < n_small) * log_s[:, None]))
         ranks, n_small, small_terms = patterns[s]
         pick = _picks(n_small, n_m - k_ues + n_small)
         macro_terms = (bw_m / n_m * log_m)[:, None, None]
@@ -346,23 +347,14 @@ def _block_scan(table):
                 vals += small[k]
             vals = vals.ravel()
             flags = flags.reshape(2 * k_ues, -1)
-            top = float(vals.max())
-            if top >= best_val:
-                ties = np.flatnonzero(vals == top)
-                if len(ties) == 1:
-                    col = flags[:, ties[0]].tolist()
-                    least = tuple(DIGIT_MACRO_ONLY if not on_s else
-                                  DIGIT_BOTH if on_m else DIGIT_SMALL_ONLY
-                                  for on_m, on_s in zip(col[:k_ues], col[k_ues:]))
-                else:
-                    ties = flags[:, ties]
-                    digits = np.where(ties[k_ues:], np.where(ties[:k_ues], DIGIT_BOTH,
-                                                             DIGIT_SMALL_ONLY), DIGIT_MACRO_ONLY)
-                    # enumeration order compares digit rows from UE K-1 down
-                    least = tuple(digits[:, np.lexsort(digits)[0]].tolist())
-                if top > best_val or least[::-1] < best_digits[::-1]:
-                    best_digits = least
+            j = int(vals.argmax())
+            top = float(vals[j])
+            if top > best_val:
+                col = flags[:, j].tolist()
                 best_val = top
+                best_digits = tuple(DIGIT_MACRO_ONLY if not on_s else
+                                    DIGIT_BOTH if on_m else DIGIT_SMALL_ONLY
+                                    for on_m, on_s in zip(col[:k_ues], col[k_ues:]))
             # a maximizer ends within tol of the final maximum, whose tol
             # is at most twice the running maximum's; rows below 2*tol of
             # it can go. A kept row at or below near_best.min() raises no
@@ -394,8 +386,8 @@ def brute_force_scan(table):
     """Best sum-rate over all 3^K profile combinations.
 
     Returns (best_value, best_digits), where best_digits is the profile
-    digit row, a tuple of ints, of the first maximizer in enumeration order
-    (UE 0 the least significant base-3 digit). Refuses K above
+    digit row, a tuple of ints, of a maximizer, the first the scan sums; its
+    evaluate() replay has best_value's bits. Refuses K above
     DEFAULT_BRUTE_CAP with BruteForceCapError.
     """
     return _table_scan(table)[:2]

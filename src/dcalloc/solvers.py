@@ -21,7 +21,9 @@ import numpy as np
 
 from .allocation import (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY, Allocation,
                          RateCalcCounter, evaluate)
-# the cap's two names are kernels' own, bound here for harness, cli and callers
+# the cap's two names are kernels' own, bound here for harness, cli and callers;
+# objective_chunk is not called here, but dcbench's self-test expects its
+# tracer to patch this binding
 from .kernels import (DEFAULT_BRUTE_CAP, BruteForceCapError, _table_scan, brute_force_scan,
                       objective_chunk, subset_degradations)
 from .topology import ChannelTable
@@ -63,9 +65,8 @@ def build_sorted_matrix(table: ChannelTable) -> list:
 def solve_brute_force(table: ChannelTable) -> SolverResult:
     """Exact optimum over every profile combination.
 
-    Charges K rate calculations per combination (K * 3^K total). Ties keep
-    the first maximizer in enumeration order: profiles ordered (1,1), (1,0),
-    (0,1) with UE 0 as the least significant digit. wall_notes holds the
+    Charges K rate calculations per combination (K * 3^K total). Among tied
+    maximizers it returns one, the first the scan sums. wall_notes holds the
     combination count 3^K. The scan refuses K above DEFAULT_BRUTE_CAP with
     BruteForceCapError.
     """
@@ -240,9 +241,9 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     maximizers too. The scan's own maximizer, the allocation
     solve_brute_force returns, sums to the maximum bit for bit (the solver
     replays it through evaluate), so it is not scored again. Any other
-    allocation's digit row is scored by objective_chunk, in the scan's
-    summation order, and is accepted by the same rule: any maximizer gets
-    the same (ok, witness), not only the one solve_brute_force returns.
+    allocation is scored by evaluate, in the scan's summation order, and is
+    accepted by the same rule: any maximizer gets the same (ok, witness),
+    not only the one solve_brute_force returns.
 
     The heads are found in one pass, without sorting: each SBS's head is the
     first UE of its group with the greatest SINR and the MBS's the first UE
@@ -251,13 +252,10 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     are checked SBS 0..I-1, then the MBS.
     """
     k_ues = table.num_ue
-    if optimum.num_ue != k_ues:
-        raise ValueError("allocation size does not match table")
     best, digits, macro_served, small_served = _table_scan(table)
     # the scan's own maximizer sums to best bit for bit; only another row is scored
     if tuple(optimum.digits.tolist()) != digits:
-        value = objective_chunk(optimum.digits[None], table)[0]
-        if value < best - 2 * k_ues * math.ulp(best):
+        if evaluate(optimum, table) < best - 2 * k_ues * math.ulp(best):
             raise ValueError("supplied allocation is not an exhaustive-search maximizer")
     # each SBS's first UE of greatest SINR, then the first UE of greatest SNR
     sinr, snr = table.sinr_small.tolist(), table.snr_macro.tolist()

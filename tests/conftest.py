@@ -2,11 +2,12 @@
 
 The oracles here are deliberately plain Python (math module, lists, no
 vectorization) so they cannot share a bug with the package's numpy paths.
-The one exception is chunked_scan, a row-at-a-time enumeration of every
-combination, kept as the exhaustive scan's bit-exact reference. Tolerances: oracle
-comparisons allow 1e-12 relative error for the different summation orders;
-identities that must hold exactly (counters, serialization round-trips,
-scan value bits against the reference) are compared with ==.
+The exceptions are chunked_scan and exact_maximizers, which score every
+combination with objective_chunk, kept as the exhaustive scan's bit-exact
+reference. Tolerances: oracle comparisons allow 1e-12 relative error for
+the different summation orders; identities that must hold exactly
+(counters, serialization round-trips, scan value bits against the
+reference) are compared with ==.
 """
 
 import math
@@ -110,14 +111,28 @@ def chunked_scan(table: ChannelTable):
     the rounding difference of two sums of the same 2K nonnegative terms in
     different orders."""
     k_ues = table.num_ue
-    idx = np.arange(3 ** k_ues, dtype=np.int64)
-    digits = (idx[:, None] // 3 ** np.arange(k_ues, dtype=np.int64)) % 3
+    digits = _every_digit_row(k_ues)
     vals = objective_chunk(digits, table)
     j = int(np.argmax(vals))
     best = float(vals[j])
     rows = digits[vals >= best - 2 * k_ues * math.ulp(best)]
     return (best, tuple(digits[j].tolist()), tuple(np.any(rows != 2, axis=0).tolist()),
             tuple(np.any(rows != 1, axis=0).tolist()))
+
+
+def exact_maximizers(table: ChannelTable) -> set:
+    """Every digit row (a tuple of ints) whose objective_chunk score equals
+    the maximum bit for bit: the rows the exhaustive scan may return."""
+    digits = _every_digit_row(table.num_ue)
+    vals = objective_chunk(digits, table)
+    return set(map(tuple, digits[vals == vals.max()].tolist()))
+
+
+def _every_digit_row(k_ues: int) -> np.ndarray:
+    """All 3^K digit rows in enumeration order, UE 0 the least significant
+    base-3 digit."""
+    idx = np.arange(3 ** k_ues, dtype=np.int64)
+    return (idx[:, None] // 3 ** np.arange(k_ues, dtype=np.int64)) % 3
 
 
 @pytest.fixture

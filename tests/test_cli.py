@@ -108,6 +108,15 @@ def test_oracle_check_rejects_i_below_one(capsys):
         assert captured.err == f"error: --i must be >= 1, got {i}\n"
 
 
+def test_oracle_check_rejects_trials_below_one(capsys):
+    for trials in (0, -2):
+        code = cli_main(["oracle-check", "--k", "3", "--trials", str(trials)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: --trials must be >= 1, got {trials}\n"
+
+
 def test_run_and_sweep_reject_flags_by_name(tmp_path, capsys):
     """run and sweep check their flags before building a config, so the
     error names the flag the user typed, not the config field."""

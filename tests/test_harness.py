@@ -138,7 +138,8 @@ def test_run_experiment_small_end_to_end():
 
 
 def test_run_experiment_threads_match_serial():
-    cfg = _tiny_config(ue_sweep=(2, 3), trials=3)
+    """16 cells, so each of the pool's chunks holds several."""
+    cfg = _tiny_config(ue_sweep=(2, 3), trials=8)
     serial, _ = run_experiment(cfg, threads=1)
     parallel, _ = run_experiment(cfg, threads=2)
     assert serial == parallel

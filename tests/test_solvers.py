@@ -21,8 +21,9 @@ from dcalloc import (Allocation, BruteForceCapError, ChannelTable, ScenarioParam
                      solve_proposed, solve_stronger)
 from dcalloc.cli import cli_main
 
-from conftest import (adversarial_table, chunked_scan, python_brute, python_greedy,
-                      python_prefix_greedy, seeded_table, synthetic_table, twin_table)
+from conftest import (adversarial_table, chunked_scan, exact_maximizers, python_brute,
+                      python_greedy, python_prefix_greedy, seeded_table, synthetic_table,
+                      twin_table)
 
 
 def _synthetic(snr, sinr, assoc, num_sbs, **scenario):
@@ -551,7 +552,7 @@ def test_check_proposition1_passes_on_twin_tables():
     """Exact twins make several optima tie in exact arithmetic while their
     sums differ in the last bits; every one of them must count as a
     maximizer, and the exhaustive optimum must keep the reference scan's
-    value bits and first maximizer's digits."""
+    value bits and return a row that scores them."""
     for k_ues in range(2, 10):
         for num_sbs in (1, 2, 4, 16):
             for s in range(3):
@@ -560,10 +561,10 @@ def test_check_proposition1_passes_on_twin_tables():
                 for pairs in ([(0, 1)], [(0, k_ues - 1)],
                               [(j, j + 1) for j in range(0, k_ues - 1, 2)]):
                     table = twin_table(base, pairs)
-                    ref_val, ref_digits, *_ = chunked_scan(table)
+                    ref_val, *_ = chunked_scan(table)
                     opt = solve_brute_force(table)
-                    assert (opt.sum_rate.hex(), tuple(opt.alloc.digits.tolist())) == \
-                        (ref_val.hex(), ref_digits)
+                    assert opt.sum_rate.hex() == ref_val.hex()
+                    assert tuple(opt.alloc.digits.tolist()) in exact_maximizers(table)
                     assert check_proposition1(table, opt.alloc) == (True, None), \
                         (k_ues, num_sbs, s, pairs)
 
