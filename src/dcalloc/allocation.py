@@ -30,8 +30,7 @@ __all__ = [
     "evaluate",
 ]
 
-# Profile codes. Among tied maximizers the exhaustive scan returns one, the
-# first it sums, whatever their codes.
+# Profile codes: the tiers that serve a UE
 DIGIT_BOTH = 0         # (d_macro, d_small) = (1, 1)
 DIGIT_MACRO_ONLY = 1   # (1, 0)
 DIGIT_SMALL_ONLY = 2   # (0, 1)
@@ -112,8 +111,7 @@ def evaluate(alloc: Allocation, table: ChannelTable, counter: RateCalcCounter | 
     Each served term is bw / load * log, as share_rate computes it, and an
     unserved one is +0.0. The total adds UE 0..K-1 in order, macro term
     then small term, left to right (cumsum, not the pairwise sum), which
-    matches the enumeration kernels, so an allocation evaluated here equals
-    the same allocation scored inside brute force bit for bit.
+    matches objective_chunk and the exhaustive scan bit for bit.
     """
     if alloc.num_ue != table.num_ue:
         raise ValueError("allocation size does not match table")

@@ -89,6 +89,11 @@ class ExperimentConfig:
 
 @dataclass
 class TrialRecord:
+    """One (K, trial) cell: k_ues, trial and its seed, then per algorithm
+    its sum-rate (sum_rates) and op count (op_counts). ratio is proposed /
+    optimal, or None when either algorithm did not run or the optimum is
+    0.0."""
+
     k_ues: int
     trial: int
     seed: int
@@ -127,7 +132,8 @@ def run_trial(task) -> TrialRecord:
                                f"seed={seed}: {exc}") from exc
         rec.sum_rates[algo] = float(res.sum_rate)
         rec.op_counts[algo] = res.op_count
-    if "optimal" in rec.sum_rates and "proposed" in rec.sum_rates:
+    # an optimum of 0.0, where every log term underflows, gives no ratio
+    if rec.sum_rates.get("optimal") and "proposed" in rec.sum_rates:
         rec.ratio = rec.sum_rates["proposed"] / rec.sum_rates["optimal"]
     return rec
 
@@ -141,11 +147,13 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
     if threads < 1:
         raise ValueError("threads must be >= 1")
     tasks = [(cfg, k, t) for k in cfg.ue_sweep for t in range(cfg.trials)]
-    if threads > 1:
+    # the pool starts every worker at once, so no more than there are cells
+    workers = min(threads, len(tasks))
+    if workers > 1:
         # about four chunks per worker: one cell per task costs more to ship
         # than a small cell takes to run
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(run_trial, tasks, chunksize=-(-len(tasks) // (4 * threads))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(run_trial, tasks, chunksize=-(-len(tasks) // (4 * workers))))
     else:
         records = [run_trial(t) for t in tasks]
     return records, summarize(cfg.algorithms, cfg.ue_sweep, records)

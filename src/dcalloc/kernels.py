@@ -1,33 +1,7 @@
-"""Hot numeric kernels.
-
-The exhaustive 3^K scan groups rows by load class: the MBS load and every
-SBS load. A class that leaves a station with UEs idle is skipped: serving
-one of that station's UEs on both tiers sums no less and loses no served
-pair. Within a class each term's share bw / load is fixed, so no row of the
-class scores more than a closed form, the sum over stations of the share
-times the largest log terms the load can hold; the MBS's part is also
-capped by the UEs no SBS serves, which it must cover.
-The bounds are formed on Python floats, the running sums of each group's
-sorted logs and one list per combination of group loads, and become one
-array apiece only for the grid of classes; a class whose MBS load cannot
-cover the UEs no SBS serves reads a -inf padded past the MBS's sums, so its
-bound is -inf without a mask. The scan sums classes in descending bound and
-stops once a bound falls below the best row found, less a relative margin of
-1e-9, many orders wider than rounding; on seeded tables with K >= 10 that
-leaves a median well under 1% of the rows to sum. A class's rows are built
-from tables cached across scans and keyed by shape alone, never by member
-UEs: per group sizes and loads, every SBS pattern; per (n, r), the MBS's
-choice table. None is a 3^g table of a whole group. One scan yields the
-maximum, the digit row of a maximizer, the first the scan sums (read from
-that row's flags), and, per UE, whether some maximizer serves it at each
-tier; the last scan is memoized on the table object, whose content is
-frozen, so the exhaustive solver and the optimality checker share one scan
-of a table.
-
-The greedy's window pricing is a closed form: the least-degrading subset of
-a descending window is always a prefix, so subset_degradations() prices the
-w prefixes from a slice of the column's running log sums, on Python floats,
-instead of enumerating 2^w subsets.
+"""Hot numeric kernels: the exhaustive load-class scan behind
+brute_force_scan, the row scorer objective_chunk, and the greedy's window
+pricing subset_degradations. The argument that the scan's cut loses no
+maximizer is in _block_scan's docstring.
 """
 
 from __future__ import annotations
@@ -58,11 +32,8 @@ ENV_BACKEND = "DCALLOC_BACKEND"
 # rows of a load class summed at once; a larger class is summed in pieces
 _CHUNK_ROWS = 1 << 12
 
-# 14 * 3**14 is about 6.7e7 rate calculations. The scan sums only the load
-# classes whose bound can reach the maximum: a median of 0.10-0.18 ms for a
-# seeded K=14 table on a shared 2-vCPU host, but 0.07-0.28 s for one whose log
-# terms are all equal, where the bound prunes almost nothing; that worst case
-# triples with each further UE. Every scan refuses a larger K
+# Every scan refuses a larger K: where every log term is equal the bound prunes
+# almost nothing, and that worst case triples with each further UE
 DEFAULT_BRUTE_CAP = 14
 
 
@@ -154,107 +125,68 @@ def _layout(sizes: tuple, loads: tuple, n_single: int):
 def _block_scan(table):
     """Exhaustive scan of the table over load classes, best bound first.
 
-    Returns (best_val, best_digits, macro_served, small_served): the
-    maximum, the profile digits (a tuple of ints) of a maximizer, the first
-    row the scan sums that attains it, and two tuples holding per UE
-    whether some maximizer serves it at the MBS (digit != DIGIT_SMALL_ONLY)
-    and at its SBS (digit != DIGIT_MACRO_ONLY). The maximizers are the rows
-    within tol = 2*K*ulp(best_val) of the maximum: rows that tie in exact
-    arithmetic, such as the swaps of two identical UEs, add the same 2K
-    nonnegative terms in different orders, and tol bounds the difference of
-    such sums. best_val is exact, and best_digits' row sums to it bit for
-    bit. Rows are summed in one order at every _CHUNK_ROWS, so best_digits
-    does not depend on it, and where one row attains the maximum
-    best_digits is that row. The flags cover every UE.
+    Returns (best_val, best_digits, macro_served, small_served). best_val is
+    the maximum, exact: best_digits, a tuple of profile digits, is the first
+    row the scan sums that attains it, and its evaluate() replay has
+    best_val's bits. The maximizers are the rows within 2*K*ulp(best_val) of
+    the maximum: rows that tie in exact arithmetic, such as the swaps of two
+    identical UEs, add the same 2K nonnegative terms in other orders, and
+    that tolerance bounds the difference. The two flag tuples cover every
+    UE: whether some maximizer serves it at the MBS (digit !=
+    DIGIT_SMALL_ONLY) and at its SBS (digit != DIGIT_MACRO_ONLY). A piece
+    holds whole SBS patterns, each with every MBS pick, so rows are summed
+    in one order at every _CHUNK_ROWS and no result depends on it; where one
+    row attains the maximum, best_digits is that row.
 
-    A load class fixes the MBS load n_m and every SBS load n_i, hence every
-    term's share bw / load. The scan sums only classes in which every
-    station with UEs serves one of them: n_m >= 1, and n_i >= 1 for every SBS
+    Dominance. A load class fixes the MBS load n_m and every SBS load n_i,
+    hence every share bw / load. Only classes in which every station with
+    UEs serves one of them are summed: n_m >= 1, and n_i >= 1 for every SBS
     with UEs. A row that leaves such a station idle is dominated: let one of
-    the station's UEs take digit DIGIT_BOTH. One +0.0 term becomes a
-    nonnegative bw / 1 * log and no share changes, so the sum cannot fall
-    (IEEE addition is monotone), and the new row serves every (UE, tier)
-    pair the old row served. Repeating the switch reaches a row with no idle
-    station, so the maximum, a row attaining it and every served flag lie
-    in the classes summed. An SBS with one UE thus has the single load 1 and
-    adds a constant to every class's bound and SBS load; only the larger
-    groups' loads make up the classes.
+    the station's UEs take DIGIT_BOTH. One +0.0 term becomes a nonnegative
+    bw / 1 * log and no share changes, so the sum cannot fall (IEEE addition
+    is monotone), and the new row serves every (UE, tier) pair the old row
+    served. Repeating the switch reaches a row with no idle station, so the
+    maximum, a row attaining it and every served flag lie in the classes
+    summed. An SBS with one UE thus has the single load 1.
 
-    Within a class the MBS adds at most f_m[n_m] = bw_m / n_m * top_m[n_m],
+    Class bound. The MBS adds at most f_m[n_m] = bw_m / n_m * top_m[n_m],
     top_m[j] being the sum of the j largest log_m, and SBS i at most
-    f_i[n_i], the same over its UEs' log_small. The MBS must also serve the
-    c = K - sum n_i UEs no SBS serves: group i leaves it exactly g_i - n_i of
-    its g_i UEs, whose log_m sum to at most h_i[n_i], the sum of the group's
+    f_i[n_i], the same over its UEs' log_small. The MBS must also cover the
+    c = K - sum n_i UEs no SBS serves: group i leaves it g_i - n_i of its
+    g_i UEs, whose log_m sum to at most h_i[n_i], the sum of the group's
     g_i - n_i largest, and its other n_m - c UEs sum to at most
-    top_m[n_m - c]. The class bound is min(f_m[n_m], bw_m / n_m * (sum
-    h_i[n_i] + top_m[n_m - c])) + sum f_i[n_i]. Classes with n_m < c hold no
-    rows: top_m is padded with K entries of -inf, which top_m[n_m - c] reads
-    for every such class (n_m - c >= 1 - K), so their bound is -inf. The
-    prelude builds each group's top sums, added largest first, and the
-    per-combination f, load and h vectors as Python lists, the last group
-    varying fastest and each entry the running sum plus the group's term,
-    then makes one array of each for the grid of classes. Classes are summed
-    in descending bound, and the scan stops at the first class whose bound is
-    below best_val * (1 - 1e-9), best_val being the maximum of the rows
-    summed so far.
+    top_m[n_m - c]. The bound is min(f_m[n_m], bw_m / n_m * (sum h_i[n_i] +
+    top_m[n_m - c])) + sum f_i[n_i]. A class with n_m < c holds no rows:
+    top_m is padded with K entries of -inf, which top_m[n_m - c] reads for
+    every such class (n_m - c >= 1 - K), so its bound is -inf.
 
-    The stop loses no row within 4K ulps of the maximum. A term takes two
-    roundings (the share, then the product), a row's sum 2K - 1 more. A
-    bound takes at most K + I + 3 on the path of any one log: a sum of n
-    logs takes n - 1, adding the groups' and one-UE SBSs' parts at most I,
-    adding h to top_m 1, the MBS's share and product 2, and adding the SBS
-    part 1; the min is exact. While no nonzero intermediate is subnormal or
-    overflows, each rounding is a relative error of at most u = 2^-53, and
-    the exact row is at most its class's exact bound. So a row of a class
-    bounded below best_val * (1 - 1e-9) sums to less than best_val *
-    (1 - 1e-9) * (1 + 1.01 * (3K + I + 4) * u), which for K + I < 10^5 is
-    below best_val * (1 - 8*K*u) <= best_val - 4*K*ulp(best_val), the
-    near-row floor under which no row is a maximizer; later classes bound
-    lower still. The margin is thus many orders wider than the rounding,
-    and every row within 2K ulps of the final maximum is summed. The cut
-    applies only where that argument holds, when the smallest nonzero term
+    The cut. Classes are summed in descending bound, and the scan stops at
+    the first whose bound is below best_val * (1 - 1e-9), best_val being
+    the maximum of the rows summed so far. This loses no row within 4K ulps
+    of the maximum. A term takes two roundings (the share, then the
+    product), a row's sum 2K - 1 more. A bound takes at most K + I + 3 on
+    the path of any one log: n - 1 for a sum of n logs, at most I adding
+    the stations' parts, 1 adding h to top_m, 2 for the MBS's share and
+    product and 1 adding the SBS part; the min is exact. While no nonzero
+    intermediate is subnormal or overflows, each rounding is a relative
+    error of at most u = 2^-53, and the exact row is at most its class's
+    exact bound. So a row of a class bounded below best_val * (1 - 1e-9)
+    sums to less than best_val * (1 - 1e-9) * (1 + 1.01 * (3K + I + 4) * u),
+    which for K + I < 10^5 is below best_val * (1 - 8*K*u) <= best_val -
+    4*K*ulp(best_val), under which no row is a maximizer; later classes
+    bound lower still. The cut applies only when the smallest nonzero term
     and the largest bound lie well inside the normal range; otherwise every
     class is summed.
 
-    A class's rows are every SBS pattern, one way for each SBS group to put
-    its load on its SBS, times every way for the MBS to serve n_m - c of the
-    small-served UEs besides the c UEs no SBS serves. Both tables are cached
-    across scans, keyed by shape alone: _layout holds the patterns of one
-    combination of group loads in layout order, gathered into UE order once
-    per scan through an inverse permutation, and _picks appends to the MBS's
-    choices the rows saying whether the SBS serves the UE, so one gather
-    gives a piece's macro and small flags. Ranks count small-served UEs in
-    layout order, which orders the MBS picks within a pattern; of the
-    results, only which of several tied rows best_digits names depends on
-    that order.
-
-    Each row adds UE 0..K-1 in order, macro term then small term, each
+    Bits. Each row adds UE 0..K-1 in order, macro term then small term, each
     bw / load * log, as objective_chunk does. The term of a tier that does
     not serve the UE is +0.0 in both: objective_chunk multiplies the term by
     its False flag, the scan selects 0.0 for a macro term and computes
     bw / load * (log * 0.0) for a small one, and a finite share times 0.0
-    is +0.0. A piece is as many SBS patterns as fit in
-    _CHUNK_ROWS rows (at least one) times the whole MBS pick table, which
-    under DEFAULT_BRUTE_CAP has at most C(14, 7) = 3432 < _CHUNK_ROWS
-    columns; a larger one, which only a smaller _CHUNK_ROWS makes, is summed
-    whole. A piece's first row at its maximum replaces best_digits, read
-    from its flag column, only where it is strictly above the running
-    maximum, so the first row summed that attains the maximum is kept.
-    Within a class rows are summed pattern by pattern, each with every MBS
-    pick, however the pieces cut them. The rows near the running maximum
-    update one (2K,) array of best near-row values, the MBS's flags first,
-    then the SBSs'.
-
-    A piece holds its macro terms as a (K, rows) array and its small terms
-    as one value per UE and pattern, and adds them by an in-place loop,
-    vals += term, macro and small in turn, a small term broadcast over its
-    pattern's rows; each row is summed left to right. cumsum(axis=0) over a
-    (2K, rows) array gives the same bits but accumulates along the strided
-    axis: it made the all-equal K=13 one-SBS
-    scan take 0.5-0.6 s instead of 0.35 s. np.add.reduce(axis=0) sums
-    pairwise when a piece holds one row, whose single column is contiguous,
-    and so changes bits: it differed from the loop in 1,040 of 2,000 random
-    28-term columns.
+    is +0.0. A piece adds its terms by an in-place loop, vals += term:
+    cumsum(axis=0) over a (2K, rows) array gives the same bits but strides
+    along the slow axis, and np.add.reduce sums a contiguous column
+    pairwise, which changes bits.
     """
     log_m, log_s, assoc = table.log_macro, table.log_small, table.assoc_sbs
     k_ues, bw_m, bw_s = table.num_ue, table.params.bw_macro_hz, table.params.bw_small_hz
@@ -279,11 +211,8 @@ def _block_scan(table):
         n_s = [a + n for a in n_s for n in group_loads]
         h_s = [a + b for a in h_s for b in t_m[g - 1::-1]]
     f_s, n_s, h_s = np.array(f_s), np.array(n_s), np.array(h_s)
-    # class (n_m - 1) * len(f_s) + s for n_m = 1..K. Its MBS serves the K - n_s
-    # UEs no SBS serves and free = n_m - (K - n_s) others, so it adds at most
-    # bw_m / n_m times the lesser of its n_m largest logs and h_s plus its free
-    # largest ones. A class with free < 0 holds no rows: its top_m[free] reads
-    # one of the K -inf entries past the sums, and its bound is -inf
+    # class (n_m - 1) * len(f_s) + s for n_m = 1..K, bounded as the docstring
+    # says; top_m[n_s - K + n_m] is its top_m[n_m - c]
     top_m = np.array([*itertools.accumulate(sorted(lm, reverse=True), initial=0.0),
                       *[-math.inf] * k_ues])
     loads_m = np.arange(1, k_ues + 1)[:, None]
@@ -355,10 +284,8 @@ def _block_scan(table):
                 best_digits = tuple(DIGIT_MACRO_ONLY if not on_s else
                                     DIGIT_BOTH if on_m else DIGIT_SMALL_ONLY
                                     for on_m, on_s in zip(col[:k_ues], col[k_ues:]))
-            # a maximizer ends within tol of the final maximum, whose tol
-            # is at most twice the running maximum's; rows below 2*tol of
-            # it can go. A kept row at or below near_best.min() raises no
-            # entry, so filtering those rows out too would change no bit
+            # a maximizer ends within tol of the final maximum, whose tol is
+            # at most twice the running maximum's, so rows below 2*tol go
             floor = best_val - 4 * k_ues * math.ulp(best_val)
             if top >= floor:
                 near = vals >= floor
@@ -396,14 +323,11 @@ def brute_force_scan(table):
 def subset_degradations(csum, cs_logsum, cs_size, bw):
     """Degradations of adopting each prefix of a candidate window.
 
-    The window lists a station's candidates by descending SINR/SNR. For
-    every size s the left-to-right sum of its first s log terms is then at
-    least the sum of any other s of them (IEEE addition is monotone), so the
-    least-degrading subset is always a prefix. csum holds the column's
-    running log sums over the window's rows, csum[s-1] = cs_logsum + the
-    first s window terms accumulated in that order, and cs_logsum is the
-    running sum over the cs_size committed rows. Entry s-1 of the returned
-    list of w floats prices the first s rows:
+    csum holds the column's running log sums over the window's w rows,
+    csum[s-1] = cs_logsum + the first s window terms added left to right,
+    and cs_logsum is the running sum over the cs_size committed rows (why a
+    prefix is the least-degrading subset: solve_proposed). Entry s-1 of the
+    returned list of w floats prices the first s rows:
 
         bw/cs_size*cs_logsum - bw/(cs_size+s)*csum[s-1]
 

@@ -111,47 +111,33 @@ def solve_proposed(table: ChannelTable) -> SolverResult:
     later pass refreshes one candidate window per station: the rows strictly
     below the station's deepest committed row, down to and including the
     first row whose UE is not yet served anywhere (a station with no such
-    row is exhausted for good). The least-degrading nonempty subset of each
-    window is adopted by the station whose rate total it degrades the least,
-    which may re-serve already-served UEs at the second tier. Loops until
-    every UE is served.
+    row is exhausted for good). The station whose window's least-degrading
+    nonempty subset degrades its rate total the least, the lowest index on
+    a tie, adopts that subset, which may re-serve already-served UEs at
+    their second tier. Ties between a window's prefixes go to the
+    lexicographically smallest sorted UE tuple. Loops until every UE is
+    served.
 
-    A window lists UEs by descending SINR/SNR, so for every size s its first
-    s rows degrade the station's rate total no more than any other s of its
-    rows (see subset_degradations), and only the w prefixes are priced.
-    Ties between prefixes go to the lexicographically smallest sorted UE
-    tuple; the tied prefixes' UE tuples are compared only when the least
-    degradation repeats, which is rare.
+    Only prefixes are priced: a window lists UEs by descending SINR/SNR, so
+    for every size s the left-to-right sum of its first s log terms is at
+    least the sum of any other s of them (IEEE addition is monotone), and
+    its first s rows degrade the station's rate total no more than any
+    other s rows. Every adoption is thus a prefix of the rows just below
+    the committed ones, so a station's committed UEs are the first
+    depth[bs] rows of its column, and a window is priced by
+    subset_degradations from the slice of the column's running log sums
+    over its rows. The MBS column holds every UE and committed UEs are
+    served, so while a UE is unserved the MBS has a window; each pass adds
+    at least one row to the sum of the depths, which is at most 2K, so at
+    most 2K passes run. A station prices its window again only when the
+    window's (depth, width) changed since its last pass, and its pointer to
+    the first unserved row only moves forward, since served never reverts.
 
-    Every adoption is thus a prefix of the rows just below the committed
-    ones, so a station's committed UEs are always the first depth[bs] rows
-    of its column, and its committed log sum is the running sum of the
-    column's log terms at row depth[bs]-1. The running sums are kept as
-    Python floats, and their slice over a window's rows holds the prefixes'
-    post-adoption log sums, so a window is priced from that slice. There is
-    no fallback: the MBS column holds every UE and committed UEs are served,
-    so while a UE is unserved the MBS has a window; each pass then adds at
-    least one row to the sum of the depths, which is at most 2K, so at most
-    2K passes run.
-
-    A pass commits rows to one station only, so most windows are the same
-    as in the last pass. A window's prices depend only on its station,
-    depth and width (the running sums and bandwidth are fixed for the
-    solve), so each station keeps the (depth, width) it last priced with
-    the chosen degradation and row count, and calls subset_degradations and
-    the tie rule only when the window has changed. Depths and widths only
-    grow, so no window is priced twice. A per-station pointer to the first
-    unserved row only moves forward: served never reverts, and the rows
-    above the depth are committed and hence served, so each pass resumes
-    the scan where the last one stopped.
-
-    Counter accounting still charges the paper's enumeration of every
-    subset: per examined window of w rows at a station already serving cs
-    UEs, priced afresh or not, each subset costs one rate evaluation per UE
-    the station would then serve, summing to cs*2^w + w*2^(w-1) ticks.
-    wall_notes likewise reports 2^w subset evaluations per examined window,
-    plus pass and commit tallies. The final counted evaluate() adds one
-    tick per served (UE, tier) pair.
+    op_count charges the paper's enumeration of every subset: per examined
+    window of w rows at a station already serving cs UEs, priced afresh or
+    not, cs*2^w + w*2^(w-1) ticks, plus one tick per served (UE, tier) pair
+    of the final counted evaluate(). wall_notes reports 2^w subset
+    evaluations per examined window, plus pass and commit tallies.
     """
     columns = build_sorted_matrix(table)
     mbs = table.num_sbs
@@ -227,29 +213,19 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     """Necessary optimality condition on station heads.
 
     For every station with a nonempty UE group (the MBS groups all UEs, SBS
-    i groups its associated UEs), some exhaustive-search maximizer must
-    serve that group's highest-SNR/SINR UE at that station. Returns
-    (True, None) when every station passes, else (False, witness) naming
-    the first failing station. Raises ValueError if the supplied allocation
-    is not a maximizer, and BruteForceCapError above DEFAULT_BRUTE_CAP UEs.
+    i its associated UEs), some exhaustive-search maximizer must serve the
+    group's head, its highest-SNR/SINR UE, at that station. On a tie the
+    head is the lowest-indexed such UE, the first of the station's column in
+    build_sorted_matrix. Returns (True, None) when every station passes,
+    else (False, witness) naming the first failing station, checking SBS
+    0..I-1, then the MBS.
 
-    The maximum and the per-UE served flags come from the exhaustive scan
-    behind brute_force_scan, read from its memo: after solve_brute_force on
-    the same table object, the check scans nothing. The scan's maximizers are the
-    rows within 2*K ulps of the maximum, so that the swapped optima of
-    identical UEs, which sum the same terms in another order, count as
-    maximizers too. The scan's own maximizer, the allocation
-    solve_brute_force returns, sums to the maximum bit for bit (the solver
-    replays it through evaluate), so it is not scored again. Any other
-    allocation is scored by evaluate, in the scan's summation order, and is
-    accepted by the same rule: any maximizer gets the same (ok, witness),
-    not only the one solve_brute_force returns.
-
-    The heads are found in one pass, without sorting: each SBS's head is the
-    first UE of its group with the greatest SINR and the MBS's the first UE
-    with the greatest SNR, so a tie goes to the lowest index, as it does in
-    build_sorted_matrix, whose columns start with these same UEs. Stations
-    are checked SBS 0..I-1, then the MBS.
+    The maximizers are the rows within 2*K ulps of the maximum, and optimum
+    is accepted by the same rule, so every maximizer gets the same (ok,
+    witness). The maximum and the served flags are read from the scan's
+    memo, so after solve_brute_force on the same table object nothing is
+    scanned again. Raises ValueError if optimum is not a maximizer, and
+    BruteForceCapError above DEFAULT_BRUTE_CAP UEs.
     """
     k_ues = table.num_ue
     best, digits, macro_served, small_served = _table_scan(table)

@@ -89,8 +89,14 @@ class ScenarioParams:
             if not (value > 2.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and exceed 2, got {value}")
         for name in ("p_macro_dbm", "p_small_dbm", "n_macro_dbm_hz", "n_small_dbm_hz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            value = getattr(self, name)
+            try:
+                # 10 ** (x / 10) overflows a float for x above about 3110
+                finite = math.isfinite(value) and math.isfinite(dbm_to_watts(value))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be finite and give finite watts, got {value}")
         if not (0 <= _integer("seed", self.seed) < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -59,9 +59,12 @@ def test_run_missing_config_path(tmp_path, capsys):
 
 
 def test_run_config_validation_error_names_file(tmp_path, capsys):
-    """Values that convert but fail validation still name the config file."""
+    """Values that convert but fail validation still name the config file,
+    a dBm value whose watts overflow among them."""
     for extra, msg in (("algorithms = proposed\nbw_macro_hz = inf\n", "bw_macro_hz"),
-                       ("algorithms = bogus\n", "bogus")):
+                       ("algorithms = bogus\n", "bogus"),
+                       *((f"algorithms = proposed\n{field} = 4000\n", field)
+                         for field in ("p_macro_dbm", "p_small_dbm", "n_macro_dbm_hz"))):
         cfg = _write_cfg(tmp_path, "ue_sweep = 2\n" + extra)
         code = cli_main(["run", "--config", cfg, "--out", str(tmp_path / "z.csv")])
         err = capsys.readouterr().err

@@ -35,6 +35,20 @@ def test_each_public_name_has_one_owner():
             assert getattr(obj, "__module__", mod.__name__) == mod.__name__, name
 
 
+def test_every_public_function_and_class_has_a_docstring():
+    """Each function and class the package exports carries a docstring of
+    its own, read from its source: a dataclass's generated signature text
+    does not count."""
+    package = importlib.import_module("dcalloc")
+    missing = []
+    for name in package.__all__:
+        obj = getattr(package, name)
+        if inspect.isfunction(obj) or inspect.isclass(obj):
+            if not ast.get_docstring(ast.parse(inspect.getsource(obj)).body[0]):
+                missing.append(name)
+    assert missing == []
+
+
 def test_solvers_bind_the_kernels_by_name():
     """The greedy and the optimality checker call the kernels through names
     bound in dcalloc.solvers; the benchmark's tracer wraps and counts the

@@ -145,6 +145,49 @@ def test_run_experiment_threads_match_serial():
     assert serial == parallel
 
 
+def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch):
+    """threads=64 on 3 cells opens a pool of 3 workers, and on one cell no
+    pool at all. A stub pool records its size and maps serially, so the test
+    starts no process; the records equal a serial run's."""
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            opened.append(chunksize)
+            return map(fn, tasks)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    cfg = _tiny_config(ue_sweep=(1, 2, 3), trials=1)
+    assert run_experiment(cfg, threads=64) == run_experiment(cfg)
+    assert opened == [3, 1]
+    run_experiment(_tiny_config(ue_sweep=(2,), trials=1), threads=64)
+    assert opened == [3, 1]
+
+
+def test_zero_optimum_has_no_ratio():
+    """At -300 dBm every SNR is below 2**-53, so every log term and the
+    optimum are 0.0: the trial records no ratio, and the summary leaves it
+    out of the mean and the std."""
+    scenario = ScenarioParams(p_macro_dbm=-300.0, p_small_dbm=-300.0)
+    cfg = _tiny_config(scenario=scenario, ue_sweep=(4,), trials=1,
+                       algorithms=("optimal", "proposed"))
+    rec = harness.run_trial((cfg, 4, 0))
+    assert rec.sum_rates == {"optimal": 0.0, "proposed": 0.0}
+    assert rec.ratio is None
+    row = summarize(cfg.algorithms, cfg.ue_sweep, [rec])["rows"][0]
+    assert row["mean_ratio_proposed_optimal"] is None
+    assert row["std_ratio_proposed_optimal"] is None
+
+
 def test_run_experiment_without_optimal_has_no_ratio():
     cfg = _tiny_config(algorithms=("proposed", "1a_only"))
     records, summary = run_experiment(cfg)

@@ -49,6 +49,11 @@ def test_default_noise_floors_in_watts():
     ("alpha_macro", math.inf),
     ("alpha_small", math.inf),
     ("p_macro_dbm", float("nan")),
+    # finite, but the watts overflow a float
+    ("p_macro_dbm", 4000.0),
+    ("p_small_dbm", 4000.0),
+    ("n_macro_dbm_hz", 4000.0),
+    ("n_small_dbm_hz", 4000.0),
     ("seed", -1),
     ("num_sbs", 2.5),
     ("num_ue", 3.5),
