@@ -62,6 +62,8 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHM_ORDER]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")
+        if len(set(self.algorithms)) != len(self.algorithms):
+            raise ValueError("algorithms entries must be unique")
         object.__setattr__(self, "algorithms",
                            tuple(a for a in ALGORITHM_ORDER if a in self.algorithms))
         object.__setattr__(self, "ue_sweep",
@@ -117,21 +119,21 @@ def run_trial(task) -> TrialRecord:
     """One (K, trial) cell from the task (cfg, K, trial); module-level and
     tuple-argumented so process pools can ship it around. Each solver is
     looked up in dcalloc.solvers at call time, so a function patched onto
-    that module is the one that runs. A solver error is re-raised as
-    RuntimeError naming the cell's (K, trial, seed) and the algorithm,
-    which replays it through make_instance."""
+    that module is the one that runs. A make_instance or solver error is
+    re-raised as RuntimeError naming the cell's (K, trial, seed), which
+    replays it through make_instance, and the failing step."""
     cfg, k_ues, trial = task
     seed = trial_seed(cfg.master_seed, k_ues, trial)
-    _, table = make_instance(replace(cfg.scenario, num_ue=k_ues, seed=seed))
     rec = TrialRecord(k_ues=k_ues, trial=trial, seed=seed)
-    for algo in cfg.algorithms:
-        try:
-            res = getattr(solvers, _SOLVERS[algo])(table)
-        except Exception as exc:
-            raise RuntimeError(f"{algo} failed at K={k_ues}, trial={trial}, "
-                               f"seed={seed}: {exc}") from exc
-        rec.sum_rates[algo] = float(res.sum_rate)
-        rec.op_counts[algo] = res.op_count
+    step = "make_instance"
+    try:
+        _, table = make_instance(replace(cfg.scenario, num_ue=k_ues, seed=seed))
+        for step in cfg.algorithms:
+            res = getattr(solvers, _SOLVERS[step])(table)
+            rec.sum_rates[step], rec.op_counts[step] = float(res.sum_rate), res.op_count
+    except Exception as exc:
+        raise RuntimeError(f"{step} failed at K={k_ues}, trial={trial}, "
+                           f"seed={seed}: {exc}") from exc
     # an optimum of 0.0, where every log term underflows, gives no ratio
     if rec.sum_rates.get("optimal") and "proposed" in rec.sum_rates:
         rec.ratio = rec.sum_rates["proposed"] / rec.sum_rates["optimal"]

@@ -320,18 +320,9 @@ def brute_force_scan(table):
     return _table_scan(table)[:2]
 
 
-def subset_degradations(csum, cs_logsum, cs_size, bw):
-    """Degradations of adopting each prefix of a candidate window.
-
-    csum holds the column's running log sums over the window's w rows,
-    csum[s-1] = cs_logsum + the first s window terms added left to right,
-    and cs_logsum is the running sum over the cs_size committed rows (why a
-    prefix is the least-degrading subset: solve_proposed). Entry s-1 of the
-    returned list of w floats prices the first s rows:
-
-        bw/cs_size*cs_logsum - bw/(cs_size+s)*csum[s-1]
-
-    where an empty committed set contributes 0 before.
-    """
-    bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
-    return [bef - bw / (cs_size + s) * total for s, total in enumerate(csum, 1)]
+def subset_degradations(window, before):
+    """(degradation, rows) of a window's best prefix. window[s-1] is the
+    station's rate total after adopting the first s rows, before its total
+    now, and the shortest prefix of highest total degrades the least."""
+    top = max(window)
+    return before - top, window.index(top) + 1

@@ -112,26 +112,25 @@ def solve_proposed(table: ChannelTable) -> SolverResult:
     below the station's deepest committed row, down to and including the
     first row whose UE is not yet served anywhere (a station with no such
     row is exhausted for good). The station whose window's least-degrading
-    nonempty subset degrades its rate total the least, the lowest index on
-    a tie, adopts that subset, which may re-serve already-served UEs at
-    their second tier. Ties between a window's prefixes go to the
-    lexicographically smallest sorted UE tuple. Loops until every UE is
-    served.
+    nonempty subset degrades its rate total the least, the lowest index on a
+    tie, adopts that subset, the shortest of tied prefixes, and may re-serve
+    already-served UEs at their second tier, until every UE is served.
 
     Only prefixes are priced: a window lists UEs by descending SINR/SNR, so
     for every size s the left-to-right sum of its first s log terms is at
     least the sum of any other s of them (IEEE addition is monotone), and
-    its first s rows degrade the station's rate total no more than any
-    other s rows. Every adoption is thus a prefix of the rows just below
-    the committed ones, so a station's committed UEs are the first
-    depth[bs] rows of its column, and a window is priced by
-    subset_degradations from the slice of the column's running log sums
-    over its rows. The MBS column holds every UE and committed UEs are
-    served, so while a UE is unserved the MBS has a window; each pass adds
-    at least one row to the sum of the depths, which is at most 2K, so at
-    most 2K passes run. A station prices its window again only when the
-    window's (depth, width) changed since its last pass, and its pointer to
-    the first unserved row only moves forward, since served never reverts.
+    its first s rows degrade the station's rate total no more than any other
+    s rows. Every adoption is thus a prefix of the rows just below the
+    committed ones, so a station's committed UEs are the first d = depth[bs]
+    rows of its column, and its rate total is totals[bs][d] = bw / d *
+    (their log terms added left to right), built once per column with
+    totals[bs][0] = 0.0; subset_degradations prices a window from its slice
+    of them. The MBS column holds every UE and committed UEs are served, so
+    while a UE is unserved the MBS has a window; each pass adds at least one
+    row to the sum of the depths, which is at most 2K, so at most 2K passes
+    run. A station prices its window again only when its (depth, width)
+    changed since the last pass, and its pointer to the first unserved row
+    only moves forward, since served never reverts.
 
     op_count charges the paper's enumeration of every subset: per examined
     window of w rows at a station already serving cs UEs, priced afresh or
@@ -142,25 +141,22 @@ def solve_proposed(table: ChannelTable) -> SolverResult:
     columns = build_sorted_matrix(table)
     mbs = table.num_sbs
     bws = [table.params.bw_small_hz] * mbs + [table.params.bw_macro_hz]
-    # running[bs][r] adds the log terms of rows 0..r left to right
-    running = [np.cumsum(table.log_small[col]).tolist() for col in columns[:mbs]]
-    running.append(np.cumsum(table.log_macro[columns[mbs]]).tolist())
+    logs = [table.log_small] * mbs + [table.log_macro]
+    totals = [[0.0, *(bw / d * run for d, run in enumerate(np.cumsum(log[col]).tolist(), 1))]
+              for bw, log, col in zip(bws, logs, columns)]
     cols = [col.tolist() for col in columns]
 
     depth = [min(len(col), 1) for col in cols]
     served = bytearray(table.num_ue)
-    for col in cols:
-        if col:
-            served[col[0]] = 1
+    for col in filter(None, cols):
+        served[col[0]] = 1
     initial_commits = sum(depth)
     # end[bs]: first unserved row at or below depth[bs] as of the last pass
     end = list(depth)
     # priced[bs]: (depth, width, degradation, rows) of the last window priced
     priced = [None] * len(cols)
 
-    passes = 0
-    subset_evals = 0
-    ticks = 0
+    passes = subset_evals = ticks = 0
     while 0 in served:
         passes += 1
         # (degradation, bs, rows adopted)
@@ -179,14 +175,8 @@ def solve_proposed(table: ChannelTable) -> SolverResult:
             ticks += lo * (1 << w) + w * (1 << (w - 1))
             memo = priced[bs]
             if memo is None or memo[:2] != (lo, w):
-                degs = subset_degradations(running[bs][lo:r + 1], running[bs][lo - 1], lo,
-                                           bws[bs])
-                least = min(degs)
-                j = degs.index(least)
-                if degs.count(least) > 1:
-                    j = min((t for t, deg in enumerate(degs) if deg == least),
-                            key=lambda t: sorted(col[lo:lo + t + 1]))
-                memo = priced[bs] = (lo, w, degs[j], j + 1)
+                memo = priced[bs] = (lo, w, *subset_degradations(totals[bs][lo + 1:r + 2],
+                                                                  totals[bs][lo]))
             if best is None or memo[2] < best[0]:
                 best = (memo[2], bs, memo[3])
 

@@ -88,15 +88,21 @@ class ScenarioParams:
             # exponents <= 2 break the far-field decay assumptions baked into the tests
             if not (value > 2.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and exceed 2, got {value}")
-        for name in ("p_macro_dbm", "p_small_dbm", "n_macro_dbm_hz", "n_small_dbm_hz"):
+        for name, bw in (("p_macro_dbm", None), ("p_small_dbm", None),
+                         ("n_macro_dbm_hz", "bw_macro_hz"), ("n_small_dbm_hz", "bw_small_hz")):
             value = getattr(self, name)
             try:
-                # 10 ** (x / 10) overflows a float for x above about 3110
-                finite = math.isfinite(value) and math.isfinite(dbm_to_watts(value))
-            except OverflowError:
-                finite = False
-            if not finite:
+                watts = dbm_to_watts(value)
+            except OverflowError:  # 10 ** (x / 10) overflows a float for x above about 3110
+                watts = math.inf
+            if not (math.isfinite(value) and math.isfinite(watts)):
                 raise ValueError(f"{name} must be finite and give finite watts, got {value}")
+            if bw is None and watts == 0.0:
+                raise ValueError(f"{name} must give positive watts, got {value}")
+            # a total noise that underflows to 0.0 is the table's to refuse
+            if bw is not None and not math.isfinite(getattr(self, bw) * watts):
+                raise ValueError(f"{name} must give a finite noise power over {bw}, "
+                                 f"got {value} and {getattr(self, bw)}")
         if not (0 <= _integer("seed", self.seed) < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
 

@@ -209,16 +209,17 @@ def python_greedy(table: ChannelTable, candidates=_every_subset, windows=None):
     """The paper's greedy allocation in plain Python, by default by full
     subset enumeration rather than prefix pricing. Columns hold each SBS's
     UEs by descending SINR and all UEs by descending SNR for the MBS (last),
-    equal values by ascending index. Heads are committed first. Each pass takes every live station's
-    window (the rows below its deepest committed row, down to the first
-    unserved UE, found by scanning from that row), prices the window's
-    candidates afresh and picks the least degradation, ties to the
-    lexicographically smallest sorted UE tuple; across stations a later one
-    wins only by a strictly smaller degradation. Each window charges the
-    ticks its pricer reports and 2^w subset evaluations, and the end one
-    tick per served (UE, tier) pair. Appends (station, committed count,
-    width) of every examined window to windows, if given. Returns (digits,
-    ticks, notes)."""
+    equal values by ascending index. Heads are committed first. Each pass
+    takes every live station's window (the rows below its deepest committed
+    row, down to the first unserved UE, found by scanning from that row),
+    prices the window's candidates afresh and picks the least degradation,
+    ties to the highest rate total after adoption, then the fewest rows,
+    then the least window offsets; across stations a later one wins only by
+    a strictly smaller degradation. Each window charges the ticks its
+    pricer reports and 2^w subset evaluations, and the end one tick per
+    served (UE, tier) pair. Appends (station, committed count, width) of
+    every examined window to windows, if given. Returns (digits, ticks,
+    notes)."""
     k_ues, mbs = table.num_ue, table.num_sbs
     snr, sinr = table.snr_macro.tolist(), table.sinr_small.tolist()
     assoc = table.assoc_sbs.tolist()
@@ -255,7 +256,8 @@ def python_greedy(table: ChannelTable, candidates=_every_subset, windows=None):
             ticks += window_ticks
             least = min(c[0] for c in priced)
             deg, rows, total = min((c for c in priced if c[0] == least),
-                                   key=lambda c: sorted(window[b] for b in c[1]))
+                                   key=lambda c: (-(bws[bs] / (cs + len(c[1])) * c[2]),
+                                                  len(c[1]), c[1]))
             if best is None or deg < best[0]:
                 best = (deg, bs, [window[b] for b in rows], deepest[bs] + 1 + max(rows), total)
         _, bs, ues, last_row, total = best

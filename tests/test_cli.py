@@ -74,6 +74,21 @@ def test_run_config_validation_error_names_file(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "z.csv")
 
 
+def test_run_refuses_a_channel_out_of_range_naming_file_and_field(tmp_path, capsys):
+    """A noise whose total power overflows and a power whose watts underflow
+    are refused when the config loads, naming the file and the field."""
+    noise = "n_macro_dbm_hz must give a finite noise power over bw_macro_hz"
+    for extra, msg in (("n_macro_dbm_hz = 3100\n", f"{noise}, got 3100.0 and 10000000.0"),
+                       ("p_macro_dbm = -4000\n",
+                        "p_macro_dbm must give positive watts, got -4000.0")):
+        cfg = _write_cfg(tmp_path, "ue_sweep = 4\nalgorithms = proposed\ntrials = 1\n" + extra)
+        code = cli_main(["run", "--config", cfg, "--out", str(tmp_path / "z.csv")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {cfg}: {msg}\n"
+    assert not os.path.exists(tmp_path / "z.csv")
+
+
 def test_oracle_check(capsys):
     code = cli_main(["oracle-check", "--k", "4", "--i", "2", "--trials", "3",
                      "--seed", "7"])

@@ -90,6 +90,7 @@ def test_config_rejects_unknown_algorithm():
     (dict(trials=2.5), "trials"),
     (dict(trials=True), "trials"),
     (dict(master_seed=1.5), "master_seed"),
+    (dict(algorithms=("proposed", "proposed", "optimal")), "algorithms entries must be unique"),
 ])
 def test_config_validate_rejects(overrides, msg):
     with pytest.raises(ValueError, match=msg):
@@ -193,6 +194,17 @@ def test_run_experiment_without_optimal_has_no_ratio():
     records, summary = run_experiment(cfg)
     assert all(r.ratio is None for r in records)
     assert all(row["mean_ratio_proposed_optimal"] is None for row in summary["rows"])
+
+
+def test_refused_channel_names_its_trial():
+    """A scenario whose drops make_instance refuses, here an MBS power of
+    1e-323 W that every pathloss takes to 0.0, is re-raised as RuntimeError
+    naming the cell's (K, trial, seed), chained to the table's refusal."""
+    cfg = _tiny_config(scenario=ScenarioParams(p_macro_dbm=-3200.0), ue_sweep=(4,))
+    witness = f"make_instance failed at K=4, trial=0, seed={trial_seed(99, 4, 0)}: rx_macro_w"
+    with pytest.raises(RuntimeError, match=witness) as info:
+        run_experiment(cfg)
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_solver_error_names_its_trial(monkeypatch):

@@ -569,31 +569,15 @@ def test_check_proposition1_scores_only_other_maximizers(monkeypatch):
     assert swapped_rows >= 10
 
 
-def _lexicographic_winner(candidates, degs, ues_of):
-    """Index of the least degradation; ties go to the lexicographically
-    smallest sorted UE tuple, the greedy's documented tie rule."""
-    low = min(degs[c] for c in candidates)
-    return min((c for c in candidates if degs[c] == low),
-               key=lambda c: tuple(sorted(ues_of(c))))
-
-
-def _numpy_prefix_degradations(pool_logs, cs_logsum, cs_size, bw):
-    """The prefix pricing formula in numpy, as the kernel computed it when it
-    rebuilt the window's cumulative sum itself."""
-    csum = np.cumsum(np.concatenate(([cs_logsum], pool_logs)))[1:]
-    bef = bw / cs_size * cs_logsum if cs_size >= 1 else 0.0
-    sizes = cs_size + np.arange(1, len(pool_logs) + 1, dtype=np.int64)
-    return (bef - bw / sizes * csum).tolist()
-
-
 def test_subset_degradations_match_python_oracle():
-    """Prefix pricing from a slice of a column's running sums picks the
-    subset full enumeration picks, with the same degradation bits as the
-    enumeration and as the numpy formula, and the slice holds the
-    enumeration's log-sum bits. Columns are descending, as a station's, with
-    equal terms in ascending UE order: cs_size committed rows, then the
-    window. Every other column draws its terms from four values so that they
-    repeat exactly."""
+    """A column's rate totals over a window's prefixes have the bits of full
+    enumeration's, and pricing the window from them returns its least
+    degradation bit for bit and the length of the prefix that wins it: among
+    the subsets of least degradation, the one leaving the highest rate
+    total, then the fewest rows, then the least window offsets. Columns are
+    descending, as a station's: cs_size committed rows, then the window.
+    Every other column draws its terms from four values so that they repeat
+    exactly."""
     rng = np.random.default_rng(17)
     for trial in range(300):
         w = int(rng.integers(1, 13))
@@ -602,42 +586,33 @@ def test_subset_degradations_match_python_oracle():
             terms = rng.choice([0.25, 1.0, 2.5, 6.0], size=cs_size + w)
         else:
             terms = rng.uniform(0.01, 8.0, size=cs_size + w)
-        ids = rng.permutation(100)[:cs_size + w]
-        order = np.lexsort((ids, -terms))
-        pool, ids = terms[order][cs_size:], ids[order][cs_size:]
-        # the greedy's running sums over the column, committed rows first
-        running = np.cumsum(terms[order]).tolist()
-        cs_logsum = running[cs_size - 1] if cs_size else 0.0
-        csum = running[cs_size:cs_size + w]
+        column = np.sort(terms)[::-1]
         bw = 10e6
+        # the greedy's rate totals over the column, committed rows first
+        totals = [0.0, *(bw / np.arange(1, cs_size + w + 1) * np.cumsum(column)).tolist()]
+        cs_logsum = float(np.cumsum(column)[cs_size - 1]) if cs_size else 0.0
         ref_degs, ref_csums, ref_pcnts = python_subset_table(
-            pool.tolist(), cs_logsum, cs_size, bw)
-        degs = subset_degradations(csum, cs_logsum, cs_size, bw)
-        assert degs == _numpy_prefix_degradations(pool, cs_logsum, cs_size, bw)
-        prefix_masks = [(1 << s) - 1 for s in range(1, w + 1)]
-        assert degs == [ref_degs[m] for m in prefix_masks]
-        assert csum == [ref_csums[m] for m in prefix_masks]
-
-        def window_ues(mask):
-            return [int(ids[b]) for b in range(w) if (mask >> b) & 1]
-        best_mask = _lexicographic_winner(range(1, 1 << w), ref_degs, window_ues)
-        j = _lexicographic_winner(range(w), degs, lambda t: ids[:t + 1].tolist())
-        assert prefix_masks[j] == best_mask
-        assert csum[j] == ref_csums[best_mask]
-        assert ref_pcnts[best_mask] == j + 1
+            column[cs_size:].tolist(), cs_logsum, cs_size, bw)
+        assert totals[cs_size + 1:] == [bw / (cs_size + s) * ref_csums[(1 << s) - 1]
+                                        for s in range(1, w + 1)]
+        deg, rows = subset_degradations(totals[cs_size + 1:], totals[cs_size])
+        assert deg.hex() == min(ref_degs).hex()
+        best_mask = min((m for m in range(1, 1 << w) if ref_degs[m] == deg),
+                        key=lambda m: (-(bw / (cs_size + ref_pcnts[m]) * ref_csums[m]),
+                                       ref_pcnts[m], [b for b in range(w) if (m >> b) & 1]))
+        assert best_mask == (1 << rows) - 1
 
 
 def test_subset_degradations_signs():
     """Adopting a stronger-than-average UE must register as an improvement
-    (negative degradation), a weaker one as a loss."""
-    # committed log sum 1, then a window of logs 9 and 0.001
-    degs = subset_degradations(np.cumsum([1.0, 9.0, 0.001]).tolist()[1:], 1.0, 1, 1.0)
-    assert degs[0] < 0.0        # newcomer log 9 vs committed average 1
-    assert degs[1] > degs[0]    # the weak second row drags the average down
-    # 1 - (1 + 9) / 2 and 1 - (1 + 9 + 0.001) / 3, in the kernel's order
-    assert degs == [1.0 - 1.0 / 2 * 10.0, 1.0 - 1.0 / 3 * 10.001]
-    weak = subset_degradations([1.0 + 0.001], 1.0, 1, 1.0)
-    assert weak[0] > 0.0
+    (negative degradation), a weaker one as a loss; equal totals go to the
+    shorter prefix."""
+    # committed log 1, then a window of logs 9 and 0.001, on bandwidth 1
+    deg, rows = subset_degradations([1.0 / 2 * 10.0, 1.0 / 3 * 10.001], 1.0)
+    assert (deg, rows) == (1.0 - 1.0 / 2 * 10.0, 1)
+    assert deg < 0.0            # newcomer log 9 vs committed average 1
+    weak, _ = subset_degradations([1.0 / 2 * 1.001], 1.0)
+    assert weak > 0.0
     # empty committed set: any adoption is pure gain
-    degs0 = subset_degradations([0.5], 0.0, 0, 1.0)
-    assert degs0 == [-0.5]
+    assert subset_degradations([0.5], 0.0) == (-0.5, 1)
+    assert subset_degradations([2.0, 3.0, 3.0, 1.0], 2.5) == (-0.5, 2)

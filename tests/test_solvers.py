@@ -282,7 +282,7 @@ def test_proposed_matches_plain_python_greedy():
     depths. Their digits, op counts and notes must agree. Two tables tie
     exactly (every log term 1.0, bandwidths that divide evenly): in the
     first, SBS 0's window [UE 1, UE 2] prices both prefixes at 0, and the
-    tuple (1,) beats (1, 2); in the second, SBS 0 and the MBS price the
+    shorter (1,) beats (1, 2); in the second, SBS 0 and the MBS price the
     window [UE 1] alike, and the lower station index wins."""
     tables = [seeded_table(k_ues, num_sbs=num_sbs, seed=100 * k_ues + 10 * num_sbs + s)
               for k_ues in range(1, 13) for num_sbs in (1, 4, 16) for s in range(5)]
@@ -300,20 +300,22 @@ def test_proposed_matches_plain_python_greedy():
         assert res.wall_notes == notes
 
 
-def test_proposed_prefix_tie_goes_to_lexicographically_smallest_ues():
+def test_proposed_prefix_tie_goes_to_the_shortest_prefix():
     """Three consecutive SINRs near 1e6 share one log term, so SBS 0's
-    window [UE 2, UE 1] prices both prefixes at exactly 0. The sorted tuple
-    (1, 2) beats (2,), so one commit adopts both rows. (Enumerating every
-    subset would instead adopt UE 1 alone, a non-prefix that ties the
-    prefixes: only distinct SINRs with equal log terms allow that.)"""
+    window [UE 2, UE 1] below its head UE 0 leaves the station the same
+    rate total with either prefix. The shorter one wins: the first commit
+    adopts UE 2 alone and a second adopts UE 1, which ends where adopting
+    both at once did, with the same sum-rate bits, after more ticks."""
     x0 = 1e6
     x1 = np.nextafter(x0, np.inf)
     x2 = np.nextafter(x1, np.inf)
     table = _synthetic(snr=[1.0, 0.5, 10.0], sinr=[x2, x0, x1], assoc=[0, 0, 0], num_sbs=1)
     assert len(set(table.log_small.tolist())) == 1
     res = solve_proposed(table)
-    assert res.wall_notes["commits"] == 1
     assert res.alloc.digits.tolist() == [2, 2, 0]
+    assert float(res.sum_rate).hex() == "0x1.be25e009cf529p+27"
+    assert (res.wall_notes["commits"], res.op_count) == (2, 33)
+    assert (res.alloc.digits.tolist(), res.op_count, res.wall_notes) == python_greedy(table)
 
 
 _LARGE_K_SCRIPT = """
@@ -376,6 +378,52 @@ def test_proposed_reprices_a_window_widened_at_fixed_depth():
     assert res.wall_notes["passes"] == 2
 
 
+def _python_rate_totals(table):
+    """Per station, in build_sorted_matrix's order, its rate total serving
+    the first d rows of its column for d = 0..len: bw / d * (their log terms
+    added left to right) in plain Python, and 0.0 for d = 0."""
+    mbs = table.num_sbs
+    out = []
+    for bs, col in enumerate(build_sorted_matrix(table)):
+        log = (table.log_macro if bs == mbs else table.log_small).tolist()
+        bw = table.params.bw_macro_hz if bs == mbs else table.params.bw_small_hz
+        row, total = [0.0], 0.0
+        for d, ue in enumerate(col.tolist(), 1):
+            total += log[ue]
+            row.append(bw / d * total)
+        out.append(row)
+    return out
+
+
+def test_proposed_prices_windows_from_plain_rate_totals(monkeypatch):
+    """Every window solve_proposed prices is a station's current rate total
+    and the slice of its totals that the window's prefixes give, each equal
+    bit for bit to the plain-Python bw / d * left-to-right sum."""
+    calls = []
+    pricer = solvers.subset_degradations
+
+    def recording(window, before):
+        calls.append((before, window))
+        return pricer(window, before)
+
+    monkeypatch.setattr(solvers, "subset_degradations", recording)
+    checked = 0
+    for k_ues in (5, 20, 60, 200):
+        for num_sbs in (1, 4, 16):
+            for seed in range(3):
+                table = seeded_table(k_ues, num_sbs=num_sbs, seed=9000 + 10 * k_ues + seed)
+                calls.clear()
+                solve_proposed(table)
+                totals = [[x.hex() for x in row] for row in _python_rate_totals(table)]
+                for before, window in calls:
+                    got = [x.hex() for x in (before, *window)]
+                    assert any(row[d:d + len(got)] == got
+                               for row in totals for d in range(1, len(row) - len(window))), \
+                        (k_ues, num_sbs, seed)
+                    checked += len(window)
+    assert checked > 1000
+
+
 def test_proposed_prices_each_distinct_window_once(monkeypatch):
     """The reference greedy examines every live window on every pass;
     solve_proposed must call subset_degradations exactly once per distinct
@@ -383,9 +431,9 @@ def test_proposed_prices_each_distinct_window_once(monkeypatch):
     calls = []
     pricer = solvers.subset_degradations
 
-    def recording(pool_logs, cs_logsum, cs_size, bw):
-        calls.append((cs_size, len(pool_logs), bw))
-        return pricer(pool_logs, cs_logsum, cs_size, bw)
+    def recording(window, before):
+        calls.append((before, len(window)))
+        return pricer(window, before)
 
     monkeypatch.setattr(solvers, "subset_degradations", recording)
     tables = [seeded_table(k_ues, num_sbs=num_sbs, seed=7000 + 100 * k_ues + num_sbs)
@@ -399,8 +447,8 @@ def test_proposed_prices_each_distinct_window_once(monkeypatch):
         res = solve_proposed(table)
         assert (res.alloc.digits.tolist(), res.op_count, res.wall_notes) == \
             (digits, ticks, notes)
-        bws = [table.params.bw_small_hz] * table.num_sbs + [table.params.bw_macro_hz]
-        assert sorted(calls) == sorted((cs, w, bws[bs]) for bs, cs, w in set(windows))
+        totals = _python_rate_totals(table)
+        assert sorted(calls) == sorted((totals[bs][cs], w) for bs, cs, w in set(windows))
         examined += len(windows)
         distinct += len(set(windows))
     assert distinct < examined / 2

@@ -66,6 +66,23 @@ def test_params_validation_rejects(field, value):
         ScenarioParams(**kwargs).validate()
 
 
+def test_params_refuse_a_channel_out_of_range():
+    """A total noise power that overflows names its dBm field and its
+    bandwidth, and a transmit power whose watts underflow to 0.0 names its
+    field. A total noise that underflows to 0.0 is left to the table."""
+    for tier in ("macro", "small"):
+        noise = rf"n_{tier}_dbm_hz must give a finite noise power over bw_{tier}_hz"
+        with pytest.raises(ValueError, match=rf"^{noise}, got 3100\.0 and 10000000\.0$"):
+            ScenarioParams(**{f"n_{tier}_dbm_hz": 3100.0})
+        with pytest.raises(ValueError, match=f"p_{tier}_dbm must give positive watts"):
+            ScenarioParams(**{f"p_{tier}_dbm": -4000.0})
+    # 1e304 W of noise over 1 Hz is finite
+    ScenarioParams(n_macro_dbm_hz=3070.0, n_small_dbm_hz=3070.0, bw_macro_hz=1.0,
+                   bw_small_hz=1.0)
+    params = ScenarioParams(bw_macro_hz=1e-300, n_macro_dbm_hz=-300.0)
+    assert params.noise_macro_w == 0.0
+
+
 def test_params_check_themselves_at_construction():
     with pytest.raises(ValueError, match="num_ue"):
         ScenarioParams(num_ue=0)
