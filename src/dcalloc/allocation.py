@@ -108,24 +108,30 @@ def evaluate(alloc: Allocation, table: ChannelTable, counter: RateCalcCounter | 
     """Total sum-rate of an allocation, ticking the counter once per served
     (UE, tier) pair when a counter is supplied.
 
-    Each served term is bw / load * log, as share_rate computes it, and an
-    unserved one is +0.0. The total adds UE 0..K-1 in order, macro term
-    then small term, left to right (cumsum, not the pairwise sum), which
-    matches objective_chunk and the exhaustive scan bit for bit.
+    Each served term is bw / load * log, as share_rate computes it. The
+    total is a left-to-right Python sum from 0.0 over UE 0..K-1, macro term
+    then small term, skipping unserved terms (adding +0.0 would change no
+    bit), which matches objective_chunk and the exhaustive scan bit for bit.
     """
     if alloc.num_ue != table.num_ue:
         raise ValueError("allocation size does not match table")
-    macro = alloc.digits != DIGIT_SMALL_ONLY
-    small = alloc.digits != DIGIT_MACRO_ONLY
-    n_macro = int(np.count_nonzero(macro))
-    n_small = np.bincount(table.assoc_sbs[small], minlength=table.num_sbs)
-    # a station that serves nobody has every flag 0; max(., 1) only avoids 0/0
-    rate_m = macro * (table.params.bw_macro_hz / max(n_macro, 1) * table.log_macro)
-    loads = np.maximum(n_small[table.assoc_sbs], 1)
-    rate_s = small * (table.params.bw_small_hz / loads * table.log_small)
+    digits, assoc = alloc.digits.tolist(), table.assoc_sbs.tolist()
+    n_macro = 0
+    n_small = [0] * table.num_sbs
+    for d, i in zip(digits, assoc):
+        if d != DIGIT_SMALL_ONLY:
+            n_macro += 1
+        if d != DIGIT_MACRO_ONLY:
+            n_small[i] += 1
     if counter is not None:
-        counter.tick(n_macro + int(np.count_nonzero(small)))
-    terms = np.empty(2 * table.num_ue)
-    terms[0::2] = rate_m
-    terms[1::2] = rate_s
-    return terms.cumsum()[-1]
+        counter.tick(n_macro + sum(n_small))
+    # a tier that serves nobody adds no term; max(., 1) only avoids 0/0
+    share_m = table.params.bw_macro_hz / max(n_macro, 1)
+    bw_s = table.params.bw_small_hz
+    total = 0.0
+    for d, i, x_m, x_s in zip(digits, assoc, table.log_macro.tolist(), table.log_small.tolist()):
+        if d != DIGIT_SMALL_ONLY:
+            total += share_m * x_m
+        if d != DIGIT_MACRO_ONLY:
+            total += bw_s / n_small[i] * x_s
+    return np.float64(total)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -51,14 +52,16 @@ class SolverResult:
 
 
 def build_sorted_matrix(table: ChannelTable) -> list:
-    """Per-station UE orderings: one column per SBS holding its associated
-    UEs by descending SINR, then the MBS column holding every UE by
-    descending SNR. Equal values keep ascending UE index: one stable sort
-    by SBS, then descending SINR, split at the SBS group sizes."""
-    by_sbs = np.lexsort((-table.sinr_small, table.assoc_sbs))
-    ends = np.bincount(table.assoc_sbs, minlength=table.num_sbs).cumsum().tolist()
-    cols = [by_sbs[start:end] for start, end in zip([0] + ends, ends)]
-    cols.append(np.argsort(-table.snr_macro, kind="stable"))
+    """Per-station UE orderings, each a list of ints: one column per SBS
+    holding its associated UEs by descending SINR, then the MBS column
+    holding every UE by descending SNR. Equal values keep ascending UE
+    index, since sorted() is stable with reverse=True too."""
+    sinr, snr = table.sinr_small.tolist(), table.snr_macro.tolist()
+    groups = [[] for _ in range(table.num_sbs)]
+    for k, i in enumerate(table.assoc_sbs.tolist()):
+        groups[i].append(k)
+    cols = [sorted(group, key=sinr.__getitem__, reverse=True) for group in groups]
+    cols.append(sorted(range(table.num_ue), key=snr.__getitem__, reverse=True))
     return cols
 
 
@@ -138,18 +141,18 @@ def solve_proposed(table: ChannelTable) -> SolverResult:
     of the final counted evaluate(). wall_notes reports 2^w subset
     evaluations per examined window, plus pass and commit tallies.
     """
-    columns = build_sorted_matrix(table)
+    cols = build_sorted_matrix(table)
     mbs = table.num_sbs
     bws = [table.params.bw_small_hz] * mbs + [table.params.bw_macro_hz]
-    logs = [table.log_small] * mbs + [table.log_macro]
-    totals = [[0.0, *(bw / d * run for d, run in enumerate(np.cumsum(log[col]).tolist(), 1))]
-              for bw, log, col in zip(bws, logs, columns)]
-    cols = [col.tolist() for col in columns]
+    logs = [table.log_small.tolist()] * mbs + [table.log_macro.tolist()]
+    totals = [[0.0, *(bw / d * run for d, run in enumerate(accumulate(log[k] for k in col), 1))]
+              for bw, log, col in zip(bws, logs, cols)]
 
     depth = [min(len(col), 1) for col in cols]
     served = bytearray(table.num_ue)
     for col in filter(None, cols):
         served[col[0]] = 1
+    unserved = table.num_ue - sum(served)
     initial_commits = sum(depth)
     # end[bs]: first unserved row at or below depth[bs] as of the last pass
     end = list(depth)
@@ -157,7 +160,7 @@ def solve_proposed(table: ChannelTable) -> SolverResult:
     priced = [None] * len(cols)
 
     passes = subset_evals = ticks = 0
-    while 0 in served:
+    while unserved:
         passes += 1
         # (degradation, bs, rows adopted)
         best = None
@@ -182,15 +185,19 @@ def solve_proposed(table: ChannelTable) -> SolverResult:
 
         _, bs, rows = best
         for ue in cols[bs][depth[bs]:depth[bs] + rows]:
-            served[ue] = 1
+            if not served[ue]:
+                served[ue] = 1
+                unserved -= 1
         depth[bs] += rows
 
     # each UE starts at 3 (no tier) and each serving tier subtracts the code of
     # the profile lacking it; a UE no tier serves stays 3, which Allocation refuses
-    digits = np.full(table.num_ue, DIGIT_MACRO_ONLY + DIGIT_SMALL_ONLY, np.uint8)
-    for bs, col in enumerate(columns):
-        digits[col[:depth[bs]]] -= DIGIT_SMALL_ONLY if bs == mbs else DIGIT_MACRO_ONLY
-    alloc = Allocation(digits)
+    digits = [DIGIT_MACRO_ONLY + DIGIT_SMALL_ONLY] * table.num_ue
+    for bs, col in enumerate(cols):
+        code = DIGIT_SMALL_ONLY if bs == mbs else DIGIT_MACRO_ONLY
+        for ue in col[:depth[bs]]:
+            digits[ue] -= code
+    alloc = Allocation(np.array(digits, np.uint8))
     cnt = RateCalcCounter()
     sum_rate = evaluate(alloc, table, cnt)
     # each pass commits exactly once

@@ -244,6 +244,12 @@ class ChannelTable:
             raise ValueError(_REFUSED[int(ok.argmin()) // k])
         put("log_macro", np.log2(1.0 + self.snr_macro))
         put("log_small", np.log2(1.0 + self.sinr_small))
+        # a sum-rate adds at most 2K terms bw / load * log, none above bw * log
+        bw_m, bw_s = self.params.bw_macro_hz, self.params.bw_small_hz
+        if not math.isfinite(2 * k * max(bw_m * float(self.log_macro.max()),
+                                         bw_s * float(self.log_small.max()))):
+            raise ValueError(f"2 * num_ue * bw * log2(1 + x) must be finite on both tiers, "
+                             f"got bw_macro_hz={bw_m} and bw_small_hz={bw_s}")
         for name in ("assoc_sbs", *names, "log_macro", "log_small"):
             getattr(self, name).flags.writeable = False
 

@@ -1,12 +1,16 @@
 """Profiles, rate shares, counters, and the evaluate() contract."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from dcalloc import (Allocation, RateCalcCounter, evaluate, share_rate,
-                     DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY)
+from dcalloc import (Allocation, ChannelTable, RateCalcCounter, ScenarioParams, evaluate,
+                     share_rate, DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY)
+from dcalloc.kernels import objective_chunk
 
-from conftest import python_rates, python_row_sum, seeded_table
+from conftest import (adversarial_table, python_rates, python_row_sum, seeded_table,
+                      synthetic_table)
 
 
 def test_digit_constants_match_profile_pairs():
@@ -98,27 +102,63 @@ def test_share_rate_formula():
         share_rate(10e6, 0, 1.0)
 
 
-def test_evaluate_matches_python_oracle():
-    rng = np.random.default_rng(77)
-    for trial in range(50):
-        k_ues = int(rng.integers(2, 9))
-        table = seeded_table(k_ues, num_sbs=4, seed=int(rng.integers(2 ** 31)))
-        digits = rng.integers(0, 3, size=k_ues)
-        alloc = Allocation(digits)
-        counter = RateCalcCounter()
-        sum_rate = evaluate(alloc, table, counter)
+def _tiny_rate_table() -> ChannelTable:
+    """Eight UEs on two SBSs with 1e-300 Hz bandwidths. SNRs and SINRs of
+    1e-300 give log terms of 0.0 (1 + x rounds to 1), and those near 1e-15
+    log terms a few times log2(1 + 2^-52), the least nonzero one (a
+    log2(1 + x) of a double is never subnormal), so their rate terms
+    bw / load * log are subnormal. An SNR of 5e3 gives normal macro terms,
+    while every small-only row sums to a subnormal."""
+    params = ScenarioParams(num_sbs=2, num_ue=8, bw_macro_hz=1e-300, bw_small_hz=1e-300,
+                            n_macro_dbm_hz=2930.0, n_small_dbm_hz=2930.0)
+    table = synthetic_table([1e-300, 2.3e-16, 1e-15, 5e3] * 2,
+                            [1e-300, 2.3e-16, 1e-15, 4e-15] * 2, [0, 1] * 4, params)
+    assert 0.0 in table.log_macro.tolist() and 0.0 in table.log_small.tolist()
+    return table
 
-        rates_m, rates_s = python_rates(
-            digits.tolist(), table.snr_macro.tolist(), table.sinr_small.tolist(),
-            table.assoc_sbs.tolist(), table.num_sbs,
-            table.params.bw_macro_hz, table.params.bw_small_hz)
-        assert sum_rate == pytest.approx(sum(rates_m) + sum(rates_s), rel=1e-12)
-        # every served term, summed in the documented order, bit for bit
-        assert sum_rate == python_row_sum(digits.tolist(), table)
-        # repr(sum_rate) is hashed into the benchmark's golden digests
-        assert type(sum_rate) is np.float64
-        served_pairs = int(np.sum(alloc.d_macro)) + int(np.sum(alloc.d_small))
-        assert counter.count == served_pairs
+
+def _evaluate_tables():
+    """Seeded tables at K = 1..12, 20, 50 and 200 on 1, 4 and 16 SBSs, the
+    adversarial greedy family and the tiny-rate table."""
+    rng = np.random.default_rng(77)
+    for k_ues in (*range(1, 13), 20, 50, 200):
+        for num_sbs in (1, 4, 16):
+            yield seeded_table(k_ues, num_sbs=num_sbs, seed=int(rng.integers(2 ** 31)))
+    yield adversarial_table(12)
+    yield _tiny_rate_table()
+
+
+def test_evaluate_matches_python_oracle():
+    """On random digit rows and the three one-profile rows, evaluate() sums
+    bit for bit as the documented order and objective_chunk do, returns an
+    np.float64 and ticks once per served (UE, tier) pair."""
+    rng = np.random.default_rng(78)
+    subnormal = 0
+    for table in _evaluate_tables():
+        k_ues = table.num_ue
+        rows = [rng.integers(0, 3, size=k_ues) for _ in range(4)]
+        rows += [np.full(k_ues, d) for d in (DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY)]
+        chunk = objective_chunk(np.array(rows, dtype=np.uint8), table).tolist()
+        for digits, expected in zip(rows, chunk):
+            alloc = Allocation(digits)
+            counter = RateCalcCounter()
+            sum_rate = evaluate(alloc, table, counter)
+
+            rates_m, rates_s = python_rates(
+                digits.tolist(), table.snr_macro.tolist(), table.sinr_small.tolist(),
+                table.assoc_sbs.tolist(), table.num_sbs,
+                table.params.bw_macro_hz, table.params.bw_small_hz)
+            assert sum_rate == pytest.approx(sum(rates_m) + sum(rates_s), rel=1e-12)
+            # every served term, summed in the documented order, bit for bit
+            assert sum_rate.hex() == python_row_sum(digits.tolist(), table).hex() == \
+                expected.hex()
+            # repr(sum_rate) is hashed into the benchmark's golden digests
+            assert type(sum_rate) is np.float64
+            served_pairs = int(np.sum(alloc.d_macro)) + int(np.sum(alloc.d_small))
+            assert counter.count == served_pairs
+            if 0.0 < sum_rate < sys.float_info.min:
+                subnormal += 1
+    assert subnormal > 0
 
 
 def test_evaluate_tick_counts_per_tier():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dcalloc.harness as harness
+import dcalloc.kernels as kernels
 import dcalloc.solvers as solvers
 from dcalloc import (ALGORITHM_ORDER, DEFAULT_MASTER_SEED, ExperimentConfig,
                      ScenarioParams, TrialRecord, analytic_brute_count,
@@ -205,6 +206,31 @@ def test_refused_channel_names_its_trial():
     with pytest.raises(RuntimeError, match=witness) as info:
         run_experiment(cfg)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_overflowing_rate_terms_are_refused_naming_the_trial():
+    """A table whose 2K rate terms bw * log2(1 + x) could sum past the
+    largest double, here 1e308 Hz bandwidths over a -3200 dBm/Hz noise floor,
+    is refused when built, naming both bandwidths, before a solver sums a
+    NaN; in a sweep the refusal names the cell's (K, trial, seed). At
+    1e300 Hz the same drop is accepted, and evaluate() and objective_chunk
+    agree on the greedy's allocation."""
+    scenario = ScenarioParams(bw_macro_hz=1e308, bw_small_hz=1e308, n_macro_dbm_hz=-3200,
+                              n_small_dbm_hz=-3200, num_ue=8, seed=3)
+    refusal = r"must be finite on both tiers, got bw_macro_hz=1e\+308 and bw_small_hz=1e\+308"
+    with pytest.raises(ValueError, match=refusal):
+        make_instance(scenario)
+    cfg = _tiny_config(scenario=scenario, ue_sweep=(8,), trials=1)
+    witness = f"make_instance failed at K=8, trial=0, seed={trial_seed(99, 8, 0)}: .*{refusal}"
+    with pytest.raises(RuntimeError, match=witness) as info:
+        harness.run_trial((cfg, 8, 0))
+    assert isinstance(info.value.__cause__, ValueError)
+
+    _, table = make_instance(replace(scenario, bw_macro_hz=1e300, bw_small_hz=1e300))
+    greedy = solvers.solve_proposed(table)
+    assert math.isfinite(greedy.sum_rate)
+    assert math.isfinite(solvers.solve_brute_force(table).sum_rate)
+    assert greedy.sum_rate == kernels.objective_chunk(greedy.alloc.digits[None], table)[0]
 
 
 def test_solver_error_names_its_trial(monkeypatch):

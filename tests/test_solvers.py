@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import inspect
 import os
 import pickle
@@ -36,14 +37,14 @@ def _synthetic(snr, sinr, assoc, num_sbs, **scenario):
 def test_sorted_matrix_single_sbs_order():
     table = _synthetic(snr=[1.0, 1.0, 1.0], sinr=[5.0, 9.0, 1.0], assoc=[0, 0, 0], num_sbs=1)
     cols = build_sorted_matrix(table)
-    assert cols[0].tolist() == [1, 0, 2]
+    assert cols[0] == [1, 0, 2]
 
 
 def test_sorted_matrix_tie_goes_to_lower_index():
     table = _synthetic(snr=[2.0, 3.0, 2.0], sinr=[4.0, 4.0, 4.0], assoc=[0, 0, 0], num_sbs=1)
     cols = build_sorted_matrix(table)
-    assert cols[0].tolist() == [0, 1, 2]
-    assert cols[-1].tolist() == [1, 0, 2]
+    assert cols[0] == [0, 1, 2]
+    assert cols[-1] == [1, 0, 2]
 
 
 def test_sorted_matrix_invariants_on_seeded_instances():
@@ -51,9 +52,8 @@ def test_sorted_matrix_invariants_on_seeded_instances():
         table = seeded_table(num_ue=12, num_sbs=4, seed=seed)
         cols = build_sorted_matrix(table)
         assert len(cols) == 4 + 1
-        seen = np.concatenate(cols[:4])
-        assert sorted(seen.tolist()) == list(range(12))
-        assert sorted(cols[-1].tolist()) == list(range(12))
+        assert sorted(sum(cols[:4], [])) == list(range(12))
+        assert sorted(cols[-1]) == list(range(12))
         for i in range(4):
             col = cols[i]
             assert all(table.assoc_sbs[u] == i for u in col)
@@ -71,14 +71,14 @@ def test_sorted_matrix_invariants_on_seeded_instances():
 def test_sorted_matrix_empty_column():
     table = _synthetic(snr=[1.0], sinr=[2.0], assoc=[1], num_sbs=2)
     cols = build_sorted_matrix(table)
-    assert cols[0].size == 0
-    assert cols[1].tolist() == [0]
+    assert cols[0] == []
+    assert cols[1] == [0]
 
 
 def test_sorted_matrix_equals_per_sbs_sorts():
-    """The one-sort construction gives the columns of a stable descending
-    sort of each SBS group on its own, with repeated SINRs and SNRs and
-    SBSs that serve nobody."""
+    """The columns are lists of ints, those of a stable descending sort of
+    each SBS group on its own, with repeated SINRs and SNRs and SBSs that
+    serve nobody."""
     rng = np.random.default_rng(23)
     empty_groups = 0
     for trial in range(60):
@@ -95,7 +95,8 @@ def test_sorted_matrix_equals_per_sbs_sorts():
             expected.append(members[np.argsort(-table.sinr_small[members], kind="stable")])
         expected.append(np.argsort(-table.snr_macro, kind="stable"))
         cols = build_sorted_matrix(table)
-        assert [col.tolist() for col in cols] == [col.tolist() for col in expected]
+        assert cols == [col.tolist() for col in expected]
+        assert all(type(col) is list and all(type(ue) is int for ue in col) for col in cols)
         empty_groups += sum(col.size == 0 for col in expected[:num_sbs])
     assert empty_groups > 0
 
@@ -351,6 +352,27 @@ def test_proposed_large_k_under_memory_limit():
     assert len(proc.stdout.splitlines()) == 12
 
 
+# sha256 of solve_proposed's outputs on the pinned tables, recorded from the
+# greedy's numpy-array implementation; the list implementation keeps it
+_PINNED_GREEDY_DIGEST = "d937a0f00c130fcdd101347520e0f0dae4c739804cf113b4bdfcefb4c971c8cd"
+
+
+def test_proposed_outputs_pinned_past_the_oracles():
+    """python_greedy enumerates subsets only up to K = 12. Past it, every
+    output of solve_proposed, its digits, sum-rate bits, op count and
+    notes, is pinned by a digest on 78 seeded tables at K = 13..200 on 1, 4
+    and 16 SBSs."""
+    digest = hashlib.sha256()
+    for k_ues in (*range(13, 21), 30, 60, 100, 200):
+        for num_sbs in (1, 4, 16):
+            for s in range(2):
+                res = solve_proposed(seeded_table(k_ues, num_sbs=num_sbs,
+                                                  seed=1000 * k_ues + 10 * num_sbs + s))
+                digest.update(repr((res.alloc.digits.tolist(), res.sum_rate.hex(),
+                                    res.op_count, res.wall_notes)).encode())
+    assert digest.hexdigest() == _PINNED_GREEDY_DIGEST
+
+
 def _widening_table():
     """Three UEs on one SBS. The SNRs, and the SINRs of UEs 1 and 2, are
     consecutive doubles near 5e6 that share one log term; UE 0's SINR is
@@ -388,7 +410,7 @@ def _python_rate_totals(table):
         log = (table.log_macro if bs == mbs else table.log_small).tolist()
         bw = table.params.bw_macro_hz if bs == mbs else table.params.bw_small_hz
         row, total = [0.0], 0.0
-        for d, ue in enumerate(col.tolist(), 1):
+        for d, ue in enumerate(col, 1):
             total += log[ue]
             row.append(bw / d * total)
         out.append(row)
@@ -520,7 +542,7 @@ def test_check_proposition1_blocking_is_invisible(monkeypatch, scan_calls):
 def test_check_proposition1_witness_names_first_failing_station(monkeypatch):
     table = seeded_table(num_ue=5, num_sbs=4, seed=300)
     opt = solve_brute_force(table)
-    heads = {bs: int(col[0]) for bs, col in enumerate(build_sorted_matrix(table)) if col.size}
+    heads = {bs: col[0] for bs, col in enumerate(build_sorted_matrix(table)) if col}
     stations = sorted(heads)
     scan = solvers._table_scan
 
@@ -575,10 +597,10 @@ def test_check_proposition1_heads_are_the_sorted_columns_first_ues(monkeypatch):
         opt = solve_brute_force(table)
         mbs = table.num_sbs
         for bs, col in enumerate(build(table)):
-            if not col.size:
+            if not col:
                 empty_groups += 1
                 continue
-            head = int(col[0])
+            head = col[0]
 
             def head_fails(tbl, bs=bs, head=head):
                 """Every (UE, tier) pair is served by some maximizer but the
