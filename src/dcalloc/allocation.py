@@ -64,7 +64,7 @@ class Allocation:
     digits: np.ndarray
 
     def __post_init__(self):
-        digits = _small_ints(self.digits, np.uint8, 3, "profile digits must be 0, 1 or 2").copy()
+        digits = _small_ints(self.digits, np.uint8, 3, "profile digits must be 0, 1 or 2")
         if digits.ndim != 1:
             raise ValueError("profile digits must be a 1-d array")
         digits.flags.writeable = False

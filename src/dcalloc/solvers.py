@@ -154,41 +154,42 @@ def solve_proposed(table: ChannelTable) -> SolverResult:
         served[col[0]] = 1
     unserved = table.num_ue - sum(served)
     initial_commits = sum(depth)
+    stations = [(bs, col, len(col)) for bs, col in enumerate(cols)]
     # end[bs]: first unserved row at or below depth[bs] as of the last pass
     end = list(depth)
-    # priced[bs]: (depth, width, degradation, rows) of the last window priced
-    priced = [None] * len(cols)
+    # priced[bs]: (depth, width, degradation, rows) of the last window priced;
+    # depth -1 before the first
+    priced = [(-1, 0, 0.0, 0)] * len(cols)
 
     passes = subset_evals = ticks = 0
     while unserved:
         passes += 1
-        # (degradation, bs, rows adopted)
-        best = None
-        for bs, col in enumerate(cols):
+        best_bs = -1
+        for bs, col, n in stations:
             r = end[bs]
-            while r < len(col) and served[col[r]]:
+            while r < n and served[col[r]]:
                 r += 1
             end[bs] = r
-            if r == len(col):
+            if r == n:
                 # no unserved UE left in this column, and served never reverts
                 continue
             lo = depth[bs]
             w = r - lo + 1
             subset_evals += 1 << w
-            ticks += lo * (1 << w) + w * (1 << (w - 1))
+            ticks += (lo << w) + (w << (w - 1))
             memo = priced[bs]
-            if memo is None or memo[:2] != (lo, w):
+            if memo[0] != lo or memo[1] != w:
                 memo = priced[bs] = (lo, w, *subset_degradations(totals[bs][lo + 1:r + 2],
                                                                   totals[bs][lo]))
-            if best is None or memo[2] < best[0]:
-                best = (memo[2], bs, memo[3])
+            if best_bs < 0 or memo[2] < best_deg:
+                best_deg, best_bs, best_rows = memo[2], bs, memo[3]
 
-        _, bs, rows = best
-        for ue in cols[bs][depth[bs]:depth[bs] + rows]:
+        lo = depth[best_bs]
+        for ue in cols[best_bs][lo:lo + best_rows]:
             if not served[ue]:
                 served[ue] = 1
                 unserved -= 1
-        depth[bs] += rows
+        depth[best_bs] = lo + best_rows
 
     # each UE starts at 3 (no tier) and each serving tier subtracts the code of
     # the profile lacking it; a UE no tier serves stays 3, which Allocation refuses

@@ -147,18 +147,26 @@ class Topology:
 
 
 def _small_ints(values, dtype, stop: int, message: str) -> np.ndarray:
-    """values as a contiguous `dtype` array, refused with ValueError(message)
-    unless every entry is an integer in [0, stop). The check reads the values
-    before the cast, which would truncate fractions and wrap negatives."""
+    """values as a new contiguous `dtype` array of at least one dimension,
+    refused with ValueError(message) unless every entry is a bool, integer or
+    float holding an integer in [0, stop). The check reads the values before
+    the cast, which would truncate fractions and wrap negatives."""
     arr = np.asarray(values)
-    if ((arr.dtype.kind not in "bu" and not ((arr == np.trunc(arr)) & (arr >= 0)).all())
-            or np.count_nonzero(arr >= stop)):
+    kind = arr.dtype.kind
+    if kind not in "biuf":
         raise ValueError(message)
-    return np.ascontiguousarray(arr, dtype=dtype)
+    ok = (arr >= 0) & (arr < stop)
+    if kind == "f":
+        ok &= arr == np.trunc(arr)
+    if not ok.all():
+        raise ValueError(message)
+    return np.array(arr, dtype=dtype, order="C", ndmin=1)
 
 
 def channel_gain(distance_m, alpha: float):
-    """Log-distance gain max(d, 1 m) ** -alpha. Accepts scalars or arrays."""
+    """Log-distance gain max(d, 1 m) ** -alpha. Accepts scalars or arrays.
+    build_channel_table applies the same law to a whole drop at once, one
+    exponent per station."""
     if not alpha > 0.0:
         raise ValueError("alpha must be positive")
     d = np.asarray(distance_m, dtype=np.float64)
@@ -176,15 +184,18 @@ def generate_topology(params: ScenarioParams) -> Topology:
     Seeded from params.seed, with a fixed draw order (SBS block first,
     row-major, then the UE block), so the drop is a pure function of params.
     """
-    rng = np.random.default_rng(params.seed)
     side = params.area_side_m
-    mbs = np.array([side / 2.0, side / 2.0])
-    sbs = rng.uniform(0.0, side, size=(params.num_sbs, 2))
-    ue = rng.uniform(0.0, side, size=(params.num_ue, 2))
-    return Topology(mbs_pos=mbs, sbs_pos=sbs, ue_pos=ue)
+    # one draw gives the stream of an SBS draw followed by a UE draw
+    pos = np.random.default_rng(params.seed).uniform(0.0, side,
+                                                     size=(params.num_sbs + params.num_ue, 2))
+    return Topology(mbs_pos=np.array([side / 2.0, side / 2.0]),
+                    sbs_pos=pos[:params.num_sbs], ue_pos=pos[params.num_sbs:])
 
 
-# ChannelTable's refusals, in the order of its checked arrays
+# ChannelTable's stored and derived arrays, the rows of its block in this order
+_ROWS = ("rx_macro_w", "rx_small_w", "interference_w", "snr_macro", "sinr_small",
+         "log_macro", "log_small")
+# ChannelTable's refusals, in the order of its checked rows
 _REFUSED = ("rx_macro_w must be finite and strictly positive",
             "rx_small_w must be finite and strictly positive",
             "interference_w must be finite and non-negative",
@@ -203,9 +214,10 @@ class ChannelTable:
     Derived when built: snr_macro = rx_macro_w / noise_macro_w, sinr_small =
     rx_small_w / (interference_w + noise_small_w), and log_macro / log_small =
     log2(1 + x), which every rate path reads so that identical allocations
-    evaluate to bit-identical sums. A table checks itself when built, is
-    frozen and holds read-only copies of its arrays; dataclasses.replace
-    builds a new checked table from new inputs and derives the rest again.
+    evaluate to bit-identical sums. A table checks itself when built and is
+    frozen. Its float arrays are read-only rows of one block it owns, and
+    assoc_sbs a read-only copy; dataclasses.replace builds a new checked
+    table from new inputs and derives the rest again.
     """
 
     rx_macro_w: np.ndarray
@@ -219,39 +231,43 @@ class ChannelTable:
     log_small: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        def put(name, value):
-            object.__setattr__(self, name, value)
-        put("assoc_sbs", _small_ints(self.assoc_sbs, np.int64, self.params.num_sbs,
-                                     "assoc_sbs entries must index a valid SBS").copy())
-        if self.assoc_sbs.shape != (self.params.num_ue,):
+        params = self.params
+        k = params.num_ue
+        assoc = _small_ints(self.assoc_sbs, np.int64, params.num_sbs,
+                            "assoc_sbs entries must index a valid SBS")
+        if assoc.shape != (k,):
             raise ValueError("assoc_sbs must have shape (num_ue,)")
-        for name in ("rx_macro_w", "rx_small_w", "interference_w"):
-            arr = np.array(getattr(self, name), dtype=np.float64)  # a copy the caller cannot reach
-            if arr.shape != self.assoc_sbs.shape:
+        block = np.empty((len(_ROWS), k))   # a copy the caller cannot reach
+        for row, name in zip(block, _ROWS[:3]):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            if arr.shape != (k,):
                 raise ValueError(f"{name} must have shape (num_ue,)")
-            put(name, arr)
-        # the check below refuses an overflow or a noise underflowed to 0.0; no warning first
+            row[:] = arr
+        rx_m, rx_s, interference, snr, sinr = block[:5]
+        # the check below refuses an overflow, a noise underflowed to 0.0 and
+        # the log of a bad ratio; no warning first
         with np.errstate(all="ignore"):
-            put("snr_macro", self.rx_macro_w / self.params.noise_macro_w)
-            put("sinr_small", self.rx_small_w / (self.interference_w + self.params.noise_small_w))
-        # one pass over the five arrays end to end; NaN fails every comparison
-        names = ("rx_macro_w", "rx_small_w", "interference_w", "snr_macro", "sinr_small")
-        values = np.concatenate([getattr(self, name) for name in names])
-        ok = (values > 0.0) & (values < math.inf)
-        k = self.params.num_ue
-        ok[2 * k:3 * k] |= values[2 * k:3 * k] == 0.0   # a lone SBS has no interferer
-        if not ok.all():
-            raise ValueError(_REFUSED[int(ok.argmin()) // k])
-        put("log_macro", np.log2(1.0 + self.snr_macro))
-        put("log_small", np.log2(1.0 + self.sinr_small))
+            np.divide(rx_m, params.noise_macro_w, out=snr)
+            np.divide(rx_s, interference + params.noise_small_w, out=sinr)
+            np.log2(np.add(1.0, block[3:5], out=block[5:]), out=block[5:])
+        # each row's least and greatest entry, which are NaN if any entry is
+        lows = block[:5].min(axis=1).tolist()
+        highs = block.max(axis=1).tolist()
+        for row, message in enumerate(_REFUSED):
+            # NaN fails every comparison; a lone SBS has no interferer
+            if not ((lows[row] > 0.0 or row == 2 and lows[row] == 0.0) and highs[row] < math.inf):
+                raise ValueError(message)
         # a sum-rate adds at most 2K terms bw / load * log, none above bw * log
-        bw_m, bw_s = self.params.bw_macro_hz, self.params.bw_small_hz
-        if not math.isfinite(2 * k * max(bw_m * float(self.log_macro.max()),
-                                         bw_s * float(self.log_small.max()))):
+        bw_m, bw_s = params.bw_macro_hz, params.bw_small_hz
+        top_m, top_s = highs[5:]
+        if not math.isfinite(2 * k * max(bw_m * top_m, bw_s * top_s)):
             raise ValueError(f"2 * num_ue * bw * log2(1 + x) must be finite on both tiers, "
                              f"got bw_macro_hz={bw_m} and bw_small_hz={bw_s}")
-        for name in ("assoc_sbs", *names, "log_macro", "log_small"):
-            getattr(self, name).flags.writeable = False
+        block.flags.writeable = False
+        assoc.flags.writeable = False
+        object.__setattr__(self, "assoc_sbs", assoc)
+        for name, row in zip(_ROWS, block):
+            object.__setattr__(self, name, row)
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the check, and the copy stays read-only
@@ -273,20 +289,22 @@ def build_channel_table(topo: Topology, params: ScenarioParams) -> ChannelTable:
     if topo.ue_pos.shape[0] != params.num_ue or topo.sbs_pos.shape[0] != params.num_sbs:
         raise ValueError("topology does not match params (num_ue / num_sbs)")
 
-    d_macro = np.hypot(topo.ue_pos[:, 0] - topo.mbs_pos[0], topo.ue_pos[:, 1] - topo.mbs_pos[1])
-    rx_macro = params.p_macro_w * channel_gain(d_macro, params.alpha_macro)
-
-    # (K, I) distance matrix UE -> SBS
-    diff = topo.ue_pos[:, None, :] - topo.sbs_pos[None, :, :]
-    d_small = np.hypot(diff[:, :, 0], diff[:, :, 1])
-    rx_small = params.p_small_w * channel_gain(d_small, params.alpha_small)
+    # (K, 1 + I) distances, gains and powers from every station to every UE,
+    # the MBS in column 0
+    stations = np.concatenate((topo.mbs_pos[None, :], topo.sbs_pos))
+    diff = topo.ue_pos[:, None, :] - stations[None, :, :]
+    alphas = np.array([-params.alpha_macro] + [-params.alpha_small] * params.num_sbs)
+    powers = np.array([params.p_macro_w] + [params.p_small_w] * params.num_sbs)
+    rx = np.maximum(np.hypot(diff[:, :, 0], diff[:, :, 1]), MIN_GAIN_DISTANCE_M) ** alphas
+    rx *= powers
 
     # strongest received power wins; argmax takes the lowest index on ties
-    assoc = rx_small.argmax(axis=1)
+    others = rx[:, 1:].copy()
+    assoc = others.argmax(axis=1)
     rows = np.arange(params.num_ue)
-    others = rx_small.copy()
+    rx_small = others[rows, assoc]
     others[rows, assoc] = 0.0        # summing the zeroed copy avoids cancellation
-    return ChannelTable(rx_macro_w=rx_macro, rx_small_w=rx_small[rows, assoc],
+    return ChannelTable(rx_macro_w=rx[:, 0], rx_small_w=rx_small,
                         interference_w=others.sum(axis=1), assoc_sbs=assoc, params=params)
 
 

@@ -27,8 +27,12 @@ def test_digits_roundtrip_exhaustive():
 
 
 def test_from_digits_rejects_bad_digit():
-    for digits in ([0, 3], [0.5, 1, 2], [-1, 0, 0], [np.nan, 0, 0]):
-        with pytest.raises(ValueError, match="digits"):
+    """Out-of-range numbers are refused, and so are strings, None, complex
+    numbers, dates and Python objects, with the digits' own ValueError."""
+    for digits in ([0, 3], [0.5, 1, 2], [-1, 0, 0], [np.nan, 0, 0], ["0", "1"], [None],
+                   np.array([1 + 0j]), np.array([0, 1], dtype=object),
+                   np.array(["2020-01-01"], dtype="M8[D]"), np.array([1], dtype="m8[s]")):
+        with pytest.raises(ValueError, match="profile digits must be 0, 1 or 2"):
             Allocation(digits)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import hashlib
 import math
 import pickle
 import re
@@ -233,6 +234,9 @@ def test_channel_table_validation():
         ChannelTable(**{**good, "assoc_sbs": np.array([0.7, 1.0])})
     with pytest.raises(ValueError, match="assoc_sbs"):
         ChannelTable(**{**good, "assoc_sbs": np.array([0])})
+    for bad in (np.array(["0", "1"]), [None, None], np.array([0, 1], dtype=object)):
+        with pytest.raises(ValueError, match="assoc_sbs"):
+            ChannelTable(**{**good, "assoc_sbs": bad})
     for name in ("rx_macro_w", "rx_small_w", "interference_w"):
         for bad in (np.array([1.0]), np.ones((2, 1)), np.array([np.nan, 1.0]),
                     np.array([-1e-30, 1.0]), np.array([1.0, np.inf])):
@@ -262,7 +266,14 @@ def test_channel_table_validation():
                # the least subnormal power over a noise of 1e4 W, or over 1e300 W
                (dict(_good_inputs(n_macro_dbm_hz=0.0), rx_macro_w=np.array([5e-324, 1.0])), snr),
                (dict(good, rx_small_w=np.array([1.0, 5e-324]),
-                     interference_w=np.array([0.0, 1e300])), sinr)]
+                     interference_w=np.array([0.0, 1e300])), sinr),
+               # several bad at once: the first array in the stored order is named
+               (dict(good, rx_small_w=np.array([np.nan, 1.0]),
+                     interference_w=np.array([-1.0, 0.0])), "rx_small_w"),
+               (dict(good, rx_macro_w=np.array([1.0, np.inf]),
+                     rx_small_w=np.array([np.nan, 1.0])), "rx_macro_w"),
+               (dict(good, rx_small_w=np.array([1e300, 1.0]),
+                     interference_w=np.array([0.0, -1.0])), "interference_w")]
     for inputs, match in derived:
         # the ValueError is the only signal: no RuntimeWarning from the division
         with warnings.catch_warnings(), pytest.raises(ValueError, match=match):
@@ -278,6 +289,51 @@ def test_make_instance_matches_pipeline():
     assert np.array_equal(topo.ue_pos, topo2.ue_pos)
     assert np.array_equal(table.sinr_small, table2.sinr_small)
     assert seeded_table(4, 3, 11).snr_macro == pytest.approx(table.snr_macro, rel=0)
+
+
+# sha256 of every drop's arrays in _pinned_drops, recorded from the code before
+# make_instance built a drop in one pass
+_PINNED_DROP_DIGEST = "36858c32d1d4763fa125db0b06db202444a74019841b5d5b6a22cb0bd9ef4ccf"
+_TABLE_ARRAYS = ("rx_macro_w", "rx_small_w", "interference_w", "assoc_sbs",
+                 "snr_macro", "sinr_small", "log_macro", "log_small")
+
+
+def _pinned_drops():
+    """1,935 drops: K = 1..40, 50, 100, 200 x 1, 2, 4, 8, 16 SBSs x sides of
+    250, 500 and 1000 m x 3 seeds."""
+    for k_ues in (*range(1, 41), 50, 100, 200):
+        for num_sbs in (1, 2, 4, 8, 16):
+            for side in (250.0, 500.0, 1000.0):
+                for s in range(3):
+                    yield ScenarioParams(area_side_m=side, num_sbs=num_sbs, num_ue=k_ues,
+                                         seed=100000 * k_ues + 1000 * num_sbs + int(side) + s)
+
+
+def test_make_instance_pinned_past_the_goldens():
+    """The goldens cover a few sweep shapes. Every drop's positions and table,
+    dtype, shape and bytes of each array, is pinned by one digest over 1,935
+    drops. Every table array is C-contiguous and read-only, and a table
+    built from a caller's arrays shares no memory with them."""
+    digest = hashlib.sha256()
+    drops = 0
+    for params in _pinned_drops():
+        topo, table = make_instance(params)
+        drops += 1
+        arrays = [topo.mbs_pos, topo.sbs_pos, topo.ue_pos,
+                  *(getattr(table, name) for name in _TABLE_ARRAYS)]
+        for arr in arrays:
+            digest.update(repr((arr.dtype.str, arr.shape)).encode())
+            digest.update(arr.tobytes())
+        inputs = {name: np.array(getattr(table, name)) for name in _TABLE_ARRAYS[:4]}
+        twin = ChannelTable(**inputs, params=params)
+        for name in _TABLE_ARRAYS:
+            for built in (table, twin):
+                arr = getattr(built, name)
+                assert arr.flags.c_contiguous and not arr.flags.writeable, name
+                assert not any(np.shares_memory(arr, mine) for mine in inputs.values()), name
+            assert getattr(twin, name).tobytes() == getattr(table, name).tobytes(), name
+    assert drops == 1935
+    assert digest.hexdigest() == _PINNED_DROP_DIGEST
 
 
 def test_channel_table_is_frozen():
