@@ -71,6 +71,8 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        if not isinstance(self.scenario, ScenarioParams):
+            raise ValueError(f"scenario must be a ScenarioParams, got {self.scenario!r}")
         if not self.ue_sweep:
             raise ValueError("ue_sweep must not be empty")
         if any(k < 1 for k in self.ue_sweep):
@@ -111,7 +113,11 @@ def trial_seed(master_seed: int, k_ues: int, trial: int) -> int:
 
 
 def analytic_brute_count(k_ues: int) -> int:
-    """Exhaustive-search rate-calculation count in closed form."""
+    """Exhaustive-search rate-calculation count in closed form, K * 3**K,
+    for an integer K >= 1."""
+    k_ues = _integer("k_ues", k_ues)
+    if k_ues < 1:
+        raise ValueError(f"k_ues must be >= 1, got {k_ues}")
     return k_ues * 3 ** k_ues
 
 
@@ -146,6 +152,7 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
     Records are ordered by (K position in the sweep, trial) no matter how
     many workers run them.
     """
+    threads = _integer("threads", threads)
     if threads < 1:
         raise ValueError("threads must be >= 1")
     tasks = [(cfg, k, t) for k in cfg.ue_sweep for t in range(cfg.trials)]
@@ -263,10 +270,10 @@ def load_records(path: str):
 _REQUIRED_KEYS = ("ue_sweep", "algorithms")
 
 # key -> converter from the value text. The scenario keys are ScenarioParams'
-# fields, typed by their defaults, except num_ue and seed, which a sweep sets
-# per trial
+# input fields, typed by their defaults, except num_ue and seed, which a sweep
+# sets per trial; the derived watts are not keys
 _SCENARIO_KEYS = {f.name: type(f.default) for f in fields(ScenarioParams)
-                  if f.name not in ("num_ue", "seed")}
+                  if f.init and f.name not in ("num_ue", "seed")}
 _CONFIG_KEYS = {
     **_SCENARIO_KEYS,
     "ue_sweep": lambda value: tuple(int(tok) for tok in value.split(",") if tok.strip()),

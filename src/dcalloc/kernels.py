@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .allocation import DIGIT_BOTH, DIGIT_MACRO_ONLY, DIGIT_SMALL_ONLY
+from .topology import _small_ints
 
 __all__ = [
     "DEFAULT_BRUTE_CAP",
@@ -61,8 +62,12 @@ def objective_chunk(digits, table) -> np.ndarray:
     the tier serves the UE and +0.0 where it does not. A row adds UE 0..K-1
     in order, macro term then small term, left to right (cumsum along the
     contiguous axis, not the pairwise sum), which matches evaluate() and the
-    exhaustive scan bit for bit.
+    exhaustive scan bit for bit. Digits are refused by Allocation's rule,
+    and an input that is not a 2-d (rows, K) array is refused.
     """
+    digits = _small_ints(digits, np.uint8, 3, "profile digits must be 0, 1 or 2")
+    if digits.ndim != 2 or digits.shape[1] != table.num_ue:
+        raise ValueError("digits must be a 2-d (rows, num_ue) array")
     n_rows, k_ues = digits.shape
     assoc, bw_m, bw_s = table.assoc_sbs, table.params.bw_macro_hz, table.params.bw_small_hz
     macro = digits != DIGIT_SMALL_ONLY

@@ -5,10 +5,10 @@ small base stations (SBSs) on a separate carrier and user terminals (UEs) are
 drawn i.i.d. uniform over the square, SBSs first, then UEs, so an instance is
 a pure function of (parameters, seed).
 
-Powers enter in dBm and noise densities in dBm/Hz at the config boundary
-only. Everything downstream of the constructors works in linear watts and
+Powers enter in dBm and noise densities in dBm/Hz; ScenarioParams converts
+each once, when built, and everything downstream works in linear watts and
 hertz. The channel is a bare log-distance law g(d) = max(d, 1 m)^-alpha with
-a 1 m reference and no fading or shadowing.
+a 1 m reference and no fading or shadowing, applied by build_channel_table.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ __all__ = [
     "Topology",
     "ChannelTable",
     "dbm_to_watts",
-    "channel_gain",
     "generate_topology",
     "build_channel_table",
     "make_instance",
 ]
 
-# Gains are clamped below this distance so a UE sitting on top of a
-# transmitter cannot produce an unbounded gain.
+# build_channel_table clamps distances below this, so a UE sitting on top of
+# a station receives its transmit power and no unbounded gain.
 MIN_GAIN_DISTANCE_M = 1.0
 
 
@@ -53,9 +52,10 @@ class ScenarioParams:
     """Scenario knobs for one simulated drop.
 
     Defaults are the reference parameter set used across the experiment
-    harness. Power/noise fields carry dBm units; the *_w properties expose
-    the linear-watt view used by all rate math. An instance checks itself
-    when built and is frozen, so every instance in hand is valid.
+    harness. Power/noise fields carry dBm units; the *_w fields, derived
+    when an instance is built, hold the linear watts all rate math reads.
+    An instance checks itself when built and is frozen, so every instance
+    in hand is valid.
     """
 
     area_side_m: float = 500.0      # square side, meters
@@ -70,6 +70,12 @@ class ScenarioParams:
     n_macro_dbm_hz: float = -90.0   # macro noise PSD, dBm/Hz
     n_small_dbm_hz: float = -140.0  # small-cell noise PSD, dBm/Hz
     seed: int = 0                   # drop seed, 64-bit unsigned
+    # derived by validate, not passed: transmit powers and total noise powers
+    # (bandwidth times noise PSD), in watts
+    p_macro_w: float = field(init=False, repr=False)
+    p_small_w: float = field(init=False, repr=False)
+    noise_macro_w: float = field(init=False, repr=False)
+    noise_small_w: float = field(init=False, repr=False)
 
     def __post_init__(self):
         self.validate()
@@ -88,8 +94,10 @@ class ScenarioParams:
             # exponents <= 2 break the far-field decay assumptions baked into the tests
             if not (value > 2.0 and math.isfinite(value)):
                 raise ValueError(f"{name} must be finite and exceed 2, got {value}")
-        for name, bw in (("p_macro_dbm", None), ("p_small_dbm", None),
-                         ("n_macro_dbm_hz", "bw_macro_hz"), ("n_small_dbm_hz", "bw_small_hz")):
+        for name, bw, derived in (("p_macro_dbm", None, "p_macro_w"),
+                                  ("p_small_dbm", None, "p_small_w"),
+                                  ("n_macro_dbm_hz", "bw_macro_hz", "noise_macro_w"),
+                                  ("n_small_dbm_hz", "bw_small_hz", "noise_small_w")):
             value = getattr(self, name)
             try:
                 watts = dbm_to_watts(value)
@@ -99,31 +107,15 @@ class ScenarioParams:
                 raise ValueError(f"{name} must be finite and give finite watts, got {value}")
             if bw is None and watts == 0.0:
                 raise ValueError(f"{name} must give positive watts, got {value}")
-            # a total noise that underflows to 0.0 is the table's to refuse
-            if bw is not None and not math.isfinite(getattr(self, bw) * watts):
-                raise ValueError(f"{name} must give a finite noise power over {bw}, "
-                                 f"got {value} and {getattr(self, bw)}")
+            if bw is not None:
+                watts = getattr(self, bw) * watts
+                # a total noise that underflows to 0.0 is the table's to refuse
+                if not math.isfinite(watts):
+                    raise ValueError(f"{name} must give a finite noise power over {bw}, "
+                                     f"got {value} and {getattr(self, bw)}")
+            object.__setattr__(self, derived, watts)
         if not (0 <= _integer("seed", self.seed) < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    # linear-unit views; conversion from dBm happens here and nowhere else
-    @property
-    def p_macro_w(self) -> float:
-        return dbm_to_watts(self.p_macro_dbm)
-
-    @property
-    def p_small_w(self) -> float:
-        return dbm_to_watts(self.p_small_dbm)
-
-    @property
-    def noise_macro_w(self) -> float:
-        """Total macro-band noise power: bandwidth times noise PSD."""
-        return self.bw_macro_hz * dbm_to_watts(self.n_macro_dbm_hz)
-
-    @property
-    def noise_small_w(self) -> float:
-        """Total small-cell-band noise power: bandwidth times noise PSD."""
-        return self.bw_small_hz * dbm_to_watts(self.n_small_dbm_hz)
 
 
 @dataclass(frozen=True)
@@ -161,21 +153,6 @@ def _small_ints(values, dtype, stop: int, message: str) -> np.ndarray:
     if not ok.all():
         raise ValueError(message)
     return np.array(arr, dtype=dtype, order="C", ndmin=1)
-
-
-def channel_gain(distance_m, alpha: float):
-    """Log-distance gain max(d, 1 m) ** -alpha. Accepts scalars or arrays.
-    build_channel_table applies the same law to a whole drop at once, one
-    exponent per station."""
-    if not alpha > 0.0:
-        raise ValueError("alpha must be positive")
-    d = np.asarray(distance_m, dtype=np.float64)
-    if not (d >= 0.0).all():
-        raise ValueError("distances must be non-negative")
-    out = np.maximum(d, MIN_GAIN_DISTANCE_M) ** (-alpha)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 def generate_topology(params: ScenarioParams) -> Topology:

@@ -306,7 +306,3 @@ def adversarial_table(num_ue: int) -> ChannelTable:
     params = ScenarioParams(num_sbs=2, num_ue=num_ue, seed=0)
     return synthetic_table(snr, sinr, assoc, params)
 
-
-@pytest.fixture
-def small_table() -> ChannelTable:
-    return seeded_table(num_ue=6, num_sbs=4, seed=7)

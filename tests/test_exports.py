@@ -78,18 +78,48 @@ def _layer_figures() -> dict:
     raise AssertionError("dcbench/run.py defines no LAYER_FIGURES")
 
 
+def _benchmark_chains() -> set:
+    """Every attribute chain rooted at `dc` (the package) or `cli`
+    (dcalloc.cli) in the benchmark's sources, as `dc.harness.emit_csv`, and
+    `dc.harness.<name>` for each sweep config the workloads name."""
+    chains = set()
+    for path in (Path(__file__).parents[1] / "dcbench").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names, base = [], node
+                while isinstance(base, ast.Attribute):
+                    names.append(base.attr)
+                    base = base.value
+                if isinstance(base, ast.Name) and base.id in ("dc", "cli"):
+                    chains.add(".".join([base.id, *reversed(names)]))
+            # SweepWorkload(name, config_fn, ...) looks config_fn up on dc.harness
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "SweepWorkload"):
+                chains.add(f"dc.harness.{ast.literal_eval(node.args[1])}")
+    return chains
+
+
 def test_benchmark_lookups_resolve():
     """The names the benchmark times, reports and expects to find patched:
-    every timed layer is a function its module exports, the backend probes
-    resolve on the package, and the call sites bind the originals."""
+    every timed layer is a function its module exports, every attribute the
+    benchmark reads off the package or dcalloc.cli resolves, and the call
+    sites bind the originals."""
     package = importlib.import_module("dcalloc")
+    roots = {"dc": package, "cli": importlib.import_module("dcalloc.cli")}
+    chains = _benchmark_chains()
+    assert {"dc.harness.ratio_config", "dc.harness.capacity_config",
+            "dc.harness.analytic_brute_count", "cli.trial_seed"} <= chains
+    for chain in sorted(chains):
+        root, *names = chain.split(".")
+        obj = roots[root]
+        for name in names:
+            assert hasattr(obj, name), chain
+            obj = getattr(obj, name)
     for layer in _layer_figures():
         short, name = layer.split(".")
         mod = importlib.import_module(f"dcalloc.{short}")
         assert name in mod.__all__, layer
         assert inspect.isfunction(getattr(mod, name)), layer
-    for name in ("get_backend", "available_backends", "ENV_BACKEND"):
-        assert hasattr(package, name), name
     bindings = {("solvers", "subset_degradations"): "kernels",
                 ("solvers", "objective_chunk"): "kernels",
                 ("harness", "make_instance"): "topology",

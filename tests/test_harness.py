@@ -53,6 +53,11 @@ def test_analytic_brute_count():
     assert analytic_brute_count(1) == 3
     assert analytic_brute_count(4) == 4 * 81
     assert analytic_brute_count(17) == 17 * 3 ** 17
+    assert analytic_brute_count(np.int64(40)) == 40 * 3 ** 40  # no int64 wrap
+    for k_ues, msg in ((-1, ">= 1"), (0, ">= 1"), (2.5, "an integer"), (4.0, "an integer"),
+                       (True, "an integer")):
+        with pytest.raises(ValueError, match=f"k_ues must be {msg}"):
+            analytic_brute_count(k_ues)
 
 
 def test_one_drop_validates_its_params_once(monkeypatch):
@@ -92,6 +97,8 @@ def test_config_rejects_unknown_algorithm():
     (dict(trials=True), "trials"),
     (dict(master_seed=1.5), "master_seed"),
     (dict(algorithms=("proposed", "proposed", "optimal")), "algorithms entries must be unique"),
+    (dict(scenario=None), "scenario must be a ScenarioParams, got None"),
+    (dict(scenario=ScenarioParams), "scenario must be a ScenarioParams"),
 ])
 def test_config_validate_rejects(overrides, msg):
     with pytest.raises(ValueError, match=msg):
@@ -145,6 +152,16 @@ def test_run_experiment_threads_match_serial():
     serial, _ = run_experiment(cfg, threads=1)
     parallel, _ = run_experiment(cfg, threads=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("threads,msg", [(1.5, "an integer"), (2.0, "an integer"),
+                                         (True, "an integer"), ("2", "an integer"), (0, ">= 1")])
+def test_run_experiment_refuses_bad_threads(threads, msg, monkeypatch):
+    """A thread count that is not an integer, a float or a bool included, or
+    is below 1 is refused before any cell runs."""
+    monkeypatch.setattr(harness, "run_trial", None)
+    with pytest.raises(ValueError, match=f"^threads must be {msg}"):
+        run_experiment(_tiny_config(), threads=threads)
 
 
 def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch):

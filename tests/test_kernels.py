@@ -74,6 +74,23 @@ def test_objective_chunk_scores_solver_allocations_as_evaluate():
                     (k_ues, num_sbs, solve.__name__)
 
 
+def test_objective_chunk_refuses_bad_rows():
+    """A digit outside {0, 1, 2} is refused with Allocation's message, as is
+    an input that is not a 2-d (rows, K) array; an integer-valued float row
+    scores as its digits do."""
+    table = seeded_table(3, seed=1)
+    for rows in ([[3, 3, 3]], [[-1, 7, 0]], [[0.5, 0, 0]], [[0, 1, np.nan]], [["0", "1", "2"]]):
+        with pytest.raises(ValueError, match=r"^profile digits must be 0, 1 or 2$"):
+            kernels.objective_chunk(np.array(rows), table)
+    for rows in (np.zeros(3, np.uint8), np.zeros((1, 2), np.uint8), np.zeros((1, 4), np.uint8),
+                 np.zeros((2, 3, 1), np.uint8), np.uint8(0)):
+        with pytest.raises(ValueError, match=r"^digits must be a 2-d \(rows, num_ue\) array$"):
+            kernels.objective_chunk(rows, table)
+    rows = [[0, 1, 2], [2, 2, 2]]
+    assert (kernels.objective_chunk(np.array(rows, dtype=float), table).tolist()
+            == kernels.objective_chunk(np.array(rows, dtype=np.uint8), table).tolist())
+
+
 def test_brute_scan_matches_python_oracle():
     for seed in (1, 2, 3, 4):
         table = seeded_table(5, num_sbs=4, seed=seed)

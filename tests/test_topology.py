@@ -12,9 +12,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import dcalloc.topology as topology
 from dcalloc import (ChannelTable, ScenarioParams, Topology, brute_force_scan,
-                     build_channel_table, channel_gain, dbm_to_watts, evaluate,
-                     generate_topology, make_instance, solve_stronger)
+                     build_channel_table, dbm_to_watts, evaluate, generate_topology,
+                     load_config, make_instance, solve_stronger)
 
 from conftest import python_objective, seeded_table
 
@@ -96,29 +97,57 @@ def test_params_accept_numpy_integers():
     assert make_instance(params)[1].num_ue == 3
 
 
-def test_channel_gain_distance_clamp():
-    # distances under one meter behave as one meter
-    assert channel_gain(0.0, 4.0) == 1.0
-    assert channel_gain(0.5, 4.0) == 1.0
-    assert channel_gain(1.0, 4.0) == 1.0
-    assert channel_gain(2.0, 3.0) == pytest.approx(0.125, rel=1e-15)
-    out = channel_gain(np.array([0.2, 1.0, 10.0]), 2.0)
-    assert out == pytest.approx([1.0, 1.0, 0.01], rel=1e-15)
-    assert np.isscalar(channel_gain(3.0, 2.5))
+def test_params_derive_watts_once_when_built(tmp_path, monkeypatch):
+    """The watts are dbm_to_watts of each dBm field, times its bandwidth for
+    the noise fields, bit for bit. replace derives them again; pickle and
+    deepcopy keep them. They are not inputs: neither the constructor nor a
+    config file takes them. Building params converts each field once, and
+    make_instance converts none."""
+    params = ScenarioParams(p_macro_dbm=43.0, p_small_dbm=23.0, bw_macro_hz=20e6,
+                            bw_small_hz=5e6, n_macro_dbm_hz=-100.0, n_small_dbm_hz=-120.0)
+
+    def watts(p):
+        return (dbm_to_watts(p.p_macro_dbm), dbm_to_watts(p.p_small_dbm),
+                p.bw_macro_hz * dbm_to_watts(p.n_macro_dbm_hz),
+                p.bw_small_hz * dbm_to_watts(p.n_small_dbm_hz))
+
+    def derived(p):
+        return (p.p_macro_w, p.p_small_w, p.noise_macro_w, p.noise_small_w)
+
+    assert [w.hex() for w in derived(params)] == [w.hex() for w in watts(params)]
+    moved = replace(params, p_small_dbm=30.0, n_macro_dbm_hz=-90.0, bw_small_hz=1e6)
+    assert [w.hex() for w in derived(moved)] == [w.hex() for w in watts(moved)]
+    assert moved.p_small_w == 1.0 and moved.p_macro_w == params.p_macro_w
+    for twin in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert twin == params and derived(twin) == derived(params)
+    with pytest.raises(TypeError):
+        ScenarioParams(noise_macro_w=1.0)
+    cfg = tmp_path / "derived.cfg"
+    cfg.write_text("ue_sweep = 4\nalgorithms = proposed\nnoise_macro_w = 1\n")
+    with pytest.raises(ValueError, match=r":3: unknown key 'noise_macro_w'$"):
+        load_config(str(cfg))
+
+    calls = []
+    monkeypatch.setattr(topology, "dbm_to_watts",
+                        lambda value: calls.append(value) or dbm_to_watts(value))
+    params = ScenarioParams(num_ue=5, seed=4)
+    assert calls == [46.0, 20.0, -90.0, -140.0]
+    calls.clear()
+    make_instance(params)
+    assert calls == []
 
 
-def test_channel_gain_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        channel_gain(1.0, 0.0)
-    with pytest.raises(ValueError):
-        channel_gain(-0.5, 3.0)
-    # NaN fails every comparison, so it must not slip past the checks
-    with pytest.raises(ValueError, match="alpha must be positive"):
-        channel_gain(10.0, float("nan"))
-    with pytest.raises(ValueError, match="distances must be non-negative"):
-        channel_gain(np.array([1.0, np.nan]), 4.5)
-    # an infinite distance is still valid and has no gain
-    assert channel_gain(np.inf, 4.0) == 0.0
+def test_channel_table_clamps_gains_within_one_meter():
+    """A UE 0.5 m from its SBS and a UE on the MBS site are inside the 1 m
+    clamp, so each receives its station's transmit power."""
+    params = ScenarioParams(num_sbs=2, num_ue=2)
+    topo = Topology(mbs_pos=np.array([250.0, 250.0]),
+                    sbs_pos=np.array([[100.0, 100.0], [400.0, 100.0]]),
+                    ue_pos=np.array([[100.5, 100.0], [250.0, 250.0]]))
+    table = build_channel_table(topo, params)
+    assert table.assoc_sbs[0] == 0
+    assert table.rx_small_w[0] == params.p_small_w
+    assert table.rx_macro_w[1] == params.p_macro_w
 
 
 def test_generate_topology_matches_draw_law():
