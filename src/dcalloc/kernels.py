@@ -195,9 +195,7 @@ def _block_scan(table):
     """
     log_m, log_s, assoc = table.log_macro, table.log_small, table.assoc_sbs
     k_ues, bw_m, bw_s = table.num_ue, table.params.bw_macro_hz, table.params.bw_small_hz
-    groups = [[] for _ in range(table.num_sbs)]
-    for k, i in enumerate(assoc.tolist()):
-        groups[i].append(k)
+    groups = table.columns[:-1]
     lm, ls = log_m.tolist(), log_s.tolist()
     # an SBS with one UE serves it in every class, so only larger groups vary
     multi = [i for i, members in enumerate(groups) if len(members) > 1]
@@ -223,20 +221,10 @@ def _block_scan(table):
     loads_m = np.arange(1, k_ues + 1)[:, None]
     most_m = np.minimum(top_m[1:k_ues + 1, None], h_s + top_m[n_s - k_ues + loads_m])
     bounds = (bw_m / loads_m * most_m + f_s).ravel()
-    first = int(np.argmax(bounds))
     # the rounding argument for the cut needs every nonzero intermediate normal
     nonzero = [x for x in (*lm, *ls) if x > 0.0]
-    prunes = (bounds[first] < 2.0 ** 1000
+    prunes = (bounds.max() < 2.0 ** 1000
               and min(bw_m, bw_s) / k_ues * min(nonzero, default=1.0) >= 2.0 ** -1000)
-
-    def by_bound():
-        """The best-bounded class, then the others in descending bound,
-        sorted once the first class's rows have set the cut."""
-        yield first
-        rest = np.flatnonzero(bounds >= best_val * (1 - 1e-9) if prunes
-                              else bounds > -np.inf)
-        yield from (c for c in rest[np.argsort(-bounds[rest], kind="stable")].tolist()
-                    if c != first)
 
     best_val, best_digits = -1.0, None
     # per UE, the best value read so far of a row where the MBS serves it,
@@ -252,8 +240,9 @@ def _block_scan(table):
     # UE's two rows of the pick table; how many UEs the SBSs serve; each UE's
     # small term, or 0.0
     patterns = {}
-    for c in by_bound():
-        if prunes and bounds[c] < best_val * (1 - 1e-9):
+    # descending bound, the lowest class first on a tie; a class bounded -inf holds no rows
+    for c in np.argsort(-bounds, kind="stable").tolist():
+        if bounds[c] == -math.inf or prunes and bounds[c] < best_val * (1 - 1e-9):
             break
         n_m, s = divmod(c, len(f_s))
         n_m += 1

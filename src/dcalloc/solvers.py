@@ -2,7 +2,9 @@
 
 Five strategies over one ChannelTable:
 
-* solve_brute_force: exact maximizer by scanning all 3^K profile vectors
+* solve_brute_force: exact maximizer over all 3^K profile vectors, by a
+  scan of load classes in descending bound that skips those no maximizer
+  can lie in
 * solve_proposed: greedy over SINR-sorted per-station columns; each pass
   widens per-station candidate windows and commits the subset whose adoption
   degrades its station's rate total the least
@@ -52,17 +54,10 @@ class SolverResult:
 
 
 def build_sorted_matrix(table: ChannelTable) -> list:
-    """Per-station UE orderings, each a list of ints: one column per SBS
-    holding its associated UEs by descending SINR, then the MBS column
-    holding every UE by descending SNR. Equal values keep ascending UE
-    index, since sorted() is stable with reverse=True too."""
-    sinr, snr = table.sinr_small.tolist(), table.snr_macro.tolist()
-    groups = [[] for _ in range(table.num_sbs)]
-    for k, i in enumerate(table.assoc_sbs.tolist()):
-        groups[i].append(k)
-    cols = [sorted(group, key=sinr.__getitem__, reverse=True) for group in groups]
-    cols.append(sorted(range(table.num_ue), key=snr.__getitem__, reverse=True))
-    return cols
+    """The table's columns as a list of lists of ints: one per SBS holding
+    its associated UEs by descending SINR, then the MBS column holding every
+    UE by descending SNR, equal values in ascending UE index."""
+    return [list(col) for col in table.columns]
 
 
 def solve_brute_force(table: ChannelTable) -> SolverResult:
@@ -212,11 +207,10 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
 
     For every station with a nonempty UE group (the MBS groups all UEs, SBS
     i its associated UEs), some exhaustive-search maximizer must serve the
-    group's head, its highest-SNR/SINR UE, at that station. On a tie the
-    head is the lowest-indexed such UE, the first of the station's column in
-    build_sorted_matrix. Returns (True, None) when every station passes,
-    else (False, witness) naming the first failing station, checking SBS
-    0..I-1, then the MBS.
+    group's head, the first UE of the station's column in table.columns:
+    its highest-SNR/SINR UE, the lowest-indexed on a tie. Returns (True,
+    None) when every station passes, else (False, witness) naming the first
+    failing station, checking SBS 0..I-1, then the MBS.
 
     The maximizers are the rows within 2*K ulps of the maximum, and optimum
     is accepted by the same rule, so every maximizer gets the same (ok,
@@ -231,14 +225,8 @@ def check_proposition1(table: ChannelTable, optimum: Allocation):
     if tuple(optimum.digits.tolist()) != digits:
         if evaluate(optimum, table) < best - 2 * k_ues * math.ulp(best):
             raise ValueError("supplied allocation is not an exhaustive-search maximizer")
-    # each SBS's first UE of greatest SINR, then the first UE of greatest SNR
-    sinr, snr = table.sinr_small.tolist(), table.snr_macro.tolist()
-    heads = [None] * table.num_sbs + [max(range(k_ues), key=snr.__getitem__)]
-    for k, i in enumerate(table.assoc_sbs.tolist()):
-        if heads[i] is None or sinr[k] > sinr[heads[i]]:
-            heads[i] = k
     mbs = table.num_sbs
-    for bs, head in enumerate(heads):
-        if head is not None and not (macro_served if bs == mbs else small_served)[head]:
-            return False, {"bs": bs, "head_ue": head, "max_sum_rate": best}
+    for bs, col in enumerate(table.columns):
+        if col and not (macro_served if bs == mbs else small_served)[col[0]]:
+            return False, {"bs": bs, "head_ue": col[0], "max_sum_rate": best}
     return True, None

@@ -191,10 +191,14 @@ class ChannelTable:
     Derived when built: snr_macro = rx_macro_w / noise_macro_w, sinr_small =
     rx_small_w / (interference_w + noise_small_w), and log_macro / log_small =
     log2(1 + x), which every rate path reads so that identical allocations
-    evaluate to bit-identical sums. A table checks itself when built and is
-    frozen. Its float arrays are read-only rows of one block it owns, and
-    assoc_sbs a read-only copy; dataclasses.replace builds a new checked
-    table from new inputs and derives the rest again.
+    evaluate to bit-identical sums, and columns, the sorted matrix: a tuple
+    of num_sbs + 1 tuples of ints, each SBS's UEs by descending SINR, then
+    every UE by descending SNR, equal values in ascending UE index. A
+    column's first UE is its station's head. A table checks itself when
+    built and is frozen. Its float arrays are read-only rows of one block it
+    owns, and assoc_sbs a read-only copy; dataclasses.replace, pickle and
+    deepcopy build a new checked table from the inputs and derive the rest
+    again.
     """
 
     rx_macro_w: np.ndarray
@@ -206,6 +210,7 @@ class ChannelTable:
     sinr_small: np.ndarray = field(init=False)
     log_macro: np.ndarray = field(init=False, repr=False)
     log_small: np.ndarray = field(init=False, repr=False)
+    columns: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         params = self.params
@@ -245,6 +250,14 @@ class ChannelTable:
         object.__setattr__(self, "assoc_sbs", assoc)
         for name, row in zip(_ROWS, block):
             object.__setattr__(self, name, row)
+        # a stable sort keeps ascending UE index among equal values, and
+        # dealing the SINR order out by SBS keeps it in each group
+        columns = [[] for _ in range(params.num_sbs)]
+        stations = assoc.tolist()
+        for ue in sorted(range(k), key=sinr.tolist().__getitem__, reverse=True):
+            columns[stations[ue]].append(ue)
+        columns.append(sorted(range(k), key=snr.tolist().__getitem__, reverse=True))
+        object.__setattr__(self, "columns", tuple(map(tuple, columns)))
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the check, and the copy stays read-only

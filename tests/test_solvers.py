@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import hashlib
 import inspect
+import math
 import os
 import pickle
 import re
@@ -78,7 +79,7 @@ def test_sorted_matrix_empty_column():
 def test_sorted_matrix_equals_per_sbs_sorts():
     """The columns are lists of ints, those of a stable descending sort of
     each SBS group on its own, with repeated SINRs and SNRs and SBSs that
-    serve nobody."""
+    serve nobody; the table's own columns are the same as tuples of ints."""
     rng = np.random.default_rng(23)
     empty_groups = 0
     for trial in range(60):
@@ -97,6 +98,9 @@ def test_sorted_matrix_equals_per_sbs_sorts():
         cols = build_sorted_matrix(table)
         assert cols == [col.tolist() for col in expected]
         assert all(type(col) is list and all(type(ue) is int for ue in col) for col in cols)
+        assert table.columns == tuple(tuple(col.tolist()) for col in expected)
+        assert all(type(col) is tuple and all(type(ue) is int for ue in col)
+                   for col in table.columns)
         empty_groups += sum(col.size == 0 for col in expected[:num_sbs])
     assert empty_groups > 0
 
@@ -703,3 +707,77 @@ def test_solve_brute_force_raises_when_replay_disagrees(monkeypatch):
                         lambda tbl: (float(np.nextafter(val, np.inf)), digits))
     with pytest.raises(RuntimeError, match=re.escape(f"digits {list(digits)} disagree")):
         solve_brute_force(table)
+
+
+# --- invariances -----------------------------------------------------------
+
+_SOLVES = (solve_brute_force, solve_proposed, solve_3c_only, solve_1a_only, solve_stronger)
+
+
+def _invariance_tables():
+    """Seeded tables at K = 1..12 with 1, 2, 4 and 16 SBSs."""
+    for k_ues in range(1, 13):
+        for num_sbs in (1, 2, 4, 16):
+            for seed in range(2):
+                yield seeded_table(k_ues, num_sbs=num_sbs,
+                                   seed=8000 + 100 * k_ues + 10 * num_sbs + seed)
+
+
+def test_doubling_powers_and_bandwidths_doubles_every_sum_rate():
+    """Doubling every received power, the interference and both bandwidths,
+    hence both noise powers, leaves every SNR, SINR and log term's bits and
+    the columns as they were, and doubles each rate term exactly. So each
+    solver returns the same digits, op_count and tallies and exactly twice
+    the sum-rate, and the checker's verdict stands. Twin and all-equal
+    tables, whose maximizers tie, are included."""
+    tables = list(_invariance_tables())
+    tables += [twin_table(seeded_table(k, num_sbs=2, seed=8900 + k), [(0, 1), (k - 1, k - 2)])
+               for k in range(3, 13)]
+    tables += [_synthetic(snr=[3.0] * k, sinr=[3.0] * k, assoc=[j % 2 for j in range(k)],
+                          num_sbs=2) for k in range(1, 10)]
+    checks = 0
+    for table in tables:
+        params = dataclasses.replace(table.params, bw_macro_hz=2 * table.params.bw_macro_hz,
+                                     bw_small_hz=2 * table.params.bw_small_hz)
+        doubled = ChannelTable(table.rx_macro_w * 2, table.rx_small_w * 2,
+                               table.interference_w * 2, table.assoc_sbs, params)
+        for name in ("snr_macro", "sinr_small", "log_macro", "log_small"):
+            assert getattr(doubled, name).tobytes() == getattr(table, name).tobytes(), name
+        assert doubled.columns == table.columns
+        for solve in _SOLVES:
+            res, twice = solve(table), solve(doubled)
+            assert twice.alloc == res.alloc, solve.__name__
+            assert (twice.op_count, twice.wall_notes) == (res.op_count, res.wall_notes)
+            assert twice.sum_rate == 2 * res.sum_rate, solve.__name__
+            checks += 1
+        opt = solve_brute_force(table)
+        ok, witness = check_proposition1(table, opt.alloc)
+        assert ok and witness is None
+        assert check_proposition1(doubled, opt.alloc) == (ok, witness)
+    assert checks == 5 * len(tables) == 5 * (96 + 10 + 9)
+
+
+def test_relabeling_the_ues_permutes_every_answer():
+    """Permuting the per-UE inputs of a seeded table, whose SNRs and SINRs
+    are distinct, relabels its UEs: each column lists the same UEs under
+    their new labels, each solver's digits permute with the same op_count
+    and a sum-rate within 2K ulps (it adds its terms in another order), and
+    the checker's verdict stands."""
+    rng = np.random.default_rng(31)
+    for table in _invariance_tables():
+        k_ues = table.num_ue
+        assert len(set(table.snr_macro.tolist())) == len(set(table.sinr_small.tolist())) == k_ues
+        perm = rng.permutation(k_ues)
+        # UE j of moved is UE perm[j] of table, which moved labels label[perm[j]] = j
+        moved = ChannelTable(table.rx_macro_w[perm], table.rx_small_w[perm],
+                             table.interference_w[perm], table.assoc_sbs[perm], table.params)
+        label = np.argsort(perm).tolist()
+        assert moved.columns == tuple(tuple(label[ue] for ue in col) for col in table.columns)
+        for solve in _SOLVES:
+            res, relabeled = solve(table), solve(moved)
+            assert relabeled.alloc.digits.tolist() == res.alloc.digits[perm].tolist()
+            assert relabeled.op_count == res.op_count, solve.__name__
+            assert abs(relabeled.sum_rate - res.sum_rate) <= 2 * k_ues * math.ulp(res.sum_rate)
+        opt = solve_brute_force(moved)
+        assert check_proposition1(moved, opt.alloc) == (True, None)
+        assert check_proposition1(table, Allocation(opt.alloc.digits[label])) == (True, None)

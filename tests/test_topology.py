@@ -382,6 +382,8 @@ def test_channel_table_is_frozen():
         table.params = replace(table.params, num_sbs=1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         table.log_macro = table.log_macro * 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.columns = table.columns[::-1]
     # the constructor copies: the caller's array stays writeable and unshared
     rx = table.rx_macro_w.copy()
     built = replace(table, rx_macro_w=rx)
@@ -392,8 +394,9 @@ def test_channel_table_is_frozen():
 
 def test_channel_table_copies_stay_checked_and_read_only():
     """pickle and deepcopy rebuild a table through its constructor, so the
-    copy is read-only and scans to the same result; replace builds a new
-    checked table whose SINRs and log terms derive from the new powers."""
+    copy is read-only, has the same columns and scans to the same result;
+    replace builds a new checked table whose SINRs, log terms and columns
+    derive from the new powers."""
     table = make_instance(ScenarioParams(num_ue=6, seed=3))[1]
     scan = brute_force_scan(table)
     for twin in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
@@ -404,7 +407,9 @@ def test_channel_table_copies_stay_checked_and_read_only():
             assert not arr.flags.writeable, name
             assert np.array_equal(arr, getattr(table, name)), name
         assert twin.params == table.params
+        assert twin.columns == table.columns
         assert brute_force_scan(twin) == scan
+    assert replace(table).columns == table.columns
     rx = table.rx_small_w * 2.0
     doubled = replace(table, rx_small_w=rx)
     assert not doubled.sinr_small.flags.writeable
@@ -412,6 +417,8 @@ def test_channel_table_copies_stay_checked_and_read_only():
     assert np.array_equal(doubled.sinr_small, sinr)
     assert np.array_equal(doubled.log_small, np.log2(1.0 + sinr))
     assert np.array_equal(doubled.log_macro, table.log_macro)
+    # doubling every SINR keeps their order
+    assert doubled.columns == table.columns
     with pytest.raises(ValueError, match="rx_small_w"):
         replace(table, rx_small_w=-rx)
     with pytest.raises(ValueError, match="assoc_sbs"):
@@ -421,8 +428,9 @@ def test_channel_table_copies_stay_checked_and_read_only():
 def test_replace_derives_the_channel_from_the_new_powers():
     """A table built by replace from new MBS powers derives its SNRs from
     them, so solve_stronger, which decides on the powers, and evaluate, which
-    reads the SNRs' log terms, see one channel. The derived fields
-    themselves cannot be replaced."""
+    reads the SNRs' log terms, see one channel, and the MBS column is
+    sorted by the new SNRs. The derived fields themselves cannot be
+    replaced."""
     table = make_instance(ScenarioParams(num_ue=6, seed=3))[1]
     rx = table.rx_macro_w[::-1].copy()
     flipped = replace(table, rx_macro_w=rx)
@@ -430,6 +438,9 @@ def test_replace_derives_the_channel_from_the_new_powers():
     assert flipped.log_macro.tobytes() == np.log2(1.0 + flipped.snr_macro).tobytes()
     assert not np.array_equal(flipped.log_macro, table.log_macro)
     assert flipped.sinr_small.tobytes() == table.sinr_small.tobytes()
+    assert flipped.columns[-1] == tuple(np.argsort(-flipped.snr_macro, kind="stable").tolist())
+    assert flipped.columns[-1] != table.columns[-1]
+    assert flipped.columns[:-1] == table.columns[:-1]
     # MBS powers above and below each UE's serving SBS power
     mixed = replace(table, rx_macro_w=table.rx_small_w * np.array([2.0, 0.5] * 3))
     stronger = solve_stronger(mixed)
@@ -437,6 +448,6 @@ def test_replace_derives_the_channel_from_the_new_powers():
     assert stronger.sum_rate == evaluate(stronger.alloc, mixed)
     assert stronger.sum_rate == pytest.approx(python_objective(stronger.alloc.digits, mixed),
                                               rel=1e-12)
-    for name in ("snr_macro", "sinr_small", "log_macro", "log_small"):
+    for name in ("snr_macro", "sinr_small", "log_macro", "log_small", "columns"):
         with pytest.raises(ValueError, match=name):
             replace(table, **{name: getattr(table, name)})
