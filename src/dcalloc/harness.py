@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import solvers
-from .topology import ScenarioParams, _integer, make_instance
+from .topology import ScenarioParams, _integer, make_instance, make_instances
 
 __all__ = [
     "ALGORITHM_ORDER",
@@ -43,6 +43,9 @@ _SOLVERS = {"optimal": "solve_brute_force", "proposed": "solve_proposed",
 ALGORITHM_ORDER = tuple(_SOLVERS)
 
 DEFAULT_MASTER_SEED = 20240816
+
+# most trials in one run, whose arrays hold trials x K x (1 + I) entries
+_MAX_RUN = 256
 
 
 @dataclass(frozen=True)
@@ -121,19 +124,26 @@ def analytic_brute_count(k_ues: int) -> int:
     return k_ues * 3 ** k_ues
 
 
-def run_trial(task) -> TrialRecord:
+def run_trial(task, drop=None) -> TrialRecord:
     """One (K, trial) cell from the task (cfg, K, trial); module-level and
-    tuple-argumented so process pools can ship it around. Each solver is
-    looked up in dcalloc.solvers at call time, so a function patched onto
-    that module is the one that runs. A make_instance or solver error is
-    re-raised as RuntimeError naming the cell's (K, trial, seed), which
-    replays it through make_instance, and the failing step."""
+    tuple-argumented so process pools can ship it around. Alone it derives
+    its seed and builds its table through make_instance, a one-cell replay.
+    In a run, drop is (seed, instances): the cell's seed and the run's
+    make_instances iterator, whose next item is this cell's drop. Each
+    solver is looked up in dcalloc.solvers at call time, so a function
+    patched onto that module is the one that runs. An error building the
+    table or solving is re-raised as RuntimeError naming the cell's (K,
+    trial, seed), which replays it through make_instance, and the failing
+    step."""
     cfg, k_ues, trial = task
-    seed = trial_seed(cfg.master_seed, k_ues, trial)
+    seed, instances = drop or (trial_seed(cfg.master_seed, k_ues, trial), None)
     rec = TrialRecord(k_ues=k_ues, trial=trial, seed=seed)
     step = "make_instance"
     try:
-        _, table = make_instance(replace(cfg.scenario, num_ue=k_ues, seed=seed))
+        if instances is None:
+            _, table = make_instance(replace(cfg.scenario, num_ue=k_ues, seed=seed))
+        else:
+            _, table = next(instances)
         for step in cfg.algorithms:
             res = getattr(solvers, _SOLVERS[step])(table)
             rec.sum_rates[step], rec.op_counts[step] = float(res.sum_rate), res.op_count
@@ -146,25 +156,41 @@ def run_trial(task) -> TrialRecord:
     return rec
 
 
+def _run(task) -> list:
+    """The records of the run (cfg, K, trials), trials a range of one K's
+    trials: one make_instances builds their drops, which each cell's
+    run_trial takes in turn."""
+    cfg, k_ues, trials = task
+    seeds = [trial_seed(cfg.master_seed, k_ues, trial) for trial in trials]
+    instances = make_instances([replace(cfg.scenario, num_ue=k_ues, seed=seed)
+                                for seed in seeds])
+    return [run_trial((cfg, k_ues, trial), (seed, instances))
+            for trial, seed in zip(trials, seeds)]
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1):
     """All (K, trial) cells of a config; returns (records, summary).
 
-    Records are ordered by (K position in the sweep, trial) no matter how
-    many workers run them.
+    Each K's trials go in runs of consecutive trials, whose drops are built
+    together. Records are ordered by (K position in the sweep, trial) no
+    matter how many workers run them.
     """
     threads = _integer("threads", threads)
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    tasks = [(cfg, k, t) for k in cfg.ue_sweep for t in range(cfg.trials)]
+    cells = len(cfg.ue_sweep) * cfg.trials
     # the pool starts every worker at once, so no more than there are cells
-    workers = min(threads, len(tasks))
+    workers = min(threads, cells)
+    # about four runs per worker, as one cell per task costs more to ship
+    # than a small cell takes to run; a cap keeps a run's arrays small
+    length = min(-(-cells // (4 * workers)), _MAX_RUN)
+    runs = [(cfg, k, range(start, min(start + length, cfg.trials)))
+            for k in cfg.ue_sweep for start in range(0, cfg.trials, length)]
     if workers > 1:
-        # about four chunks per worker: one cell per task costs more to ship
-        # than a small cell takes to run
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_trial, tasks, chunksize=-(-len(tasks) // (4 * workers))))
+            records = [rec for recs in pool.map(_run, runs, chunksize=1) for rec in recs]
     else:
-        records = [run_trial(t) for t in tasks]
+        records = [rec for run in runs for rec in _run(run)]
     return records, summarize(cfg.algorithms, cfg.ue_sweep, records)
 
 

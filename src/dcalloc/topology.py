@@ -8,13 +8,16 @@ a pure function of (parameters, seed).
 Powers enter in dBm and noise densities in dBm/Hz; ScenarioParams converts
 each once, when built, and everything downstream works in linear watts and
 hertz. The channel is a bare log-distance law g(d) = max(d, 1 m)^-alpha with
-a 1 m reference and no fading or shadowing, applied by build_channel_table.
+a 1 m reference and no fading or shadowing. One function applies it to a
+run of drops at once; build_channel_table and make_instance are its run of
+one, and make_instances its run of many.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "generate_topology",
     "build_channel_table",
     "make_instance",
+    "make_instances",
 ]
 
 # build_channel_table clamps distances below this, so a UE sitting on top of
@@ -155,18 +159,35 @@ def _small_ints(values, dtype, stop: int, message: str) -> np.ndarray:
     return np.array(arr, dtype=dtype, order="C", ndmin=1)
 
 
+def _sites(params_seq) -> np.ndarray:
+    """(T, 1 + I + K, 2) positions of the drops of params_seq, which share
+    area_side_m, num_sbs and num_ue: per drop the MBS at the center, then
+    its SBSs and UEs drawn from its own seed."""
+    first = params_seq[0]
+    side = first.area_side_m
+    sites = np.empty((len(params_seq), 1 + first.num_sbs + first.num_ue, 2))
+    sites[:, 0] = side / 2.0
+    draws = sites[:, 1:]
+    for row, params in zip(draws, params_seq):
+        # one draw gives the stream of an SBS draw followed by a UE draw
+        np.random.default_rng(params.seed).random(out=row)
+    # Generator.uniform(0, side) returns 0.0 + side * random(), so these are its draws
+    draws *= side
+    return sites
+
+
 def generate_topology(params: ScenarioParams) -> Topology:
     """Draw SBS then UE positions uniformly over the square.
 
     Seeded from params.seed, with a fixed draw order (SBS block first,
     row-major, then the UE block), so the drop is a pure function of params.
     """
-    side = params.area_side_m
-    # one draw gives the stream of an SBS draw followed by a UE draw
-    pos = np.random.default_rng(params.seed).uniform(0.0, side,
-                                                     size=(params.num_sbs + params.num_ue, 2))
-    return Topology(mbs_pos=np.array([side / 2.0, side / 2.0]),
-                    sbs_pos=pos[:params.num_sbs], ue_pos=pos[params.num_sbs:])
+    return _topology(_sites((params,))[0], params.num_sbs)
+
+
+def _topology(row: np.ndarray, num_sbs: int) -> Topology:
+    """The drop of one (1 + I + K, 2) row of _sites."""
+    return Topology(mbs_pos=row[0], sbs_pos=row[1:1 + num_sbs], ue_pos=row[1 + num_sbs:])
 
 
 # ChannelTable's stored and derived arrays, the rows of its block in this order
@@ -273,33 +294,77 @@ class ChannelTable:
         return int(self.params.num_sbs)
 
 
+def _links(sites: np.ndarray, params: ScenarioParams):
+    """Received powers, association and interference of T drops at once,
+    from their (T, 1 + I + K, 2) sites under params' exponents and powers.
+    Returns rx_macro_w, rx_small_w, interference_w and assoc_sbs, each
+    (T, K). Each step is element-wise or reads one UE's row, so a drop's
+    values are the same bits at any T."""
+    t, n, _ = sites.shape
+    num_sbs = params.num_sbs
+    k = n - 1 - num_sbs
+    # (T, K, 1 + I) distances, gains and powers from every station to every
+    # UE, the MBS in column 0
+    diff = sites[:, 1 + num_sbs:, None, :] - sites[:, None, :1 + num_sbs, :]
+    alphas = np.array([-params.alpha_macro] + [-params.alpha_small] * num_sbs)
+    powers = np.array([params.p_macro_w] + [params.p_small_w] * num_sbs)
+    rx = np.maximum(np.hypot(diff[..., 0], diff[..., 1]), MIN_GAIN_DISTANCE_M) ** alphas
+    rx *= powers
+
+    # strongest received power wins; argmax takes the lowest index on ties
+    others = rx[..., 1:].copy()
+    assoc = others.argmax(axis=2)
+    flat = others.reshape(-1)
+    serving = np.arange(0, flat.size, num_sbs).reshape(t, k) + assoc   # indices into flat
+    rx_small = flat[serving]
+    flat[serving] = 0.0        # summing the zeroed copy avoids cancellation
+    return rx[..., 0], rx_small, others.sum(axis=2), assoc
+
+
+def _table(params: ScenarioParams, links, i: int) -> ChannelTable:
+    """The checked table of drop i of the links _links returned."""
+    rx_macro, rx_small, interference, assoc = links
+    return ChannelTable(rx_macro_w=rx_macro[i], rx_small_w=rx_small[i],
+                        interference_w=interference[i], assoc_sbs=assoc[i], params=params)
+
+
 def build_channel_table(topo: Topology, params: ScenarioParams) -> ChannelTable:
     """Compute received powers, association and interference for every UE of
     a drop; the table derives the SNRs and SINRs from them."""
     if topo.ue_pos.shape[0] != params.num_ue or topo.sbs_pos.shape[0] != params.num_sbs:
         raise ValueError("topology does not match params (num_ue / num_sbs)")
+    sites = np.concatenate((topo.mbs_pos[None, :], topo.sbs_pos, topo.ue_pos))[None]
+    return _table(params, _links(sites, params), 0)
 
-    # (K, 1 + I) distances, gains and powers from every station to every UE,
-    # the MBS in column 0
-    stations = np.concatenate((topo.mbs_pos[None, :], topo.sbs_pos))
-    diff = topo.ue_pos[:, None, :] - stations[None, :, :]
-    alphas = np.array([-params.alpha_macro] + [-params.alpha_small] * params.num_sbs)
-    powers = np.array([params.p_macro_w] + [params.p_small_w] * params.num_sbs)
-    rx = np.maximum(np.hypot(diff[:, :, 0], diff[:, :, 1]), MIN_GAIN_DISTANCE_M) ** alphas
-    rx *= powers
 
-    # strongest received power wins; argmax takes the lowest index on ties
-    others = rx[:, 1:].copy()
-    assoc = others.argmax(axis=1)
-    rows = np.arange(params.num_ue)
-    rx_small = others[rows, assoc]
-    others[rows, assoc] = 0.0        # summing the zeroed copy avoids cancellation
-    return ChannelTable(rx_macro_w=rx[:, 0], rx_small_w=rx_small,
-                        interference_w=others.sum(axis=1), assoc_sbs=assoc, params=params)
+# the params fields the geometry reads, which the drops of one run share
+_SHARED = attrgetter("area_side_m", "num_sbs", "num_ue", "alpha_macro", "alpha_small",
+                     "p_macro_w", "p_small_w")
+
+
+def make_instances(params_seq):
+    """Yield make_instance(params) for each params of params_seq, bit for bit.
+
+    The params must agree on every field the geometry reads: area_side_m,
+    num_sbs, num_ue, both exponents and both transmit powers. The first
+    advance draws every drop from its own seed and computes all their
+    links in one pass; each advance builds, and checks, its own drop's table,
+    so a refused drop raises at its own advance.
+    """
+    params_seq = list(params_seq)
+    if len(set(map(_SHARED, params_seq))) > 1:
+        raise ValueError("make_instances needs params that agree on area_side_m, num_sbs, "
+                         "num_ue, both exponents and both transmit powers")
+    if not params_seq:
+        return
+    sites = _sites(params_seq)
+    links = _links(sites, params_seq[0])
+    for i, params in enumerate(params_seq):
+        yield _topology(sites[i], params.num_sbs), _table(params, links, i)
 
 
 def make_instance(params: ScenarioParams):
-    """Draw the topology of params' seed and build its table in one call."""
-    topo = generate_topology(params)
-    return topo, build_channel_table(topo, params)
-
+    """Draw the topology of params' seed and build its table in one call:
+    the one drop of make_instances((params,)), without the generator."""
+    sites = _sites((params,))
+    return _topology(sites[0], params.num_sbs), _table(params, _links(sites, params), 0)

@@ -147,8 +147,9 @@ def test_run_experiment_small_end_to_end():
 
 
 def test_run_experiment_threads_match_serial():
-    """16 cells, so each of the pool's chunks holds several."""
-    cfg = _tiny_config(ue_sweep=(2, 3), trials=8)
+    """14 cells on two workers go in runs of two trials: each K's seven
+    trials split over four runs, the last one shorter."""
+    cfg = _tiny_config(ue_sweep=(2, 3), trials=7)
     serial, _ = run_experiment(cfg, threads=1)
     parallel, _ = run_experiment(cfg, threads=2)
     assert serial == parallel
@@ -192,6 +193,23 @@ def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch):
     assert opened == [3, 1]
 
 
+def test_a_sweep_takes_each_cell_once(monkeypatch):
+    """run_experiment calls run_trial, trial_seed and ScenarioParams.validate
+    once per cell, and its records equal run_trial's one-cell replays."""
+    cfg = _tiny_config(ue_sweep=(2, 3), trials=3, algorithms=("stronger",))
+    replays = [harness.run_trial((cfg, k, t)) for k in cfg.ue_sweep for t in range(3)]
+    calls = []
+    for name in ("run_trial", "trial_seed"):
+        monkeypatch.setattr(harness, name, lambda *args, fn=getattr(harness, name), name=name:
+                            calls.append(name) or fn(*args))
+    validate = ScenarioParams.validate
+    monkeypatch.setattr(ScenarioParams, "validate",
+                        lambda self: calls.append("validate") or validate(self))
+    records, _ = run_experiment(cfg)
+    assert records == replays
+    assert sorted(calls) == ["run_trial"] * 6 + ["trial_seed"] * 6 + ["validate"] * 6
+
+
 def test_zero_optimum_has_no_ratio():
     """At -300 dBm every SNR is below 2**-53, so every log term and the
     optimum are 0.0: the trial records no ratio, and the summary leaves it
@@ -223,6 +241,30 @@ def test_refused_channel_names_its_trial():
     with pytest.raises(RuntimeError, match=witness) as info:
         run_experiment(cfg)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_refusal_mid_run_names_its_cell(monkeypatch):
+    """An MBS power of -3100 dBm is subnormal, so rx_macro_w underflows to
+    0.0 only at UEs far from the MBS and refuses some drops alone. At master
+    seed 2 trials 0..2 pass and trial 3, the second drop of its run, is
+    refused: the sweep names that cell's (K, trial, seed), and make_instance
+    replays the refusal from the seed alone."""
+    runs = []
+    batch = harness.make_instances
+    monkeypatch.setattr(harness, "make_instances",
+                        lambda run: runs.append([p.seed for p in run]) or batch(run))
+    cfg = _tiny_config(scenario=ScenarioParams(p_macro_dbm=-3100.0), ue_sweep=(1,), trials=8,
+                       master_seed=2)
+    seed = trial_seed(2, 1, 3)
+    witness = f"make_instance failed at K=1, trial=3, seed={seed}: rx_macro_w"
+    with pytest.raises(RuntimeError, match=witness) as info:
+        run_experiment(cfg)
+    assert isinstance(info.value.__cause__, ValueError)
+    assert [run.index(seed) for run in runs if seed in run] == [1]
+    for trial in range(3):
+        make_instance(replace(cfg.scenario, num_ue=1, seed=trial_seed(2, 1, trial)))
+    with pytest.raises(ValueError, match="rx_macro_w"):
+        make_instance(replace(cfg.scenario, num_ue=1, seed=seed))
 
 
 def test_overflowing_rate_terms_are_refused_naming_the_trial():

@@ -15,7 +15,7 @@ import pytest
 import dcalloc.topology as topology
 from dcalloc import (ChannelTable, ScenarioParams, Topology, brute_force_scan,
                      build_channel_table, dbm_to_watts, evaluate, generate_topology,
-                     load_config, make_instance, solve_stronger)
+                     load_config, make_instance, make_instances, solve_stronger)
 
 from conftest import python_objective, seeded_table
 
@@ -363,6 +363,65 @@ def test_make_instance_pinned_past_the_goldens():
             assert getattr(twin, name).tobytes() == getattr(table, name).tobytes(), name
     assert drops == 1935
     assert digest.hexdigest() == _PINNED_DROP_DIGEST
+
+
+def _drop_arrays(topo, table):
+    return [topo.mbs_pos, topo.sbs_pos, topo.ue_pos,
+            *(getattr(table, name) for name in _TABLE_ARRAYS)]
+
+
+def test_make_instances_pinned_in_runs():
+    """The pinned drops built in runs, one run of three seeds per (K, I,
+    side), meet the digest that make_instance's drops meet."""
+    digest = hashlib.sha256()
+    drops = list(_pinned_drops())
+    built = 0
+    for start in range(0, len(drops), 3):
+        run = drops[start:start + 3]
+        assert len({(p.num_ue, p.num_sbs, p.area_side_m) for p in run}) == 1
+        for topo, table in make_instances(run):
+            built += 1
+            for arr in _drop_arrays(topo, table):
+                digest.update(repr((arr.dtype.str, arr.shape)).encode())
+                digest.update(arr.tobytes())
+    assert built == 1935
+    assert digest.hexdigest() == _PINNED_DROP_DIGEST
+
+
+@pytest.mark.parametrize("num_sbs", [1, 4, 8, 16])
+def test_make_instances_equal_make_instance_per_seed(num_sbs):
+    """A run of 1, 7 or 20 seeds gives each seed the drop make_instance
+    gives it alone, which is generate_topology's drop and
+    build_channel_table's table, byte for byte. From 8 SBSs on, numpy's
+    pairwise sum unrolls, which pins the interference sum, the one float
+    reduction."""
+    for k_ues in (1, 2, 10, 20, 40):
+        for length in (1, 7, 20):
+            run = [ScenarioParams(num_sbs=num_sbs, num_ue=k_ues,
+                                  seed=1000 * k_ues + 50 * length + s) for s in range(length)]
+            for params, drop in zip(run, make_instances(run), strict=True):
+                topo = generate_topology(params)
+                for twin in (make_instance(params), (topo, build_channel_table(topo, params))):
+                    for got, want in zip(_drop_arrays(*drop), _drop_arrays(*twin)):
+                        assert got.dtype == want.dtype and got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+                    assert drop[1].columns == twin[1].columns
+
+
+def test_make_instances_take_params_that_share_the_geometry():
+    """A run's params may differ in seed, bandwidths and noise, each drop
+    then equal to make_instance's; a field the geometry reads must agree,
+    and an empty run yields nothing."""
+    base = ScenarioParams(num_ue=5, seed=1)
+    run = [base, replace(base, seed=2, n_small_dbm_hz=-120.0, bw_macro_hz=5e6)]
+    for params, (_, table) in zip(run, make_instances(run), strict=True):
+        assert table.sinr_small.tobytes() == make_instance(params)[1].sinr_small.tobytes()
+        assert table.params is params
+    for field, value in (("num_ue", 6), ("num_sbs", 5), ("area_side_m", 400.0),
+                         ("alpha_small", 4.0), ("p_macro_dbm", 43.0)):
+        with pytest.raises(ValueError, match="agree on area_side_m"):
+            next(make_instances([base, replace(base, **{field: value})]))
+    assert list(make_instances([])) == []
 
 
 def test_channel_table_is_frozen():
