@@ -8,9 +8,9 @@ a pure function of (parameters, seed).
 Powers enter in dBm and noise densities in dBm/Hz; ScenarioParams converts
 each once, when built, and everything downstream works in linear watts and
 hertz. The channel is a bare log-distance law g(d) = max(d, 1 m)^-alpha with
-a 1 m reference and no fading or shadowing. One function applies it to a
-run of drops at once; build_channel_table and make_instance are its run of
-one, and make_instances its run of many.
+a 1 m reference and no fading or shadowing. One pass applies it to a run
+of drops and one derives their tables; build_channel_table, make_instance
+and the ChannelTable constructor are runs of one, make_instances of many.
 """
 
 from __future__ import annotations
@@ -151,9 +151,10 @@ def _small_ints(values, dtype, stop: int, message: str) -> np.ndarray:
     kind = arr.dtype.kind
     if kind not in "biuf":
         raise ValueError(message)
-    ok = (arr >= 0) & (arr < stop)
     if kind == "f":
-        ok &= arr == np.trunc(arr)
+        ok = (arr >= 0) & (arr < stop) & (arr == np.trunc(arr))
+    else:  # a negative integer casts to an unsigned one of at least 2 ** 63
+        ok = arr.astype(np.uint64) < stop
     if not ok.all():
         raise ValueError(message)
     return np.array(arr, dtype=dtype, order="C", ndmin=1)
@@ -193,6 +194,7 @@ def _topology(row: np.ndarray, num_sbs: int) -> Topology:
 # ChannelTable's stored and derived arrays, the rows of its block in this order
 _ROWS = ("rx_macro_w", "rx_small_w", "interference_w", "snr_macro", "sinr_small",
          "log_macro", "log_small")
+_NOISE = attrgetter("noise_macro_w", "noise_small_w")
 # ChannelTable's refusals, in the order of its checked rows
 _REFUSED = ("rx_macro_w must be finite and strictly positive",
             "rx_small_w must be finite and strictly positive",
@@ -216,10 +218,11 @@ class ChannelTable:
     of num_sbs + 1 tuples of ints, each SBS's UEs by descending SINR, then
     every UE by descending SNR, equal values in ascending UE index. A
     column's first UE is its station's head. A table checks itself when
-    built and is frozen. Its float arrays are read-only rows of one block it
-    owns, and assoc_sbs a read-only copy; dataclasses.replace, pickle and
-    deepcopy build a new checked table from the inputs and derive the rest
-    again.
+    built and is frozen. Its float arrays are read-only row views of one
+    block, its own when built alone and shared by the tables of one
+    make_instances run, and assoc_sbs a read-only copy; dataclasses.replace,
+    pickle and deepcopy build a new checked table from the inputs and
+    derive the rest again.
     """
 
     rx_macro_w: np.ndarray
@@ -234,51 +237,8 @@ class ChannelTable:
     columns: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        params = self.params
-        k = params.num_ue
-        assoc = _small_ints(self.assoc_sbs, np.int64, params.num_sbs,
-                            "assoc_sbs entries must index a valid SBS")
-        if assoc.shape != (k,):
-            raise ValueError("assoc_sbs must have shape (num_ue,)")
-        block = np.empty((len(_ROWS), k))   # a copy the caller cannot reach
-        for row, name in zip(block, _ROWS[:3]):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (k,):
-                raise ValueError(f"{name} must have shape (num_ue,)")
-            row[:] = arr
-        rx_m, rx_s, interference, snr, sinr = block[:5]
-        # the check below refuses an overflow, a noise underflowed to 0.0 and
-        # the log of a bad ratio; no warning first
-        with np.errstate(all="ignore"):
-            np.divide(rx_m, params.noise_macro_w, out=snr)
-            np.divide(rx_s, interference + params.noise_small_w, out=sinr)
-            np.log2(np.add(1.0, block[3:5], out=block[5:]), out=block[5:])
-        # each row's least and greatest entry, which are NaN if any entry is
-        lows = block[:5].min(axis=1).tolist()
-        highs = block.max(axis=1).tolist()
-        for row, message in enumerate(_REFUSED):
-            # NaN fails every comparison; a lone SBS has no interferer
-            if not ((lows[row] > 0.0 or row == 2 and lows[row] == 0.0) and highs[row] < math.inf):
-                raise ValueError(message)
-        # a sum-rate adds at most 2K terms bw / load * log, none above bw * log
-        bw_m, bw_s = params.bw_macro_hz, params.bw_small_hz
-        top_m, top_s = highs[5:]
-        if not math.isfinite(2 * k * max(bw_m * top_m, bw_s * top_s)):
-            raise ValueError(f"2 * num_ue * bw * log2(1 + x) must be finite on both tiers, "
-                             f"got bw_macro_hz={bw_m} and bw_small_hz={bw_s}")
-        block.flags.writeable = False
-        assoc.flags.writeable = False
-        object.__setattr__(self, "assoc_sbs", assoc)
-        for name, row in zip(_ROWS, block):
-            object.__setattr__(self, name, row)
-        # a stable sort keeps ascending UE index among equal values, and
-        # dealing the SINR order out by SBS keeps it in each group
-        columns = [[] for _ in range(params.num_sbs)]
-        stations = assoc.tolist()
-        for ue in sorted(range(k), key=sinr.tolist().__getitem__, reverse=True):
-            columns[stations[ue]].append(ue)
-        columns.append(sorted(range(k), key=snr.tolist().__getitem__, reverse=True))
-        object.__setattr__(self, "columns", tuple(map(tuple, columns)))
+        _settle(self, self.params, _derive((self.params,), self.assoc_sbs, (
+            self.rx_macro_w, self.rx_small_w, self.interference_w)), 0)
 
     def __reduce__(self):
         # pickle and deepcopy rebuild through the check, and the copy stays read-only
@@ -294,15 +254,84 @@ class ChannelTable:
         return int(self.params.num_sbs)
 
 
+def _derive(params_seq, assoc, inputs):
+    """The table state of the T drops of params_seq, which share num_sbs and
+    num_ue, in one pass. assoc and inputs (rx_macro_w, rx_small_w,
+    interference_w) hold each drop's K values in turn, T * K in all; their
+    shapes and the association are checked here, each drop's values at its
+    own _settle. Returns the read-only (7, T, K) block of _ROWS as 7 * T
+    rows of K, drop i's row r at r * T + i; the rows' lows (5 * T) and highs
+    (7 * T) in that order; the SNR then SINR orders (2 * T); and the
+    read-only (T, K) association with its lists."""
+    first = params_seq[0]
+    t, k = len(params_seq), first.num_ue
+    assoc = _small_ints(assoc, np.int64, first.num_sbs,
+                        "assoc_sbs entries must index a valid SBS")
+    if assoc.shape != (t * k,):
+        raise ValueError("assoc_sbs must have shape (num_ue,)")
+    flat = np.empty((len(_ROWS), t * k))   # a copy the caller cannot reach
+    for row, name, values in zip(flat, _ROWS, inputs):
+        arr = np.asarray(values, dtype=np.float64)
+        if arr.shape != row.shape:
+            raise ValueError(f"{name} must have shape (num_ue,)")
+        row[:] = arr
+    # each drop's noise powers, as two floats if the drops share them, else
+    # each repeated over its drop's K values: numpy divides by either faster
+    # than it broadcasts a (T, 1) column
+    noise = set(map(_NOISE, params_seq))
+    noise_m, noise_s = (noise.pop() if len(noise) == 1 else
+                        np.array(list(map(_NOISE, params_seq))).T.repeat(k, axis=1))
+    # _settle refuses an overflow, a noise underflowed to 0.0 and the log of
+    # a bad ratio; no warning first
+    with np.errstate(all="ignore"):
+        np.divide(flat[0], noise_m, out=flat[3])
+        np.divide(flat[1], flat[2] + noise_s, out=flat[4])
+        np.log2(np.add(1.0, flat[3:5], out=flat[5:]), out=flat[5:])
+    flat.flags.writeable = False
+    rows = flat.reshape(len(_ROWS) * t, k)
+    assoc = assoc.reshape(t, k)
+    assoc.flags.writeable = False
+    # a stable sort keeps ascending UE index among equal values; each row's
+    # least and greatest entry are NaN if any entry is
+    return (rows, assoc, assoc.tolist(), np.minimum.reduce(rows[:5 * t], axis=1).tolist(),
+            np.maximum.reduce(rows, axis=1).tolist(),
+            np.negative(rows[3 * t:5 * t]).argsort(axis=1, kind="stable").tolist())
+
+
+def _settle(table: ChannelTable, params: ScenarioParams, state, i: int) -> ChannelTable:
+    """Check drop i of _derive's state against params, make it table's
+    fields and return table."""
+    rows, assoc, stations, lows, highs, orders = state
+    t = len(assoc)
+    low, high = lows[i::t], highs[i::t]
+    for row, message in enumerate(_REFUSED):
+        # NaN fails every comparison; a lone SBS has no interferer
+        if not ((low[row] > 0.0 or row == 2 and low[row] == 0.0) and high[row] < math.inf):
+            raise ValueError(message)
+    # a sum-rate adds at most 2K terms bw / load * log, none above bw * log
+    bw_m, bw_s = params.bw_macro_hz, params.bw_small_hz
+    if not math.isfinite(2 * params.num_ue * max(bw_m * high[5], bw_s * high[6])):
+        raise ValueError(f"2 * num_ue * bw * log2(1 + x) must be finite on both tiers, "
+                         f"got bw_macro_hz={bw_m} and bw_small_hz={bw_s}")
+    # dealing the SINR order out by SBS keeps it in each group
+    columns = [[] for _ in range(params.num_sbs)]
+    stations = stations[i]
+    for ue in orders[t + i]:
+        columns[stations[ue]].append(ue)
+    columns.append(orders[i])
+    # a frozen dataclass keeps its fields in its __dict__
+    vars(table).update(zip(_ROWS, rows[i::t]), params=params, assoc_sbs=assoc[i],
+                       columns=tuple(map(tuple, columns)))
+    return table
+
+
 def _links(sites: np.ndarray, params: ScenarioParams):
     """Received powers, association and interference of T drops at once,
     from their (T, 1 + I + K, 2) sites under params' exponents and powers.
-    Returns rx_macro_w, rx_small_w, interference_w and assoc_sbs, each
-    (T, K). Each step is element-wise or reads one UE's row, so a drop's
-    values are the same bits at any T."""
-    t, n, _ = sites.shape
+    Returns assoc_sbs and (rx_macro_w, rx_small_w, interference_w) as
+    _derive takes them. Each step is element-wise or reads one UE's row, so
+    a drop's values are the same bits at any T."""
     num_sbs = params.num_sbs
-    k = n - 1 - num_sbs
     # (T, K, 1 + I) distances, gains and powers from every station to every
     # UE, the MBS in column 0
     diff = sites[:, 1 + num_sbs:, None, :] - sites[:, None, :1 + num_sbs, :]
@@ -313,19 +342,17 @@ def _links(sites: np.ndarray, params: ScenarioParams):
 
     # strongest received power wins; argmax takes the lowest index on ties
     others = rx[..., 1:].copy()
-    assoc = others.argmax(axis=2)
+    assoc = others.argmax(axis=2).reshape(-1)
     flat = others.reshape(-1)
-    serving = np.arange(0, flat.size, num_sbs).reshape(t, k) + assoc   # indices into flat
+    serving = np.arange(0, flat.size, num_sbs) + assoc   # indices into flat
     rx_small = flat[serving]
     flat[serving] = 0.0        # summing the zeroed copy avoids cancellation
-    return rx[..., 0], rx_small, others.sum(axis=2), assoc
+    return assoc, (rx[..., 0].reshape(-1), rx_small, others.sum(axis=2).reshape(-1))
 
 
-def _table(params: ScenarioParams, links, i: int) -> ChannelTable:
-    """The checked table of drop i of the links _links returned."""
-    rx_macro, rx_small, interference, assoc = links
-    return ChannelTable(rx_macro_w=rx_macro[i], rx_small_w=rx_small[i],
-                        interference_w=interference[i], assoc_sbs=assoc[i], params=params)
+def _table(params: ScenarioParams, state, i: int) -> ChannelTable:
+    """Drop i of _derive's state as the checked table of params."""
+    return _settle(object.__new__(ChannelTable), params, state, i)
 
 
 def build_channel_table(topo: Topology, params: ScenarioParams) -> ChannelTable:
@@ -334,7 +361,7 @@ def build_channel_table(topo: Topology, params: ScenarioParams) -> ChannelTable:
     if topo.ue_pos.shape[0] != params.num_ue or topo.sbs_pos.shape[0] != params.num_sbs:
         raise ValueError("topology does not match params (num_ue / num_sbs)")
     sites = np.concatenate((topo.mbs_pos[None, :], topo.sbs_pos, topo.ue_pos))[None]
-    return _table(params, _links(sites, params), 0)
+    return _table(params, _derive((params,), *_links(sites, params)), 0)
 
 
 # the params fields the geometry reads, which the drops of one run share
@@ -347,8 +374,8 @@ def make_instances(params_seq):
 
     The params must agree on every field the geometry reads: area_side_m,
     num_sbs, num_ue, both exponents and both transmit powers. The first
-    advance draws every drop from its own seed and computes all their
-    links in one pass; each advance builds, and checks, its own drop's table,
+    advance draws every drop from its own seed and computes all their links
+    and table arrays in one pass; each advance checks its own drop's table,
     so a refused drop raises at its own advance.
     """
     params_seq = list(params_seq)
@@ -358,13 +385,14 @@ def make_instances(params_seq):
     if not params_seq:
         return
     sites = _sites(params_seq)
-    links = _links(sites, params_seq[0])
+    state = _derive(params_seq, *_links(sites, params_seq[0]))
     for i, params in enumerate(params_seq):
-        yield _topology(sites[i], params.num_sbs), _table(params, links, i)
+        yield _topology(sites[i], params.num_sbs), _table(params, state, i)
 
 
 def make_instance(params: ScenarioParams):
     """Draw the topology of params' seed and build its table in one call:
     the one drop of make_instances((params,)), without the generator."""
     sites = _sites((params,))
-    return _topology(sites[0], params.num_sbs), _table(params, _links(sites, params), 0)
+    state = _derive((params,), *_links(sites, params))
+    return _topology(sites[0], params.num_sbs), _table(params, state, 0)

@@ -266,6 +266,10 @@ def test_channel_table_validation():
     for bad in (np.array(["0", "1"]), [None, None], np.array([0, 1], dtype=object)):
         with pytest.raises(ValueError, match="assoc_sbs"):
             ChannelTable(**{**good, "assoc_sbs": bad})
+    # a negative index is refused at any dtype, even below a stop past its range
+    with pytest.raises(ValueError, match="assoc_sbs"):
+        ChannelTable(**{**good, "assoc_sbs": np.array([-1, 0], dtype=np.int8),
+                        "params": ScenarioParams(num_sbs=300, num_ue=2)})
     for name in ("rx_macro_w", "rx_small_w", "interference_w"):
         for bad in (np.array([1.0]), np.ones((2, 1)), np.array([np.nan, 1.0]),
                     np.array([-1e-30, 1.0]), np.array([1.0, np.inf])):
@@ -408,20 +412,87 @@ def test_make_instances_equal_make_instance_per_seed(num_sbs):
                     assert drop[1].columns == twin[1].columns
 
 
+def _assert_same_table(got, want):
+    for name in _TABLE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.columns == want.columns
+    assert got.params == want.params
+
+
 def test_make_instances_take_params_that_share_the_geometry():
     """A run's params may differ in seed, bandwidths and noise, each drop
-    then equal to make_instance's; a field the geometry reads must agree,
-    and an empty run yields nothing."""
+    then equal to make_instance's in all eight table arrays and its
+    columns, whether its neighbours share its noise powers or not; a field
+    the geometry reads must agree, and an empty run yields nothing."""
     base = ScenarioParams(num_ue=5, seed=1)
-    run = [base, replace(base, seed=2, n_small_dbm_hz=-120.0, bw_macro_hz=5e6)]
-    for params, (_, table) in zip(run, make_instances(run), strict=True):
-        assert table.sinr_small.tobytes() == make_instance(params)[1].sinr_small.tobytes()
-        assert table.params is params
+    run = [base, replace(base, seed=2, n_small_dbm_hz=-120.0, bw_macro_hz=5e6),
+           replace(base, seed=3, n_macro_dbm_hz=-100.0), replace(base, seed=4, bw_small_hz=20e6),
+           replace(base, seed=5), replace(base, seed=6, n_macro_dbm_hz=-80.0,
+                                          n_small_dbm_hz=-150.0, bw_small_hz=1e6)]
+    assert len({(p.noise_macro_w, p.noise_small_w) for p in run}) == 5
+    for length in (2, len(run)):
+        for params, (_, table) in zip(run[:length], make_instances(run[:length]), strict=True):
+            _assert_same_table(table, make_instance(params)[1])
+            assert table.params is params
     for field, value in (("num_ue", 6), ("num_sbs", 5), ("area_side_m", 400.0),
                          ("alpha_small", 4.0), ("p_macro_dbm", 43.0)):
         with pytest.raises(ValueError, match="agree on area_side_m"):
             next(make_instances([base, replace(base, **{field: value})]))
     assert list(make_instances([])) == []
+
+
+@pytest.mark.parametrize("refused, message", [
+    # a subnormal MBS power underflows rx_macro_w only at UEs far from the MBS
+    (lambda seed: ScenarioParams(p_macro_dbm=-3100.0, num_ue=3, seed=seed),
+     "rx_macro_w must be finite and strictly positive"),
+    # 1e308 Hz over a -3200 dBm/Hz floor: 2K rate terms could sum past a double
+    (lambda seed: ScenarioParams(num_ue=3, seed=seed, **(dict(
+        bw_macro_hz=1e308, bw_small_hz=1e308, n_macro_dbm_hz=-3200.0,
+        n_small_dbm_hz=-3200.0) if seed == 5 else {})),
+     "must be finite on both tiers")], ids=["rx_macro_w", "bandwidth"])
+def test_a_refused_drop_raises_at_its_own_advance(refused, message):
+    """One drop in the middle of a run (seeds 2..4 pass, seed 5 is refused)
+    raises at its own advance, with make_instance's message and no warning
+    first; the drops before it equal make_instance's."""
+    run = [refused(seed) for seed in range(2, 8)]
+    with pytest.raises(ValueError, match=message) as alone:
+        make_instance(run[3])
+    instances = make_instances(run)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in run[:3]:
+            _assert_same_table(next(instances)[1], make_instance(params)[1])
+        with pytest.raises(ValueError) as in_run:
+            next(instances)
+    assert str(in_run.value) == str(alone.value)
+
+
+def test_a_run_derives_its_tables_once(monkeypatch):
+    """A run of 20 drops derives every table in one call of the helper, and
+    make_instance one call per drop. A run's tables are read-only
+    C-contiguous rows, and pickle, deepcopy and replace rebuild each with
+    equal bits."""
+    calls = []
+    derive = topology._derive
+    monkeypatch.setattr(topology, "_derive",
+                        lambda params_seq, *args: calls.append(len(params_seq)) or
+                        derive(params_seq, *args))
+    run = [ScenarioParams(num_ue=7, seed=seed) for seed in range(20)]
+    drops = list(make_instances(run))
+    assert calls == [20]
+    for params in run[:3]:
+        make_instance(params)
+    assert calls == [20, 1, 1, 1]
+    for _, table in drops:
+        for name in _TABLE_ARRAYS:
+            arr = getattr(table, name)
+            assert arr.flags.c_contiguous and not arr.flags.writeable, name
+        for twin in (pickle.loads(pickle.dumps(table)), copy.deepcopy(table),
+                     replace(table)):
+            _assert_same_table(twin, table)
+    assert calls == [20, 1, 1, 1] + [1] * 60
 
 
 def test_channel_table_is_frozen():
