@@ -3,15 +3,14 @@
 A sweep runs every enabled algorithm on freshly drawn instances for each
 (K, trial) cell. Child seeds are a pure function of (master_seed, K, trial),
 so trials can run in any order, or in parallel, without changing a single
-record. CSV bodies carry no timestamps and print floats with repr, making
-reruns byte-identical and parse-back lossless.
+record. CSV bodies carry no timestamps and print floats in their shortest
+round-trip digits, making reruns byte-identical and parse-back lossless.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -187,6 +186,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1):
     runs = [(cfg, k, range(start, min(start + length, cfg.trials)))
             for k in cfg.ue_sweep for start in range(0, cfg.trials, length)]
     if workers > 1:
+        # the pool machinery loads only here: no serial run needs it
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             records = [rec for recs in pool.map(_run, runs, chunksize=1) for rec in recs]
     else:
@@ -234,16 +235,10 @@ def _summary_columns(algorithms) -> list:
             "std_ratio_proposed_optimal", "optimal_opcount_analytic"]
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_csv(records, summary, path: str) -> None:
-    """Trial CSV at `path` plus per-K aggregates at `<path>.summary.csv`."""
+    """Trial CSV at `path` plus per-K aggregates at `<path>.summary.csv`.
+    csv.writer writes None as an empty cell and a Python or NumPy float in
+    its shortest round-trip digits."""
     algorithms = summary["algorithms"]
     with open(path, "w", newline="") as f:
         wr = csv.writer(f, lineterminator="\n")
@@ -251,15 +246,15 @@ def emit_csv(records, summary, path: str) -> None:
         for rec in records:
             row = [rec.k_ues, rec.trial, rec.seed]
             for algo in algorithms:
-                row += [_fmt(rec.sum_rates[algo]), rec.op_counts[algo]]
-            row.append(_fmt(rec.ratio))
+                row += [rec.sum_rates[algo], rec.op_counts[algo]]
+            row.append(rec.ratio)
             wr.writerow(row)
 
     with open(path + ".summary.csv", "w", newline="") as f:
         wr = csv.writer(f, lineterminator="\n")
         wr.writerow(_summary_columns(algorithms))
         for row in summary["rows"]:
-            wr.writerow([_fmt(value) for value in row.values()])
+            wr.writerow(row.values())
 
 
 def load_records(path: str):

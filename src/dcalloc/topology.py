@@ -187,8 +187,12 @@ def generate_topology(params: ScenarioParams) -> Topology:
 
 
 def _topology(row: np.ndarray, num_sbs: int) -> Topology:
-    """The drop of one (1 + I + K, 2) row of _sites."""
-    return Topology(mbs_pos=row[0], sbs_pos=row[1:1 + num_sbs], ue_pos=row[1 + num_sbs:])
+    """The drop of one (1 + I + K, 2) row of _sites, whose float64 views need
+    none of the public constructor's conversions and checks."""
+    topo = object.__new__(Topology)
+    # a frozen dataclass keeps its fields in its __dict__
+    vars(topo).update(mbs_pos=row[0], sbs_pos=row[1:1 + num_sbs], ue_pos=row[1 + num_sbs:])
+    return topo
 
 
 # ChannelTable's stored and derived arrays, the rows of its block in this order

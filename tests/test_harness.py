@@ -1,10 +1,14 @@
 """Monte Carlo harness: seeding, configs, experiment runs, CSV round-trips."""
 
+import concurrent.futures
 import inspect
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,10 +169,25 @@ def test_run_experiment_refuses_bad_threads(threads, msg, monkeypatch):
         run_experiment(_tiny_config(), threads=threads)
 
 
+def test_import_loads_no_process_pool():
+    """Importing the package and its command line loads neither
+    concurrent.futures nor multiprocessing; only a parallel run needs them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = ("import sys, dcalloc, dcalloc.cli; "
+              "loaded = [m for m in sys.modules if m.split('.')[0] in "
+              "('concurrent', 'multiprocessing')]; "
+              "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch):
     """threads=64 on 3 cells opens a pool of 3 workers, and on one cell no
-    pool at all. A stub pool records its size and maps serially, so the test
-    starts no process; the records equal a serial run's."""
+    pool at all. A stub pool, patched where run_experiment imports it from,
+    records its size and maps serially, so the test starts no process; the
+    records equal a serial run's."""
     opened = []
 
     class SerialPool:
@@ -185,7 +204,7 @@ def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch):
             opened.append(chunksize)
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = _tiny_config(ue_sweep=(1, 2, 3), trials=1)
     assert run_experiment(cfg, threads=64) == run_experiment(cfg)
     assert opened == [3, 1]
@@ -385,6 +404,24 @@ def test_emit_csv_header_and_roundtrip(tmp_path):
     loaded, algorithms = load_records(path)
     assert algorithms == FIVE
     assert loaded == records  # floats survive the text round-trip bit for bit
+
+
+def test_emit_csv_roundtrips_numpy_scalars(tmp_path):
+    """Records that hold NumPy scalars, as a SolverResult's np.float64
+    sum_rate and an np.int64 op count, are written in their shortest
+    round-trip digits and load back equal."""
+    records = [TrialRecord(k_ues=2, trial=t, seed=7 + t,
+                           sum_rates={"optimal": np.float64(0.1) + np.float64(0.2),
+                                      "proposed": np.float64(1.5) / 7},
+                           op_counts={"optimal": np.int64(18), "proposed": np.int64(9)},
+                           ratio=np.float64(1.5) / 7 / (np.float64(0.1) + np.float64(0.2)))
+               for t in range(2)]
+    path = str(tmp_path / "numpy.csv")
+    emit_csv(records, summarize(("optimal", "proposed"), (2,), records), path)
+    assert "np." not in open(path).read() + open(path + ".summary.csv").read()
+    loaded, algorithms = load_records(path)
+    assert algorithms == ("optimal", "proposed")
+    assert loaded == records
 
 
 def test_emit_csv_empty_ratio_column_without_optimal(tmp_path):
