@@ -61,6 +61,9 @@ class ExperimentConfig:
     output_path: str = "dcpa_results.csv"
 
     def __post_init__(self):
+        for name, value in (("ue_sweep", self.ue_sweep), ("algorithms", self.algorithms)):
+            if isinstance(value, str) or not hasattr(value, "__iter__"):
+                raise ValueError(f"{name} must be a sequence, got {value!r}")
         unknown = [a for a in self.algorithms if a not in ALGORITHM_ORDER]
         if unknown:
             raise ValueError(f"unknown algorithms: {unknown}")

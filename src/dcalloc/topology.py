@@ -9,8 +9,8 @@ Powers enter in dBm and noise densities in dBm/Hz; ScenarioParams converts
 each once, when built, and everything downstream works in linear watts and
 hertz. The channel is a bare log-distance law g(d) = max(d, 1 m)^-alpha with
 a 1 m reference and no fading or shadowing. One pass applies it to a run
-of drops and one derives their tables; build_channel_table, make_instance
-and the ChannelTable constructor are runs of one, make_instances of many.
+of drops and one derives their tables; make_instance and the ChannelTable
+constructor are runs of one, make_instances of many.
 """
 
 from __future__ import annotations
@@ -24,17 +24,14 @@ import numpy as np
 __all__ = [
     "MIN_GAIN_DISTANCE_M",
     "ScenarioParams",
-    "Topology",
     "ChannelTable",
     "dbm_to_watts",
-    "generate_topology",
-    "build_channel_table",
     "make_instance",
     "make_instances",
 ]
 
-# build_channel_table clamps distances below this, so a UE sitting on top of
-# a station receives its transmit power and no unbounded gain.
+# _links clamps distances below this, so a UE sitting on top of a station
+# receives its transmit power and no unbounded gain.
 MIN_GAIN_DISTANCE_M = 1.0
 
 
@@ -49,6 +46,14 @@ def _integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(name: str, value) -> float:
+    """value as a float, refused with a ValueError naming `name` unless it is
+    an integer or a float (numpy ones included) and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be an integer or a float, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -85,24 +90,21 @@ class ScenarioParams:
         self.validate()
 
     def validate(self) -> None:
-        for name in ("area_side_m", "bw_macro_hz", "bw_small_hz"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        # exponents <= 2 break the far-field decay assumptions baked into the tests
+        for name, least in (("area_side_m", 0), ("bw_macro_hz", 0), ("bw_small_hz", 0),
+                            ("alpha_macro", 2), ("alpha_small", 2)):
+            value = _real(name, getattr(self, name))
+            if not (value > least and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and exceed {least}, got {value}")
         if _integer("num_sbs", self.num_sbs) < 1:
             raise ValueError(f"num_sbs must be >= 1, got {self.num_sbs}")
         if _integer("num_ue", self.num_ue) < 1:
             raise ValueError(f"num_ue must be >= 1, got {self.num_ue}")
-        for name in ("alpha_macro", "alpha_small"):
-            value = getattr(self, name)
-            # exponents <= 2 break the far-field decay assumptions baked into the tests
-            if not (value > 2.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and exceed 2, got {value}")
         for name, bw, derived in (("p_macro_dbm", None, "p_macro_w"),
                                   ("p_small_dbm", None, "p_small_w"),
                                   ("n_macro_dbm_hz", "bw_macro_hz", "noise_macro_w"),
                                   ("n_small_dbm_hz", "bw_small_hz", "noise_small_w")):
-            value = getattr(self, name)
+            value = _real(name, getattr(self, name))
             try:
                 watts = dbm_to_watts(value)
             except OverflowError:  # 10 ** (x / 10) overflows a float for x above about 3110
@@ -120,26 +122,6 @@ class ScenarioParams:
             object.__setattr__(self, derived, watts)
         if not (0 <= _integer("seed", self.seed) < 2 ** 64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Node positions, all in meters on the same plane."""
-
-    mbs_pos: np.ndarray   # shape (2,)
-    sbs_pos: np.ndarray   # shape (I, 2)
-    ue_pos: np.ndarray    # shape (K, 2)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mbs_pos", np.asarray(self.mbs_pos, dtype=np.float64))
-        object.__setattr__(self, "sbs_pos", np.asarray(self.sbs_pos, dtype=np.float64))
-        object.__setattr__(self, "ue_pos", np.asarray(self.ue_pos, dtype=np.float64))
-        if self.mbs_pos.shape != (2,):
-            raise ValueError("mbs_pos must have shape (2,)")
-        if self.sbs_pos.ndim != 2 or self.sbs_pos.shape[1] != 2 or self.sbs_pos.shape[0] < 1:
-            raise ValueError("sbs_pos must have shape (I, 2) with I >= 1")
-        if self.ue_pos.ndim != 2 or self.ue_pos.shape[1] != 2 or self.ue_pos.shape[0] < 1:
-            raise ValueError("ue_pos must have shape (K, 2) with K >= 1")
 
 
 def _small_ints(values, dtype, stop: int, message: str) -> np.ndarray:
@@ -175,24 +157,6 @@ def _sites(params_seq) -> np.ndarray:
     # Generator.uniform(0, side) returns 0.0 + side * random(), so these are its draws
     draws *= side
     return sites
-
-
-def generate_topology(params: ScenarioParams) -> Topology:
-    """Draw SBS then UE positions uniformly over the square.
-
-    Seeded from params.seed, with a fixed draw order (SBS block first,
-    row-major, then the UE block), so the drop is a pure function of params.
-    """
-    return _topology(_sites((params,))[0], params.num_sbs)
-
-
-def _topology(row: np.ndarray, num_sbs: int) -> Topology:
-    """The drop of one (1 + I + K, 2) row of _sites, whose float64 views need
-    none of the public constructor's conversions and checks."""
-    topo = object.__new__(Topology)
-    # a frozen dataclass keeps its fields in its __dict__
-    vars(topo).update(mbs_pos=row[0], sbs_pos=row[1:1 + num_sbs], ue_pos=row[1 + num_sbs:])
-    return topo
 
 
 # ChannelTable's stored and derived arrays, the rows of its block in this order
@@ -359,15 +323,6 @@ def _table(params: ScenarioParams, state, i: int) -> ChannelTable:
     return _settle(object.__new__(ChannelTable), params, state, i)
 
 
-def build_channel_table(topo: Topology, params: ScenarioParams) -> ChannelTable:
-    """Compute received powers, association and interference for every UE of
-    a drop; the table derives the SNRs and SINRs from them."""
-    if topo.ue_pos.shape[0] != params.num_ue or topo.sbs_pos.shape[0] != params.num_sbs:
-        raise ValueError("topology does not match params (num_ue / num_sbs)")
-    sites = np.concatenate((topo.mbs_pos[None, :], topo.sbs_pos, topo.ue_pos))[None]
-    return _table(params, _derive((params,), *_links(sites, params)), 0)
-
-
 # the params fields the geometry reads, which the drops of one run share
 _SHARED = attrgetter("area_side_m", "num_sbs", "num_ue", "alpha_macro", "alpha_small",
                      "p_macro_w", "p_small_w")
@@ -391,12 +346,13 @@ def make_instances(params_seq):
     sites = _sites(params_seq)
     state = _derive(params_seq, *_links(sites, params_seq[0]))
     for i, params in enumerate(params_seq):
-        yield _topology(sites[i], params.num_sbs), _table(params, state, i)
+        yield sites[i], _table(params, state, i)
 
 
 def make_instance(params: ScenarioParams):
-    """Draw the topology of params' seed and build its table in one call:
-    the one drop of make_instances((params,)), without the generator."""
+    """Draw the drop of params' seed and build its table in one call, the
+    one drop of make_instances((params,)) without the generator. Returns
+    (sites, table): sites is the drop's (1 + I + K, 2) row of _sites, the
+    MBS in row 0, the SBSs in rows 1..I and the UEs in the rest."""
     sites = _sites((params,))
-    state = _derive((params,), *_links(sites, params))
-    return _topology(sites[0], params.num_sbs), _table(params, state, 0)
+    return sites[0], _table(params, _derive((params,), *_links(sites, params)), 0)

@@ -11,15 +11,28 @@ reference) are compared with ==.
 """
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import dcalloc.kernels as kernels
+import dcalloc.topology as topology
 from dcalloc import ChannelTable, ScenarioParams, make_instance
 from dcalloc.kernels import objective_chunk
 
 ACCEPTANCE_LINES = []
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it reads from the source in its home
+    # directory, .hypothesis/ in the working directory unless told otherwise,
+    # and first writes there while collecting: point it at a temporary
+    # directory that pytest removes at exit
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    set_hypothesis_home_dir(home.name)
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -32,6 +45,14 @@ def pytest_terminal_summary(terminalreporter):
 def seeded_table(num_ue: int, num_sbs: int = 4, seed: int = 0) -> ChannelTable:
     params = ScenarioParams(num_sbs=num_sbs, num_ue=num_ue, seed=seed)
     return make_instance(params)[1]
+
+
+def sited_table(sites, params: ScenarioParams) -> ChannelTable:
+    """The checked table of one drop at the given (1 + I + K, 2) sites in
+    meters, the MBS's row first, then the SBSs' and the UEs', as
+    make_instance derives it from the rows it draws."""
+    sites = np.asarray(sites, dtype=np.float64)[None]
+    return topology._table(params, topology._derive((params,), *topology._links(sites, params)), 0)
 
 
 def synthetic_table(snr, sinr, assoc, params: ScenarioParams) -> ChannelTable:

@@ -103,6 +103,9 @@ def test_config_rejects_unknown_algorithm():
     (dict(algorithms=("proposed", "proposed", "optimal")), "algorithms entries must be unique"),
     (dict(scenario=None), "scenario must be a ScenarioParams, got None"),
     (dict(scenario=ScenarioParams), "scenario must be a ScenarioParams"),
+    # a bare string is not a sequence of names, nor a scalar a sweep
+    (dict(algorithms="proposed"), "^algorithms must be a sequence, got 'proposed'$"),
+    (dict(ue_sweep=5), "^ue_sweep must be a sequence, got 5$"),
 ])
 def test_config_validate_rejects(overrides, msg):
     with pytest.raises(ValueError, match=msg):

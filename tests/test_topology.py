@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 import dcalloc.topology as topology
-from dcalloc import (ChannelTable, ScenarioParams, Topology, brute_force_scan,
-                     build_channel_table, dbm_to_watts, evaluate, generate_topology,
+from dcalloc import (ChannelTable, ScenarioParams, brute_force_scan, dbm_to_watts, evaluate,
                      load_config, make_instance, make_instances, solve_stronger)
 
-from conftest import python_objective, seeded_table
+from conftest import python_objective, seeded_table, sited_table
 
 
 def test_dbm_to_watts_known_values():
@@ -61,6 +60,11 @@ def test_default_noise_floors_in_watts():
     ("num_ue", 3.5),
     ("seed", 0.5),
     ("seed", True),
+    # a real-valued field takes no bool, None or string
+    ("area_side_m", True),
+    ("bw_macro_hz", True),
+    ("p_macro_dbm", None),
+    ("area_side_m", "500"),
 ])
 def test_params_validation_rejects(field, value):
     kwargs = {field: value}
@@ -141,53 +145,50 @@ def test_channel_table_clamps_gains_within_one_meter():
     """A UE 0.5 m from its SBS and a UE on the MBS site are inside the 1 m
     clamp, so each receives its station's transmit power."""
     params = ScenarioParams(num_sbs=2, num_ue=2)
-    topo = Topology(mbs_pos=np.array([250.0, 250.0]),
-                    sbs_pos=np.array([[100.0, 100.0], [400.0, 100.0]]),
-                    ue_pos=np.array([[100.5, 100.0], [250.0, 250.0]]))
-    table = build_channel_table(topo, params)
+    table = sited_table([[250.0, 250.0], [100.0, 100.0], [400.0, 100.0],
+                         [100.5, 100.0], [250.0, 250.0]], params)
     assert table.assoc_sbs[0] == 0
     assert table.rx_small_w[0] == params.p_small_w
     assert table.rx_macro_w[1] == params.p_macro_w
 
 
-def test_generate_topology_matches_draw_law():
+def test_drop_sites_match_draw_law():
+    """A drop's sites are the MBS at the center, then an SBS draw and a UE
+    draw from its seed, as make_instance returns them."""
     params = ScenarioParams(num_sbs=3, num_ue=5, seed=99)
-    topo = generate_topology(params)
+    sites = make_instance(params)[0]
+    assert sites.tobytes() == topology._sites((params,))[0].tobytes()
     rng = np.random.default_rng(99)
     sbs = rng.uniform(0.0, params.area_side_m, size=(3, 2))
     ue = rng.uniform(0.0, params.area_side_m, size=(5, 2))
-    assert np.array_equal(topo.sbs_pos, sbs)
-    assert np.array_equal(topo.ue_pos, ue)
-    assert np.array_equal(topo.mbs_pos, [250.0, 250.0])
-    assert topo.sbs_pos.min() >= 0.0 and topo.sbs_pos.max() <= 500.0
+    assert sites.shape == (1 + 3 + 5, 2)
+    assert np.array_equal(sites[1:4], sbs)
+    assert np.array_equal(sites[4:], ue)
+    assert np.array_equal(sites[0], [250.0, 250.0])
+    assert sites[1:4].min() >= 0.0 and sites[1:4].max() <= 500.0
 
 
-def test_generate_topology_deterministic_per_seed():
+def test_drop_sites_deterministic_per_seed():
     params = ScenarioParams(num_sbs=4, num_ue=10, seed=5)
-    a = generate_topology(params)
-    b = generate_topology(params)
-    assert np.array_equal(a.ue_pos, b.ue_pos)
-    c = generate_topology(ScenarioParams(num_sbs=4, num_ue=10, seed=6))
-    assert not np.array_equal(a.ue_pos, c.ue_pos)
+    a = make_instance(params)[0]
+    b = make_instance(params)[0]
+    assert np.array_equal(a[5:], b[5:])
+    c = make_instance(ScenarioParams(num_sbs=4, num_ue=10, seed=6))[0]
+    assert not np.array_equal(a[5:], c[5:])
 
 
 def test_association_picks_max_power_lowest_index_on_tie():
     params = ScenarioParams(num_sbs=2, num_ue=2)
     # UE 0 equidistant from both SBSs -> tie -> SBS 0; UE 1 next to SBS 1
-    topo = Topology(mbs_pos=np.array([250.0, 250.0]),
-                    sbs_pos=np.array([[100.0, 100.0], [300.0, 100.0]]),
-                    ue_pos=np.array([[200.0, 100.0], [296.0, 100.0]]))
-    table = build_channel_table(topo, params)
+    table = sited_table([[250.0, 250.0], [100.0, 100.0], [300.0, 100.0],
+                         [200.0, 100.0], [296.0, 100.0]], params)
     assert table.assoc_sbs.tolist() == [0, 1]
 
 
 def test_channel_table_against_hand_computation():
     """Tiny fixed drop recomputed with scalar math end to end."""
     params = ScenarioParams(num_sbs=2, num_ue=1)
-    topo = Topology(mbs_pos=np.array([250.0, 250.0]),
-                    sbs_pos=np.array([[60.0, 80.0], [400.0, 420.0]]),
-                    ue_pos=np.array([[90.0, 120.0]]))
-    table = build_channel_table(topo, params)
+    table = sited_table([[250.0, 250.0], [60.0, 80.0], [400.0, 420.0], [90.0, 120.0]], params)
 
     d_m = math.hypot(90.0 - 250.0, 120.0 - 250.0)
     d_s0 = math.hypot(90.0 - 60.0, 120.0 - 80.0)
@@ -211,9 +212,8 @@ def test_channel_table_against_hand_computation():
 def test_interference_excludes_serving_sbs():
     """With a single SBS there is no interference at all."""
     params = ScenarioParams(num_sbs=1, num_ue=3, seed=3)
-    topo = generate_topology(params)
-    table = build_channel_table(topo, params)
-    d = np.hypot(*(topo.ue_pos - topo.sbs_pos[0]).T)
+    sites, table = make_instance(params)
+    d = np.hypot(*(sites[2:] - sites[1]).T)
     rx = params.p_small_w * np.maximum(d, 1.0) ** -5.0
     assert table.sinr_small == pytest.approx(rx / params.noise_small_w, rel=1e-12)
     assert table.interference_w.tolist() == [0.0, 0.0, 0.0]
@@ -225,18 +225,16 @@ def test_sinr_improves_moving_toward_serving_sbs():
     checked = 0
     for seed in range(40):
         params = ScenarioParams(num_sbs=4, num_ue=6, seed=1000 + seed)
-        topo = generate_topology(params)
-        table = build_channel_table(topo, params)
+        sites, table = make_instance(params)
         k = seed % params.num_ue
-        sbs = topo.sbs_pos[table.assoc_sbs[k]]
-        pulled = sbs + 0.7 * (topo.ue_pos[k] - sbs)
-        dists = np.hypot(*(pulled - topo.sbs_pos).T)
-        if dists.min() <= 1.5 or np.hypot(*(pulled - topo.mbs_pos)) <= 1.5:
+        sbs = sites[1 + table.assoc_sbs[k]]
+        pulled = sbs + 0.7 * (sites[5 + k] - sbs)
+        dists = np.hypot(*(pulled - sites[1:5]).T)
+        if dists.min() <= 1.5 or np.hypot(*(pulled - sites[0])) <= 1.5:
             continue
-        ue2 = topo.ue_pos.copy()
-        ue2[k] = pulled
-        table2 = build_channel_table(
-            Topology(topo.mbs_pos, topo.sbs_pos, ue2), params)
+        moved = sites.copy()
+        moved[5 + k] = pulled
+        table2 = sited_table(moved, params)
         assert table2.assoc_sbs[k] == table.assoc_sbs[k]
         assert table2.sinr_small[k] > table.sinr_small[k]
         checked += 1
@@ -316,10 +314,10 @@ def test_channel_table_validation():
 
 def test_make_instance_matches_pipeline():
     params = ScenarioParams(num_sbs=3, num_ue=4, seed=11)
-    topo, table = make_instance(params)
-    topo2 = generate_topology(params)
-    table2 = build_channel_table(topo2, params)
-    assert np.array_equal(topo.ue_pos, topo2.ue_pos)
+    sites, table = make_instance(params)
+    sites2 = topology._sites((params,))[0]
+    table2 = sited_table(sites2, params)
+    assert np.array_equal(sites, sites2)
     assert np.array_equal(table.sinr_small, table2.sinr_small)
     assert seeded_table(4, 3, 11).snr_macro == pytest.approx(table.snr_macro, rel=0)
 
@@ -350,11 +348,9 @@ def test_make_instance_pinned_past_the_goldens():
     digest = hashlib.sha256()
     drops = 0
     for params in _pinned_drops():
-        topo, table = make_instance(params)
+        sites, table = make_instance(params)
         drops += 1
-        arrays = [topo.mbs_pos, topo.sbs_pos, topo.ue_pos,
-                  *(getattr(table, name) for name in _TABLE_ARRAYS)]
-        for arr in arrays:
+        for arr in _drop_arrays(sites, table):
             digest.update(repr((arr.dtype.str, arr.shape)).encode())
             digest.update(arr.tobytes())
         inputs = {name: np.array(getattr(table, name)) for name in _TABLE_ARRAYS[:4]}
@@ -369,9 +365,11 @@ def test_make_instance_pinned_past_the_goldens():
     assert digest.hexdigest() == _PINNED_DROP_DIGEST
 
 
-def _drop_arrays(topo, table):
-    return [topo.mbs_pos, topo.sbs_pos, topo.ue_pos,
-            *(getattr(table, name) for name in _TABLE_ARRAYS)]
+def _drop_arrays(sites, table):
+    """The MBS's, the SBSs' and the UEs' rows of a drop's sites, then its
+    table arrays."""
+    i = 1 + table.num_sbs
+    return [sites[0], sites[1:i], sites[i:], *(getattr(table, name) for name in _TABLE_ARRAYS)]
 
 
 def test_make_instances_pinned_in_runs():
@@ -383,9 +381,9 @@ def test_make_instances_pinned_in_runs():
     for start in range(0, len(drops), 3):
         run = drops[start:start + 3]
         assert len({(p.num_ue, p.num_sbs, p.area_side_m) for p in run}) == 1
-        for topo, table in make_instances(run):
+        for sites, table in make_instances(run):
             built += 1
-            for arr in _drop_arrays(topo, table):
+            for arr in _drop_arrays(sites, table):
                 digest.update(repr((arr.dtype.str, arr.shape)).encode())
                 digest.update(arr.tobytes())
     assert built == 1935
@@ -395,17 +393,16 @@ def test_make_instances_pinned_in_runs():
 @pytest.mark.parametrize("num_sbs", [1, 4, 8, 16])
 def test_make_instances_equal_make_instance_per_seed(num_sbs):
     """A run of 1, 7 or 20 seeds gives each seed the drop make_instance
-    gives it alone, which is generate_topology's drop and
-    build_channel_table's table, byte for byte. From 8 SBSs on, numpy's
-    pairwise sum unrolls, which pins the interference sum, the one float
-    reduction."""
+    gives it alone, which is its own _sites row and the table of those
+    sites, byte for byte. From 8 SBSs on, numpy's pairwise sum unrolls,
+    which pins the interference sum, the one float reduction."""
     for k_ues in (1, 2, 10, 20, 40):
         for length in (1, 7, 20):
             run = [ScenarioParams(num_sbs=num_sbs, num_ue=k_ues,
                                   seed=1000 * k_ues + 50 * length + s) for s in range(length)]
             for params, drop in zip(run, make_instances(run), strict=True):
-                topo = generate_topology(params)
-                for twin in (make_instance(params), (topo, build_channel_table(topo, params))):
+                sites = topology._sites((params,))[0]
+                for twin in (make_instance(params), (sites, sited_table(sites, params))):
                     for got, want in zip(_drop_arrays(*drop), _drop_arrays(*twin)):
                         assert got.dtype == want.dtype and got.shape == want.shape
                         assert got.tobytes() == want.tobytes()
