@@ -160,12 +160,11 @@ def run_trial(task, drop=None) -> TrialRecord:
 
 def _run(task) -> list:
     """The records of the run (cfg, K, trials), trials a range of one K's
-    trials: one make_instances builds their drops, which each cell's
-    run_trial takes in turn."""
+    trials: one make_instances of the scenario at K and the trials' seeds
+    builds their drops, which each cell's run_trial takes in turn."""
     cfg, k_ues, trials = task
     seeds = [trial_seed(cfg.master_seed, k_ues, trial) for trial in trials]
-    instances = make_instances([replace(cfg.scenario, num_ue=k_ues, seed=seed)
-                                for seed in seeds])
+    instances = make_instances(replace(cfg.scenario, num_ue=k_ues), seeds)
     return [run_trial((cfg, k_ues, trial), (seed, instances))
             for trial, seed in zip(trials, seeds)]
 

@@ -8,16 +8,15 @@ a pure function of (parameters, seed).
 Powers enter in dBm and noise densities in dBm/Hz; ScenarioParams converts
 each once, when built, and everything downstream works in linear watts and
 hertz. The channel is a bare log-distance law g(d) = max(d, 1 m)^-alpha with
-a 1 m reference and no fading or shadowing. One pass applies it to a run
-of drops and one derives their tables; make_instance and the ChannelTable
-constructor are runs of one, make_instances of many.
+a 1 m reference and no fading or shadowing. A run is one scenario at many
+seeds: one pass applies the law to its drops and one derives their tables;
+make_instance and ChannelTable are runs of one, make_instances of many.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,7 +52,10 @@ def _real(name: str, value) -> float:
     an integer or a float (numpy ones included) and not a bool."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{name} must be an integer or a float, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an integer past the float range") from None
 
 
 @dataclass(frozen=True)
@@ -142,18 +144,16 @@ def _small_ints(values, dtype, stop: int, message: str) -> np.ndarray:
     return np.array(arr, dtype=dtype, order="C", ndmin=1)
 
 
-def _sites(params_seq) -> np.ndarray:
-    """(T, 1 + I + K, 2) positions of the drops of params_seq, which share
-    area_side_m, num_sbs and num_ue: per drop the MBS at the center, then
-    its SBSs and UEs drawn from its own seed."""
-    first = params_seq[0]
-    side = first.area_side_m
-    sites = np.empty((len(params_seq), 1 + first.num_sbs + first.num_ue, 2))
+def _sites(params: ScenarioParams, seeds) -> np.ndarray:
+    """(T, 1 + I + K, 2) positions of params' drops at the T seeds: per drop
+    the MBS at the center, then its SBSs and UEs drawn from its seed."""
+    side = params.area_side_m
+    sites = np.empty((len(seeds), 1 + params.num_sbs + params.num_ue, 2))
     sites[:, 0] = side / 2.0
     draws = sites[:, 1:]
-    for row, params in zip(draws, params_seq):
+    for row, seed in zip(draws, seeds):
         # one draw gives the stream of an SBS draw followed by a UE draw
-        np.random.default_rng(params.seed).random(out=row)
+        np.random.default_rng(seed).random(out=row)
     # Generator.uniform(0, side) returns 0.0 + side * random(), so these are its draws
     draws *= side
     return sites
@@ -162,7 +162,6 @@ def _sites(params_seq) -> np.ndarray:
 # ChannelTable's stored and derived arrays, the rows of its block in this order
 _ROWS = ("rx_macro_w", "rx_small_w", "interference_w", "snr_macro", "sinr_small",
          "log_macro", "log_small")
-_NOISE = attrgetter("noise_macro_w", "noise_small_w")
 # ChannelTable's refusals, in the order of its checked rows
 _REFUSED = ("rx_macro_w must be finite and strictly positive",
             "rx_small_w must be finite and strictly positive",
@@ -205,7 +204,7 @@ class ChannelTable:
     columns: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        _settle(self, self.params, _derive((self.params,), self.assoc_sbs, (
+        _settle(self, self.params, _derive(self.params, 1, self.assoc_sbs, (
             self.rx_macro_w, self.rx_small_w, self.interference_w)), 0)
 
     def __reduce__(self):
@@ -222,18 +221,17 @@ class ChannelTable:
         return int(self.params.num_sbs)
 
 
-def _derive(params_seq, assoc, inputs):
-    """The table state of the T drops of params_seq, which share num_sbs and
-    num_ue, in one pass. assoc and inputs (rx_macro_w, rx_small_w,
-    interference_w) hold each drop's K values in turn, T * K in all; their
-    shapes and the association are checked here, each drop's values at its
-    own _settle. Returns the read-only (7, T, K) block of _ROWS as 7 * T
-    rows of K, drop i's row r at r * T + i; the rows' lows (5 * T) and highs
-    (7 * T) in that order; the SNR then SINR orders (2 * T); and the
-    read-only (T, K) association with its lists."""
-    first = params_seq[0]
-    t, k = len(params_seq), first.num_ue
-    assoc = _small_ints(assoc, np.int64, first.num_sbs,
+def _derive(params: ScenarioParams, t: int, assoc, inputs):
+    """The table state of t drops of params, which differ only in seed, in
+    one pass. assoc and inputs (rx_macro_w, rx_small_w, interference_w) hold
+    each drop's K values in turn, t * K in all; their shapes and the
+    association are checked here, each drop's values at its own _settle.
+    Returns the read-only (7, t, K) block of _ROWS as 7 * t rows of K, drop
+    i's row r at r * t + i; the rows' lows (5 * t) and highs (7 * t) in that
+    order; the SNR then SINR orders (2 * t); and the read-only (t, K)
+    association with its lists."""
+    k = params.num_ue
+    assoc = _small_ints(assoc, np.int64, params.num_sbs,
                         "assoc_sbs entries must index a valid SBS")
     if assoc.shape != (t * k,):
         raise ValueError("assoc_sbs must have shape (num_ue,)")
@@ -243,17 +241,11 @@ def _derive(params_seq, assoc, inputs):
         if arr.shape != row.shape:
             raise ValueError(f"{name} must have shape (num_ue,)")
         row[:] = arr
-    # each drop's noise powers, as two floats if the drops share them, else
-    # each repeated over its drop's K values: numpy divides by either faster
-    # than it broadcasts a (T, 1) column
-    noise = set(map(_NOISE, params_seq))
-    noise_m, noise_s = (noise.pop() if len(noise) == 1 else
-                        np.array(list(map(_NOISE, params_seq))).T.repeat(k, axis=1))
     # _settle refuses an overflow, a noise underflowed to 0.0 and the log of
     # a bad ratio; no warning first
     with np.errstate(all="ignore"):
-        np.divide(flat[0], noise_m, out=flat[3])
-        np.divide(flat[1], flat[2] + noise_s, out=flat[4])
+        np.divide(flat[0], params.noise_macro_w, out=flat[3])
+        np.divide(flat[1], flat[2] + params.noise_small_w, out=flat[4])
         np.log2(np.add(1.0, flat[3:5], out=flat[5:]), out=flat[5:])
     flat.flags.writeable = False
     rows = flat.reshape(len(_ROWS) * t, k)
@@ -293,6 +285,9 @@ def _settle(table: ChannelTable, params: ScenarioParams, state, i: int) -> Chann
     return table
 
 
+# a distance or an interference sum past the float range is inf, and the
+# table refuses the 0 W or inf it gives by name; no warning first
+@np.errstate(over="ignore")
 def _links(sites: np.ndarray, params: ScenarioParams):
     """Received powers, association and interference of T drops at once,
     from their (T, 1 + I + K, 2) sites under params' exponents and powers.
@@ -323,36 +318,25 @@ def _table(params: ScenarioParams, state, i: int) -> ChannelTable:
     return _settle(object.__new__(ChannelTable), params, state, i)
 
 
-# the params fields the geometry reads, which the drops of one run share
-_SHARED = attrgetter("area_side_m", "num_sbs", "num_ue", "alpha_macro", "alpha_small",
-                     "p_macro_w", "p_small_w")
-
-
-def make_instances(params_seq):
-    """Yield make_instance(params) for each params of params_seq, bit for bit.
-
-    The params must agree on every field the geometry reads: area_side_m,
-    num_sbs, num_ue, both exponents and both transmit powers. The first
-    advance draws every drop from its own seed and computes all their links
-    and table arrays in one pass; each advance checks its own drop's table,
-    so a refused drop raises at its own advance.
-    """
-    params_seq = list(params_seq)
-    if len(set(map(_SHARED, params_seq))) > 1:
-        raise ValueError("make_instances needs params that agree on area_side_m, num_sbs, "
-                         "num_ue, both exponents and both transmit powers")
-    if not params_seq:
+def make_instances(params: ScenarioParams, seeds):
+    """Yield make_instance(replace(params, seed=seed)) for each of seeds, bit
+    for bit. The first advance builds each drop's params, refusing a bad seed
+    as ScenarioParams does, draws every drop and computes all their links and
+    table arrays in one pass; each advance checks its own drop's table, so a
+    refused drop raises at its own advance."""
+    drops = [replace(params, seed=seed) for seed in seeds]
+    if not drops:
         return
-    sites = _sites(params_seq)
-    state = _derive(params_seq, *_links(sites, params_seq[0]))
-    for i, params in enumerate(params_seq):
-        yield sites[i], _table(params, state, i)
+    sites = _sites(params, [drop.seed for drop in drops])
+    state = _derive(params, len(drops), *_links(sites, params))
+    for i, drop in enumerate(drops):
+        yield sites[i], _table(drop, state, i)
 
 
 def make_instance(params: ScenarioParams):
-    """Draw the drop of params' seed and build its table in one call, the
-    one drop of make_instances((params,)) without the generator. Returns
-    (sites, table): sites is the drop's (1 + I + K, 2) row of _sites, the
-    MBS in row 0, the SBSs in rows 1..I and the UEs in the rest."""
-    sites = _sites((params,))
-    return sites[0], _table(params, _derive((params,), *_links(sites, params)), 0)
+    """The one drop of make_instances(params, [params.seed]), without the
+    generator. Returns (sites, table): sites is the drop's (1 + I + K, 2)
+    row of _sites, the MBS in row 0, the SBSs in rows 1..I and the UEs in
+    the rest."""
+    sites = _sites(params, (params.seed,))
+    return sites[0], _table(params, _derive(params, 1, *_links(sites, params)), 0)

@@ -52,7 +52,7 @@ def sited_table(sites, params: ScenarioParams) -> ChannelTable:
     meters, the MBS's row first, then the SBSs' and the UEs', as
     make_instance derives it from the rows it draws."""
     sites = np.asarray(sites, dtype=np.float64)[None]
-    return topology._table(params, topology._derive((params,), *topology._links(sites, params)), 0)
+    return topology._table(params, topology._derive(params, 1, *topology._links(sites, params)), 0)
 
 
 def synthetic_table(snr, sinr, assoc, params: ScenarioParams) -> ChannelTable:

@@ -216,8 +216,9 @@ def test_run_experiment_starts_no_more_workers_than_cells(monkeypatch):
 
 
 def test_a_sweep_takes_each_cell_once(monkeypatch):
-    """run_experiment calls run_trial, trial_seed and ScenarioParams.validate
-    once per cell, and its records equal run_trial's one-cell replays."""
+    """run_experiment calls run_trial and trial_seed once per cell and
+    ScenarioParams.validate once per cell plus once per run, here two runs
+    per K, and its records equal run_trial's one-cell replays."""
     cfg = _tiny_config(ue_sweep=(2, 3), trials=3, algorithms=("stronger",))
     replays = [harness.run_trial((cfg, k, t)) for k in cfg.ue_sweep for t in range(3)]
     calls = []
@@ -229,7 +230,7 @@ def test_a_sweep_takes_each_cell_once(monkeypatch):
                         lambda self: calls.append("validate") or validate(self))
     records, _ = run_experiment(cfg)
     assert records == replays
-    assert sorted(calls) == ["run_trial"] * 6 + ["trial_seed"] * 6 + ["validate"] * 6
+    assert sorted(calls) == ["run_trial"] * 6 + ["trial_seed"] * 6 + ["validate"] * (6 + 4)
 
 
 def test_zero_optimum_has_no_ratio():
@@ -274,7 +275,7 @@ def test_refusal_mid_run_names_its_cell(monkeypatch):
     runs = []
     batch = harness.make_instances
     monkeypatch.setattr(harness, "make_instances",
-                        lambda run: runs.append([p.seed for p in run]) or batch(run))
+                        lambda params, seeds: runs.append(seeds) or batch(params, seeds))
     cfg = _tiny_config(scenario=ScenarioParams(p_macro_dbm=-3100.0), ue_sweep=(1,), trials=8,
                        master_seed=2)
     seed = trial_seed(2, 1, 3)

@@ -5,16 +5,20 @@ or by its table's check, or it yields a table on which every solver returns
 a valid allocation whose finite sum-rate is its evaluate replay, the
 exhaustive optimum is within 2K ulps of the best of them, and
 check_proposition1 accepts that optimum. Draws span the extreme ranges:
-sides of 1e-300..1e300 m, bandwidths of 1e-300 Hz up to 1e308 Hz (past
-1e306 Hz a sum-rate can overflow, which the table check refuses), powers of
-+-3000 dBm, noise PSDs of -3000..300 dBm/Hz, exponents just above 2 up to
-300, K <= 9 and I <= 16. Each real field is drawn as its default, an end of
-its range or anywhere in it, so ordinary tables are drawn too. Runs are
-derandomized and keep no example database, so they are repeatable; conftest
-moves Hypothesis's cache out of the checkout.
+sides of 1e-300 m up to the largest double (past about 1.27e308 m an SBS
+distance overflows), bandwidths of 1e-300 Hz up to 1e308 Hz (past 1e306 Hz
+a sum-rate can overflow), powers of -3000 dBm up to 3112.4 dBm, about the
+largest whose watts are finite (there the interference sum can overflow),
+noise PSDs of -3000..300 dBm/Hz, exponents just above 2 up to 300, K <= 9
+and I <= 16; the table check refuses each overflow by name. Each real field
+is drawn as its default, an end of its range or anywhere in it, so ordinary
+tables are drawn too. Runs are derandomized and keep no example database,
+so they are repeatable; conftest moves Hypothesis's cache out of the
+checkout.
 """
 
 import math
+import sys
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -41,11 +45,13 @@ def _floats(name, lo, hi):
 
 
 SCENARIOS = st.fixed_dictionaries({
-    "area_side_m": _decades("area_side_m", -300, 300),
+    # 10 ** 308.25 is just below the largest double, which is an end
+    "area_side_m": _spanning("area_side_m", 1e-300, sys.float_info.max,
+                             st.floats(-300, 308.25).map(lambda e: 10.0 ** e)),
     "num_sbs": st.integers(1, 16),
     "num_ue": st.integers(1, 9),
-    "p_macro_dbm": _floats("p_macro_dbm", -3000.0, 3000.0),
-    "p_small_dbm": _floats("p_small_dbm", -3000.0, 3000.0),
+    "p_macro_dbm": _floats("p_macro_dbm", -3000.0, 3112.4),
+    "p_small_dbm": _floats("p_small_dbm", -3000.0, 3112.4),
     "alpha_macro": _floats("alpha_macro", 2.0 + 1e-9, 300.0),
     "alpha_small": _floats("alpha_small", 2.0 + 1e-9, 300.0),
     "bw_macro_hz": _decades("bw_macro_hz", -300, 308),
@@ -60,6 +66,10 @@ SCENARIOS = st.fixed_dictionaries({
 @given(SCENARIOS)
 # the SBS tier's 2K rate terms could sum past a double: the table refuses it
 @example({"num_ue": 3, "p_small_dbm": 3000.0, "bw_small_hz": 1e308, "n_small_dbm_hz": -3000.0})
+# SBS distances past the float range, and an interference sum past it: the
+# table refuses each by name, with no overflow warning first
+@example({"num_ue": 9, "num_sbs": 16, "area_side_m": 1.79e308, "seed": 0})
+@example({"num_ue": 9, "num_sbs": 16, "area_side_m": 1.0, "p_small_dbm": 3110.0, "seed": 1})
 def test_a_scenario_is_refused_or_solved_exactly(fields):
     try:
         table = make_instance(ScenarioParams(**fields))[1]

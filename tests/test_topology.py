@@ -55,6 +55,9 @@ def test_default_noise_floors_in_watts():
     ("p_small_dbm", 4000.0),
     ("n_macro_dbm_hz", 4000.0),
     ("n_small_dbm_hz", 4000.0),
+    # an integer past the float range
+    ("area_side_m", 10 ** 400),
+    ("p_macro_dbm", 10 ** 400),
     ("seed", -1),
     ("num_sbs", 2.5),
     ("num_ue", 3.5),
@@ -157,7 +160,7 @@ def test_drop_sites_match_draw_law():
     draw from its seed, as make_instance returns them."""
     params = ScenarioParams(num_sbs=3, num_ue=5, seed=99)
     sites = make_instance(params)[0]
-    assert sites.tobytes() == topology._sites((params,))[0].tobytes()
+    assert sites.tobytes() == topology._sites(params, [params.seed])[0].tobytes()
     rng = np.random.default_rng(99)
     sbs = rng.uniform(0.0, params.area_side_m, size=(3, 2))
     ue = rng.uniform(0.0, params.area_side_m, size=(5, 2))
@@ -315,7 +318,7 @@ def test_channel_table_validation():
 def test_make_instance_matches_pipeline():
     params = ScenarioParams(num_sbs=3, num_ue=4, seed=11)
     sites, table = make_instance(params)
-    sites2 = topology._sites((params,))[0]
+    sites2 = topology._sites(params, [params.seed])[0]
     table2 = sited_table(sites2, params)
     assert np.array_equal(sites, sites2)
     assert np.array_equal(table.sinr_small, table2.sinr_small)
@@ -380,8 +383,8 @@ def test_make_instances_pinned_in_runs():
     built = 0
     for start in range(0, len(drops), 3):
         run = drops[start:start + 3]
-        assert len({(p.num_ue, p.num_sbs, p.area_side_m) for p in run}) == 1
-        for sites, table in make_instances(run):
+        assert len({replace(p, seed=0) for p in run}) == 1
+        for sites, table in make_instances(run[0], [p.seed for p in run]):
             built += 1
             for arr in _drop_arrays(sites, table):
                 digest.update(repr((arr.dtype.str, arr.shape)).encode())
@@ -398,10 +401,11 @@ def test_make_instances_equal_make_instance_per_seed(num_sbs):
     which pins the interference sum, the one float reduction."""
     for k_ues in (1, 2, 10, 20, 40):
         for length in (1, 7, 20):
-            run = [ScenarioParams(num_sbs=num_sbs, num_ue=k_ues,
-                                  seed=1000 * k_ues + 50 * length + s) for s in range(length)]
-            for params, drop in zip(run, make_instances(run), strict=True):
-                sites = topology._sites((params,))[0]
+            scenario = ScenarioParams(num_sbs=num_sbs, num_ue=k_ues)
+            seeds = [1000 * k_ues + 50 * length + s for s in range(length)]
+            run = [replace(scenario, seed=seed) for seed in seeds]
+            for params, drop in zip(run, make_instances(scenario, seeds), strict=True):
+                sites = topology._sites(params, [params.seed])[0]
                 for twin in (make_instance(params), (sites, sited_table(sites, params))):
                     for got, want in zip(_drop_arrays(*drop), _drop_arrays(*twin)):
                         assert got.dtype == want.dtype and got.shape == want.shape
@@ -418,45 +422,46 @@ def _assert_same_table(got, want):
     assert got.params == want.params
 
 
-def test_make_instances_take_params_that_share_the_geometry():
-    """A run's params may differ in seed, bandwidths and noise, each drop
-    then equal to make_instance's in all eight table arrays and its
-    columns, whether its neighbours share its noise powers or not; a field
-    the geometry reads must agree, and an empty run yields nothing."""
-    base = ScenarioParams(num_ue=5, seed=1)
-    run = [base, replace(base, seed=2, n_small_dbm_hz=-120.0, bw_macro_hz=5e6),
-           replace(base, seed=3, n_macro_dbm_hz=-100.0), replace(base, seed=4, bw_small_hz=20e6),
-           replace(base, seed=5), replace(base, seed=6, n_macro_dbm_hz=-80.0,
-                                          n_small_dbm_hz=-150.0, bw_small_hz=1e6)]
-    assert len({(p.noise_macro_w, p.noise_small_w) for p in run}) == 5
-    for length in (2, len(run)):
-        for params, (_, table) in zip(run[:length], make_instances(run[:length]), strict=True):
-            _assert_same_table(table, make_instance(params)[1])
-            assert table.params is params
-    for field, value in (("num_ue", 6), ("num_sbs", 5), ("area_side_m", 400.0),
-                         ("alpha_small", 4.0), ("p_macro_dbm", 43.0)):
-        with pytest.raises(ValueError, match="agree on area_side_m"):
-            next(make_instances([base, replace(base, **{field: value})]))
-    assert list(make_instances([])) == []
+def test_make_instances_take_one_scenario_and_its_seeds():
+    """A run is one scenario at its seeds, Python or NumPy integers: each
+    drop equals make_instance's at that seed in all eight table arrays and
+    its columns, and its params are the scenario at the seed. A bad seed is
+    refused with ScenarioParams' message at the first advance, and no seeds
+    yield nothing."""
+    scenario = ScenarioParams(num_ue=5, n_small_dbm_hz=-120.0, bw_macro_hz=5e6)
+    seeds = [1, np.uint64(2 ** 63), 3, np.int64(4), 2 ** 64 - 1, 6]
+    for length in (1, 2, len(seeds)):
+        run = make_instances(scenario, seeds[:length])
+        for seed, (sites, table) in zip(seeds[:length], run, strict=True):
+            params = replace(scenario, seed=seed)
+            twin = make_instance(params)
+            assert sites.tobytes() == twin[0].tobytes()
+            _assert_same_table(table, twin[1])
+            assert table.params == params
+    instances = make_instances(scenario, (1, -1))
+    with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+        next(instances)
+    assert list(make_instances(scenario, [])) == []
 
 
-@pytest.mark.parametrize("refused, message", [
+@pytest.mark.parametrize("scenario, first, message", [
     # a subnormal MBS power underflows rx_macro_w only at UEs far from the MBS
-    (lambda seed: ScenarioParams(p_macro_dbm=-3100.0, num_ue=3, seed=seed),
+    (ScenarioParams(p_macro_dbm=-3100.0, num_ue=3), 2,
      "rx_macro_w must be finite and strictly positive"),
-    # 1e308 Hz over a -3200 dBm/Hz floor: 2K rate terms could sum past a double
-    (lambda seed: ScenarioParams(num_ue=3, seed=seed, **(dict(
-        bw_macro_hz=1e308, bw_small_hz=1e308, n_macro_dbm_hz=-3200.0,
-        n_small_dbm_hz=-3200.0) if seed == 5 else {})),
+    # 1e306 Hz over a -3200 dBm/Hz floor: at some drops 2K rate terms could
+    # sum past a double
+    (ScenarioParams(num_ue=3, bw_macro_hz=1e306, bw_small_hz=1e306, n_macro_dbm_hz=-3200.0,
+                    n_small_dbm_hz=-3200.0), 4,
      "must be finite on both tiers")], ids=["rx_macro_w", "bandwidth"])
-def test_a_refused_drop_raises_at_its_own_advance(refused, message):
-    """One drop in the middle of a run (seeds 2..4 pass, seed 5 is refused)
-    raises at its own advance, with make_instance's message and no warning
-    first; the drops before it equal make_instance's."""
-    run = [refused(seed) for seed in range(2, 8)]
+def test_a_refused_drop_raises_at_its_own_advance(scenario, first, message):
+    """One drop in the middle of a run (the three seeds from first pass,
+    the fourth is refused) raises at its own advance, with make_instance's
+    message and no warning first; the drops before it equal make_instance's."""
+    seeds = range(first, first + 6)
+    run = [replace(scenario, seed=seed) for seed in seeds]
     with pytest.raises(ValueError, match=message) as alone:
         make_instance(run[3])
-    instances = make_instances(run)
+    instances = make_instances(scenario, seeds)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for params in run[:3]:
@@ -474,13 +479,11 @@ def test_a_run_derives_its_tables_once(monkeypatch):
     calls = []
     derive = topology._derive
     monkeypatch.setattr(topology, "_derive",
-                        lambda params_seq, *args: calls.append(len(params_seq)) or
-                        derive(params_seq, *args))
-    run = [ScenarioParams(num_ue=7, seed=seed) for seed in range(20)]
-    drops = list(make_instances(run))
+                        lambda params, t, *args: calls.append(t) or derive(params, t, *args))
+    drops = list(make_instances(ScenarioParams(num_ue=7), range(20)))
     assert calls == [20]
-    for params in run[:3]:
-        make_instance(params)
+    for seed in range(3):
+        make_instance(ScenarioParams(num_ue=7, seed=seed))
     assert calls == [20, 1, 1, 1]
     for _, table in drops:
         for name in _TABLE_ARRAYS:
